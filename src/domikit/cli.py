@@ -81,28 +81,33 @@ def _domination_table(doc: SystemDocument, level: int) -> DominationTable:
 
 
 def _compute(doc: SystemDocument, level: int, method: str, guard: int | None) -> tuple[int, str]:
-    """(value, method actually used) for one domination computation."""
+    """(value, method actually used) for one domination computation.
+
+    `auto` takes a closed form when one applies, else the binary route;
+    past the guard it refuses, as pivotal would visit as many states.
+    """
     ls = doc.system.level(level)
     top = doc.max_states
+    kw = {} if guard is None else {"guard": guard}
     if method == "auto":
         engine = _closed_form(doc, level)
         if engine is not None:
             return engine(), "closed_form"
-        if len(top) <= (guard or 25):
-            return domination_via_binary(ls, guard=guard or 25), "binary"
-        return pivotal_domination(ls), "pivotal"
+        try:
+            return domination_via_binary(ls, **kw), "binary"
+        except ComplexityGuardError as e:
+            raise ComplexityGuardError(
+                f"{e}; --method pivotal runs without the guard but visits as many states"
+            ) from e
     if method == "formations":
         paths = minimal_path_vectors(ls)
-        table = domination_by_formations(paths, **({"guard": guard} if guard else {}))
-        return table.get(top, 0), method
+        return domination_by_formations(paths, **kw).get(top, 0), method
     if method == "mobius":
-        paths = minimal_path_vectors(ls)
-        table = domination_by_closure_mobius(join_closure(paths))
-        return table.get(top, 0), method
+        return _domination_table(doc, level).get(top, 0), method
     if method == "pivotal":
         return pivotal_domination(ls), method
     if method == "binary":
-        return domination_via_binary(ls, **({"guard": guard} if guard else {})), method
+        return domination_via_binary(ls, **kw), method
     raise DomikitError(f"unknown method {method!r}")
 
 
@@ -161,8 +166,6 @@ def cmd_reliability(doc: SystemDocument, args) -> tuple[int, str]:
 
 def cmd_verify(doc: SystemDocument, args) -> tuple[int, str]:
     """Run every applicable method; disagreement exits 4."""
-    ls = doc.system.level(args.level)
-    top = doc.max_states
     results: list[tuple[str, int | None, float, str | None]] = []
 
     def run(name: str, fn):
@@ -174,20 +177,8 @@ def cmd_verify(doc: SystemDocument, args) -> tuple[int, str]:
             return
         results.append((name, value, time.perf_counter() - started, None))
 
-    def by_formations():
-        paths = minimal_path_vectors(ls)
-        kw = {"guard": args.guard} if args.guard else {}
-        return domination_by_formations(paths, **kw).get(top, 0)
-
-    def by_mobius():
-        paths = minimal_path_vectors(ls)
-        return domination_by_closure_mobius(join_closure(paths)).get(top, 0)
-
-    run("formations", by_formations)
-    run("mobius", by_mobius)
-    run("pivotal", lambda: pivotal_domination(ls))
-    kw = {"guard": args.guard} if args.guard else {}
-    run("binary", lambda: domination_via_binary(ls, **kw))
+    for method in ("formations", "mobius", "pivotal", "binary"):
+        run(method, lambda: _compute(doc, args.level, method, args.guard)[0])
     engine = _closed_form(doc, args.level)
     if engine is not None:
         run("closed_form", engine)
@@ -259,7 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.guard is not None and args.guard < 1:
+        parser.error(f"argument --guard: must be at least 1, got {args.guard}")
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -16,6 +16,7 @@ exact arithmetic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -175,7 +176,7 @@ def _parse_structure(obj: dict, max_states: tuple[int, ...] | None):
     levels_obj = _expect_dict(_get(obj, "levels", "structure"), "structure.levels")
     levels: dict[int, list[tuple[int, ...]]] = {}
     for key, fam in levels_obj.items():
-        if not key.isdigit() or int(key) < 1:
+        if not (key.isascii() and key.isdigit()) or int(key) < 1:
             raise ParseError(f"structure.levels.{key}", "level keys must be positive integers")
         vecs = [tuple(_int_list(v, f"structure.levels.{key}[{i}]"))
                 for i, v in enumerate(_expect_list(fam, f"structure.levels.{key}"))]
@@ -221,6 +222,8 @@ def _parse_distribution(value: Any, max_states: tuple[int, ...]) -> ComponentDis
             elif isinstance(p, float):
                 if has_rational:
                     raise ParseError(ppath, "cannot mix decimal and rational probabilities")
+                if not math.isfinite(p):
+                    raise ParseError(ppath, f"expected a finite probability, got {p!r}")
                 row.append(p)
             else:
                 raise ParseError(ppath, f"expected a probability, got {p!r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Hashable, Iterable, Sequence
 
 from .errors import (
@@ -24,8 +24,9 @@ from .errors import (
     DomainError,
     ValidationError,
 )
-from .domination import BinaryStructure, binary_signed_domination
+from .domination import BinaryStructure, _alternating_sum
 from .poset import Vector
+from .systems import _freeze, _splice
 
 
 class Matroid:
@@ -172,17 +173,11 @@ def crapo_beta(m: Matroid, subset: Iterable[Hashable], *, guard: int = 25) -> in
             f"subset of {size} elements exceeds the beta guard ({guard}); "
             "use domination_invariant_recursion"
         )
-    ra = m.rank_mask(mask)
-    total = 0
-    sub = mask
-    while True:
-        r = m.rank_mask(sub)
-        if r:
-            total += r if (ra - sub.bit_count()) % 2 == 0 else -r
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return total
+    bits = [1 << i for i in range(len(m.ground)) if mask >> i & 1]
+    total = _alternating_sum(
+        lambda z: m.rank_mask(sum(b for b, zi in zip(bits, z) if zi)), (1,) * size
+    )
+    return total if (m.rank_mask(mask) - size) % 2 == 0 else -total
 
 
 def beta_number(m: Matroid, *, guard: int = 25) -> int:
@@ -247,10 +242,7 @@ def link_structure(link: MatroidSystemLink) -> BinaryStructure:
     bits = [1 << m.index[e] for e in link.components]
 
     def func(z: Vector) -> int:
-        mask = 0
-        for b, zi in zip(bits, z):
-            if zi:
-                mask |= b
+        mask = sum(b for b, zi in zip(bits, z) if zi)
         return 1 + m.rank_mask(mask) - m.rank_mask(mask | xbit)
 
     return BinaryStructure(components=tuple(range(len(bits))), _func=func)
@@ -277,13 +269,6 @@ def domination_from_beta(link: MatroidSystemLink, subset: Iterable[Hashable], *,
     return sign * crapo_beta(m, m.from_mask(full), guard=guard)
 
 
-def _restrict_binary(bs: BinaryStructure, slot: int, value: int) -> BinaryStructure:
-    def func(z: Vector) -> int:
-        return bs(z[:slot] + (value,) + z[slot:])
-
-    return BinaryStructure(components=tuple(range(bs.size - 1)), _func=func)
-
-
 def domination_invariant_recursion(
     bs: BinaryStructure,
     pivot: int | None = None,
@@ -301,9 +286,16 @@ def domination_invariant_recursion(
     computed once.  At base_size slots the subset formula takes over.
     """
     memo: dict[tuple[int, int], int] = {}
+    func = bs._func
 
-    def run(b: BinaryStructure, forced: int | None) -> int:
-        k = b.size
+    # A subsystem is the set of slots frozen so far, spliced back into the
+    # original structure the same way restrict() does for level functions.
+    def run(frozen: tuple[tuple[int, int], ...], forced: int | None) -> int:
+        k = bs.size - len(frozen)
+
+        def b(z: Vector) -> int:
+            return func(_splice(z, frozen))
+
         if k == 0:
             return b(())
         if b((1,) * k) == 0 or b((0,) * k) == 1:
@@ -311,7 +303,7 @@ def domination_invariant_recursion(
         key = None
         if forced is None and k <= memo_size:
             bits = 0
-            for i, z in enumerate(_binary_vectors(k)):
+            for i, z in enumerate(product((0, 1), repeat=k)):
                 if b(z):
                     bits |= 1 << i
             key = (k, bits)
@@ -319,12 +311,13 @@ def domination_invariant_recursion(
             if cached is not None:
                 return cached
         if forced is None and k <= base_size:
-            value = abs(binary_signed_domination(b, guard=max(base_size, 25)))
+            value = abs(_alternating_sum(b, (1,) * k))
         else:
             e = forced if forced is not None else 0
-            up = _restrict_binary(b, e, 1)
-            down = _restrict_binary(b, e, 0)
-            if all(up(z) == down(z) for z in _binary_vectors(k - 1)):
+            up = _freeze(frozen, e, 1)
+            down = _freeze(frozen, e, 0)
+            if all(func(_splice(z, up)) == func(_splice(z, down))
+                   for z in product((0, 1), repeat=k - 1)):
                 # Irrelevant pivot: both halves are the same minor, so the
                 # signed domination cancels and splitting would count the
                 # minor twice.
@@ -337,12 +330,7 @@ def domination_invariant_recursion(
 
     if pivot is not None and not 0 <= pivot < bs.size:
         raise DomainError(f"pivot {pivot} outside 0..{bs.size - 1}")
-    return run(bs, pivot)
-
-
-def _binary_vectors(k: int):
-    for mask in range(1 << k):
-        yield tuple((mask >> i) & 1 for i in range(k))
+    return run((), pivot)
 
 
 def threshold_domination(n: int, m: int, k: int) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ComplexityGuardError, DimensionError, InvalidGeneratorError
 
@@ -87,8 +87,9 @@ def validate_generators(vectors: Iterable[Vector]) -> tuple[Vector, ...]:
             raise DimensionError(f"vectors of length {n} and {len(g)}")
         if any(s < 0 for s in g):
             raise InvalidGeneratorError(f"negative state in generator {g}")
+    # a precedes b lexicographically, so b <= a componentwise only if a == b
     for a, b in combinations(gens, 2):
-        if compare(a, b) is not Relation.INCOMPARABLE:
+        if all(p <= q for p, q in zip(a, b)):
             raise InvalidGeneratorError(f"comparable generators {a} and {b}")
     return gens
 
@@ -146,30 +147,38 @@ def formations(target: Vector, generators: Iterable[Vector]) -> list[tuple[Vecto
     Returned sorted by size, then lexicographically; each formation is a
     sorted tuple of generators.  Empty when target is not in the closure.
     """
-    gens = validate_generators(generators)
-    if gens and len(target) != len(gens[0]):
-        raise DimensionError(f"vectors of length {len(target)} and {len(gens[0])}")
     # only generators below the target can take part in a formation
-    candidates = [g for g in gens if leq(g, target)]
-    found = []
-    for size in range(1, len(candidates) + 1):
-        for subset in combinations(candidates, size):
-            v = subset[0]
-            for g in subset[1:]:
-                v = tuple(map(max, v, g))
-            if v == target:
-                found.append(subset)
-    return found
+    candidates = [g for g in validate_generators(generators) if leq(g, target)]
+    found = [
+        tuple(g for i, g in enumerate(candidates) if mask >> i & 1)
+        for mask, v in _subset_joins(candidates)
+        if v == target
+    ]
+    return sorted(found, key=lambda f: (len(f), f))
+
+
+def _subset_joins(gens: Sequence[Vector]) -> Iterator[tuple[int, Vector]]:
+    """Every non-empty subset of gens, as a bitmask, with its join.
+
+    Depth first, each join taken from the subset's parent, so memory
+    stays quadratic in len(gens) while the walk covers all 2^s subsets.
+    """
+    stack = [(1 << i, i, g) for i, g in enumerate(gens)]
+    while stack:
+        mask, last, v = stack.pop()
+        yield mask, v
+        for j in range(last + 1, len(gens)):
+            stack.append((mask | 1 << j, j, tuple(map(max, v, gens[j]))))
 
 
 def domination_by_formations(generators: Iterable[Vector], *, guard: int = 20) -> DominationTable:
     """Signed domination of a generator family by direct formation counting.
 
-    Walks all 2^s - 1 non-empty subsets of the s generators, computing each
-    join from the subset with its lowest generator removed, and accumulates
-    (-1)^(|S|+1) at the join.  The result maps every closure element to
-    (# odd formations) - (# even formations); elements whose counts cancel
-    stay in the table with value 0, vectors outside the closure are absent.
+    Walks all 2^s - 1 non-empty subsets of the s generators and
+    accumulates (-1)^(|S|+1) at each subset's join.  The result maps every
+    closure element to (# odd formations) - (# even formations); elements
+    whose counts cancel stay in the table with value 0, vectors outside
+    the closure are absent.
 
     Exponential in s; families larger than `guard` are refused (use the
     closure Mobius table, the pivotal decomposition or a closed form
@@ -184,17 +193,8 @@ def domination_by_formations(generators: Iterable[Vector], *, guard: int = 20) -
             "closed-form engine handles larger families"
         )
     table: DominationTable = {}
-    joins: list[Vector] = [()] * (1 << s)
-    for mask in range(1, 1 << s):
-        low = mask & -mask
-        rest = mask ^ low
-        g = gens[low.bit_length() - 1]
-        v = g if rest == 0 else tuple(map(max, joins[rest], g))
-        joins[mask] = v
-        if mask.bit_count() & 1:
-            table[v] = table.get(v, 0) + 1
-        else:
-            table[v] = table.get(v, 0) - 1
+    for mask, v in _subset_joins(gens):
+        table[v] = table.get(v, 0) + (1 if mask.bit_count() & 1 else -1)
     return dict(sorted(table.items()))
 
 
@@ -220,6 +220,20 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _mobius_rows(elements: tuple[Vector, ...]) -> Iterator[tuple[int, dict[int, int]]]:
+    """For each index i, the row j -> mu(elements[i], elements[j]), j >= i."""
+    down, up = _order_bitsets(elements)
+    for i in range(len(elements)):
+        row: dict[int, int] = {}
+        for j in _iter_bits(up[i]):
+            if j == i:
+                row[j] = 1
+            else:
+                interval = up[i] & down[j] & ~(1 << j)
+                row[j] = -sum(row[u] for u in _iter_bits(interval))
+        yield i, row
+
+
 def mobius_on_closure(closure: JoinClosure) -> dict[tuple[Vector, Vector], int]:
     """Mobius function of the closure, as a map on ordered pairs x <= y.
 
@@ -228,19 +242,11 @@ def mobius_on_closure(closure: JoinClosure) -> dict[tuple[Vector, Vector], int]:
     entry.
     """
     elements = closure.elements
-    down, up = _order_bitsets(elements)
-    mu: dict[tuple[Vector, Vector], int] = {}
-    for i in range(len(elements)):
-        row: dict[int, int] = {}
-        for j in _iter_bits(up[i]):
-            if j == i:
-                row[j] = 1
-                continue
-            interval = up[i] & down[j] & ~(1 << j)
-            row[j] = -sum(row[u] for u in _iter_bits(interval))
-        for j, value in row.items():
-            mu[(elements[i], elements[j])] = value
-    return mu
+    return {
+        (elements[i], elements[j]): value
+        for i, row in _mobius_rows(elements)
+        for j, value in row.items()
+    }
 
 
 def domination_by_closure_mobius(closure: JoinClosure) -> DominationTable:
@@ -251,15 +257,8 @@ def domination_by_closure_mobius(closure: JoinClosure) -> DominationTable:
     in the closure size.
     """
     elements = closure.elements
-    down, up = _order_bitsets(elements)
     delta = [0] * len(elements)
-    for i in range(len(elements)):
-        row: dict[int, int] = {}
-        for j in _iter_bits(up[i]):
-            if j == i:
-                row[j] = 1
-            else:
-                interval = up[i] & down[j] & ~(1 << j)
-                row[j] = -sum(row[u] for u in _iter_bits(interval))
-            delta[j] += row[j]
+    for _, row in _mobius_rows(elements):
+        for j, value in row.items():
+            delta[j] += value
     return {elements[j]: delta[j] for j in range(len(elements))}

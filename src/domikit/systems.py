@@ -15,7 +15,7 @@ their constructor in the network module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
@@ -27,7 +27,7 @@ from .errors import (
     DomainError,
     ValidationError,
 )
-from .poset import DominationTable, Vector, leq, validate_generators
+from .poset import DominationTable, Vector, domination_by_formations, leq, validate_generators
 
 
 @dataclass(frozen=True)
@@ -94,17 +94,47 @@ class MultistateSystem:
 
 @dataclass(frozen=True)
 class LevelSystem:
-    """Binary cut of a multistate structure at a fixed level."""
+    """Binary cut of a multistate structure at a fixed level.
+
+    A restriction keeps the original system and its frozen coordinates as
+    (position, state) pairs in ascending order, so one evaluation at any
+    depth is one call of MultistateSystem.evaluate.
+    """
 
     system: MultistateSystem
     level: int
+    _frozen: tuple[tuple[int, int], ...] = ()
 
     @property
     def max_states(self) -> tuple[int, ...]:
-        return self.system.space.max_states
+        ms = self.system.space.max_states
+        if not self._frozen:
+            return ms
+        fixed = {i for i, _ in self._frozen}
+        return tuple(m for i, m in enumerate(ms) if i not in fixed)
 
     def __call__(self, x: Vector) -> int:
+        if self._frozen:
+            x = _splice(tuple(x), self._frozen)
         return 1 if self.system.evaluate(x) >= self.level else 0
+
+
+def _freeze(
+    frozen: tuple[tuple[int, int], ...], component: int, value: int
+) -> tuple[tuple[int, int], ...]:
+    """Add one frozen coordinate, given by its index among the free ones."""
+    position = component
+    for i, _ in frozen:
+        if i <= position:
+            position += 1
+    return tuple(sorted(frozen + ((position, value),)))
+
+
+def _splice(x: Vector, frozen: tuple[tuple[int, int], ...]) -> Vector:
+    """The full vector; an x of the wrong length gives one of the wrong length."""
+    for i, v in frozen:
+        x = x[:i] + (v,) + x[i:]
+    return x
 
 
 def table_system(
@@ -189,9 +219,10 @@ def path_vector_system(
                     f"level-{k} path vector {v} dominates no level-{k - 1} path vector"
                 )
 
+    # lengths were checked above, and evaluate checks x
     def phi(x: Vector) -> int:
         for k in range(system_max, 0, -1):
-            if any(leq(u, x) for u in families[k]):
+            if any(all(a <= b for a, b in zip(u, x)) for u in families[k]):
                 return k
         return 0
 
@@ -211,14 +242,7 @@ def restrict(ls: LevelSystem, component: int, value: int) -> LevelSystem:
         raise DomainError(f"component {component} outside 0..{len(ms) - 1}")
     if not 0 <= value <= ms[component]:
         raise DomainError(f"state {value} outside 0..{ms[component]} for component {component}")
-    reduced = ms[:component] + ms[component + 1 :]
-
-    def indicator(x: Vector) -> int:
-        return ls(x[:component] + (value,) + x[component:])
-
-    space = StateSpace(max_states=reduced, system_max=1)
-    inner = MultistateSystem(space=space, kind="restriction", _func=indicator)
-    return LevelSystem(system=inner, level=1)
+    return LevelSystem(ls.system, ls.level, _freeze(ls._frozen, component, value))
 
 
 def check_monotone(system: MultistateSystem, *, guard: int = 10**7) -> bool:
@@ -248,7 +272,7 @@ def minimal_path_vectors(ls: LevelSystem, *, guard: int = 10**7) -> tuple[Vector
     positive coordinate is lowered by one; monotonicity makes that local
     test exact.  Output is lexicographically sorted.
     """
-    space = ls.system.space
+    space = StateSpace(max_states=ls.max_states, system_max=1)
     if space.size() > guard:
         raise ComplexityGuardError(
             f"path vector scan over {space.size()} states exceeds guard ({guard})"
@@ -268,35 +292,18 @@ def minimal_path_vectors(ls: LevelSystem, *, guard: int = 10**7) -> tuple[Vector
 
 def evaluate_from_paths(paths: Iterable[Vector], y: Vector) -> int:
     """Binary structure value at y given the minimal path vectors."""
-    vecs = validate_generators(paths)
-    if len(y) != len(vecs[0]):
-        raise DimensionError(f"vectors of length {len(y)} and {len(vecs[0])}")
-    return 1 if any(leq(p, y) for p in vecs) else 0
+    return 1 if any(leq(p, y) for p in validate_generators(paths)) else 0
 
 
 def inclusion_exclusion_eval(paths: Iterable[Vector], y: Vector, *, guard: int = 20) -> int:
     """The same structure value via inclusion-exclusion over path subsets.
 
-    sum over non-empty S of (-1)^(|S|+1) [y >= join(S)].  Always 0 or 1;
-    exists as an independent cross-check of evaluate_from_paths.
+    sum over non-empty S of (-1)^(|S|+1) [y >= join(S)]: the formation
+    table summed over the closure elements below y.  Always 0 or 1; exists
+    as an independent cross-check of evaluate_from_paths.
     """
-    vecs = validate_generators(paths)
-    if len(y) != len(vecs[0]):
-        raise DimensionError(f"vectors of length {len(y)} and {len(vecs[0])}")
-    s = len(vecs)
-    if s > guard:
-        raise ComplexityGuardError(f"{s} path vectors exceed the subset guard ({guard})")
-    joins: list[Vector] = [()] * (1 << s)
-    total = 0
-    for mask in range(1, 1 << s):
-        low = mask & -mask
-        rest = mask ^ low
-        g = vecs[low.bit_length() - 1]
-        v = g if rest == 0 else tuple(map(max, joins[rest], g))
-        joins[mask] = v
-        if leq(v, y):
-            total += 1 if mask.bit_count() & 1 else -1
-    return total
+    table = domination_by_formations(paths, guard=guard)
+    return sum(d for x, d in table.items() if leq(x, y))
 
 
 @dataclass(frozen=True)
@@ -421,7 +428,7 @@ def reliability_enumerate(
     guard: int = 10**7,
 ) -> float | Fraction:
     """P(phi >= k) by brute-force enumeration of the state space."""
-    space = ls.system.space
+    space = StateSpace(max_states=ls.max_states, system_max=1)
     dist._check_space(space.max_states)
     if space.size() > guard:
         raise ComplexityGuardError(

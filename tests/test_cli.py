@@ -245,6 +245,52 @@ def test_exit_3_on_guard(write_doc, capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_guard_below_one_exits_2(write_doc, capsys, value):
+    f = write_doc(sum_doc())
+    with pytest.raises(SystemExit) as exc:
+        main(["domination", f, "--level", "4", "--guard", value])
+    assert exc.value.code == 2
+    assert "--guard" in capsys.readouterr().err
+
+
+def test_auto_refuses_past_the_guard(write_doc, capsys):
+    f = write_doc({"format_version": 1, "max_states": [1] * 8,
+                   "structure": {"kind": "sum", "weights": [1, 2, 1, 3, 1, 2, 1, 1]}})
+    code, out, err = run(capsys, ["domination", f, "--level", "6", "--guard", "5",
+                                  "--no-timing"])
+    assert code == 3
+    assert out == ""
+    assert "--method pivotal" in err
+    code, out, _ = run(capsys, ["domination", f, "--level", "6", "--guard", "8",
+                                "--no-timing"])
+    assert code == 0
+    assert out.endswith("  [method: binary]\n")
+    _, pivotal, _ = run(capsys, ["domination", f, "--level", "6", "--method", "pivotal",
+                                 "--no-timing"])
+    assert pivotal == out.replace("binary", "pivotal")
+
+
+def test_exit_2_on_non_finite_probability(tmp_path, capsys):
+    for token in ("NaN", "Infinity"):
+        text = json.dumps(two_of_three(distribution=[[0.7, 0.3]] * 3))
+        f = tmp_path / f"{token}.json"
+        f.write_text(text.replace("0.3]]", token + "]]"))
+        code, out, err = run(capsys, ["reliability", str(f), "--level", "1"])
+        assert code == 2
+        assert out == ""
+        assert "distribution[2][1]" in err
+
+
+def test_exit_2_on_non_ascii_level_key(write_doc, capsys):
+    doc = two_of_three()
+    doc["structure"]["levels"] = {"\u00b2": [[1, 1, 0]]}
+    code, out, err = run(capsys, ["paths", write_doc(doc), "--level", "1"])
+    assert code == 2
+    assert out == ""
+    assert "structure.levels.\u00b2" in err
+
+
 def test_no_timing_output_is_byte_stable(write_doc, capsys):
     f = write_doc(bridge_doc(directed=True))
     outputs = []

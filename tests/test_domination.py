@@ -9,6 +9,7 @@ from domikit import (
     ComplexityGuardError,
     DimensionError,
     DomainError,
+    MultistateSystem,
     associated_binary,
     associated_binary_at,
     binary_signed_domination,
@@ -24,6 +25,7 @@ from domikit import (
     signed_domination,
     sum_system,
     table_system,
+    threshold_domination,
 )
 
 FOUR_GENS = [(2, 1, 1, 0), (1, 2, 0, 1), (1, 0, 2, 1), (0, 1, 1, 2)]
@@ -141,6 +143,33 @@ def test_pivotal_binary_case_is_state_split():
     d1 = signed_domination(restrict(ls, 0, 1))
     d0 = signed_domination(restrict(ls, 0, 0))
     assert pivotal_domination(ls, 0) == d1 - d0 == -2
+
+
+def test_evaluate_called_once_per_structure_evaluation(monkeypatch):
+    calls = []
+    evaluate = MultistateSystem.evaluate
+
+    def counted(system, x):
+        calls.append(tuple(x))
+        return evaluate(system, x)
+
+    monkeypatch.setattr(MultistateSystem, "evaluate", counted)
+    # 12 components pivot twice down to four 10-component leaves
+    ls = sum_system([1] * 12).level(6)
+    assert pivotal_domination(ls) == threshold_domination(12, 1, 6)
+    assert len(calls) == 2**12
+    # phi(2, a, 0, b, 1) >= 5 on the two components left free
+    deep = restrict(restrict(restrict(sum_system([2] * 5).level(5), 4, 1), 0, 2), 1, 0)
+    assert deep.max_states == (2, 2)
+    calls.clear()
+    values = {x: deep(x) for x in product(range(3), repeat=2)}
+    assert len(calls) == 9
+    assert calls[5] == (2, 1, 0, 2, 1)
+    assert values == {(a, b): int(a + b >= 2) for a, b in values}
+    with pytest.raises(DomainError):
+        deep((1, 3))
+    with pytest.raises(DomainError):
+        deep((1,))
 
 
 def test_pivotal_bad_pivot():
