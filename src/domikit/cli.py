@@ -13,6 +13,7 @@ guard refused the computation, 4 verification disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -68,52 +69,48 @@ def _closed_form(doc: SystemDocument, level: int):
     return None
 
 
-def _domination_table(doc: SystemDocument, level: int) -> DominationTable:
-    """Full signed domination table of a level function.
+class _Routes:
+    """The named routes to d(phi_k) for one (document, level, guard); they
+    share one path-vector scan and one closure Mobius table, each built once."""
 
-    Always computed through the closure of the minimal path vectors,
-    whatever method produced the headline value: that is the only route
-    that does not visit the whole state space per entry.
-    """
-    ls = doc.system.level(level)
-    paths = minimal_path_vectors(ls)
-    return domination_by_closure_mobius(join_closure(paths))
+    def __init__(self, doc: SystemDocument, level: int, guard: int | None):
+        self.doc, self.level, self.ls = doc, level, doc.system.level(level)
+        kw = {} if guard is None else {"guard": guard}
+        top = doc.max_states
+        self.methods = {  # in the order verify runs them
+            "formations": lambda: domination_by_formations(self.paths, **kw).get(top, 0),
+            "mobius": lambda: self.table.get(top, 0),
+            "pivotal": lambda: pivotal_domination(self.ls),
+            "binary": lambda: domination_via_binary(self.ls, **kw),
+        }
 
+    @functools.cached_property
+    def paths(self) -> tuple:
+        return minimal_path_vectors(self.ls)
 
-def _compute(doc: SystemDocument, level: int, method: str, guard: int | None) -> tuple[int, str]:
-    """(value, method actually used) for one domination computation.
+    @functools.cached_property
+    def table(self) -> DominationTable:
+        """Full table, through the closure: no state-space visit per entry."""
+        return domination_by_closure_mobius(join_closure(self.paths))
 
-    `auto` takes a closed form when one applies, else the binary route;
-    past the guard it refuses, as pivotal would visit as many states.
-    """
-    ls = doc.system.level(level)
-    top = doc.max_states
-    kw = {} if guard is None else {"guard": guard}
-    if method == "auto":
-        engine = _closed_form(doc, level)
+    def compute(self, method: str) -> tuple[int, str]:
+        """(value, method used).  `auto` takes a closed form when one applies,
+        else binary; past the guard it refuses, as pivotal visits as many states."""
+        if method != "auto":
+            return self.methods[method](), method
+        engine = _closed_form(self.doc, self.level)
         if engine is not None:
             return engine(), "closed_form"
         try:
-            return domination_via_binary(ls, **kw), "binary"
+            return self.methods["binary"](), "binary"
         except ComplexityGuardError as e:
             raise ComplexityGuardError(
                 f"{e}; --method pivotal runs without the guard but visits as many states"
             ) from e
-    if method == "formations":
-        paths = minimal_path_vectors(ls)
-        return domination_by_formations(paths, **kw).get(top, 0), method
-    if method == "mobius":
-        return _domination_table(doc, level).get(top, 0), method
-    if method == "pivotal":
-        return pivotal_domination(ls), method
-    if method == "binary":
-        return domination_via_binary(ls, **kw), method
-    raise DomikitError(f"unknown method {method!r}")
 
 
 def cmd_paths(doc: SystemDocument, args) -> tuple[int, str]:
-    ls = doc.system.level(args.level)
-    paths = minimal_path_vectors(ls)
+    paths = _Routes(doc, args.level, args.guard).paths
     if args.json:
         payload = {"level": args.level, "count": len(paths),
                    "vectors": [list(p) for p in paths]}
@@ -124,10 +121,11 @@ def cmd_paths(doc: SystemDocument, args) -> tuple[int, str]:
 
 
 def cmd_domination(doc: SystemDocument, args) -> tuple[int, str]:
+    routes = _Routes(doc, args.level, args.guard)
     started = time.perf_counter()
-    value, used = _compute(doc, args.level, args.method, args.guard)
+    value, used = routes.compute(args.method)
     elapsed = time.perf_counter() - started
-    table = _domination_table(doc, args.level) if args.table else None
+    table = routes.table if args.table else None
     if args.json:
         payload: dict = {"level": args.level, "method": used, "value": value}
         if not args.no_timing:
@@ -145,12 +143,11 @@ def cmd_domination(doc: SystemDocument, args) -> tuple[int, str]:
 def cmd_reliability(doc: SystemDocument, args) -> tuple[int, str]:
     if doc.distribution is None:
         raise ParseError("distribution", "reliability needs component distributions")
-    ls = doc.system.level(args.level)
-    table = _domination_table(doc, args.level)
-    value = reliability_from_domination(table, doc.distribution, doc.max_states)
+    routes = _Routes(doc, args.level, args.guard)
+    value = reliability_from_domination(routes.table, doc.distribution, doc.max_states)
     check = None
     if args.verify:
-        check = reliability_enumerate(ls, doc.distribution)
+        check = reliability_enumerate(routes.ls, doc.distribution)
     if args.json:
         payload: dict = {"level": args.level, "value": _prob(value)}
         if check is not None:
@@ -165,7 +162,8 @@ def cmd_reliability(doc: SystemDocument, args) -> tuple[int, str]:
 
 
 def cmd_verify(doc: SystemDocument, args) -> tuple[int, str]:
-    """Run every applicable method; disagreement exits 4."""
+    """Run every applicable method; disagreement exits 4.  A route's seconds
+    count the work it adds: the shared scan is billed to the first that needs it."""
     results: list[tuple[str, int | None, float, str | None]] = []
 
     def run(name: str, fn):
@@ -177,8 +175,8 @@ def cmd_verify(doc: SystemDocument, args) -> tuple[int, str]:
             return
         results.append((name, value, time.perf_counter() - started, None))
 
-    for method in ("formations", "mobius", "pivotal", "binary"):
-        run(method, lambda: _compute(doc, args.level, method, args.guard)[0])
+    for method, fn in _Routes(doc, args.level, args.guard).methods.items():
+        run(method, fn)
     engine = _closed_form(doc, args.level)
     if engine is not None:
         run("closed_form", engine)

@@ -95,13 +95,7 @@ def signed_domination(ls: LevelSystem, *, guard: int = 25) -> int:
     return delta_at(ls, ms, guard=guard)
 
 
-def pivotal_domination(
-    ls: LevelSystem,
-    pivot: int | None = None,
-    *,
-    base_size: int = 10,
-    guard: int = 25,
-) -> int:
+def pivotal_domination(ls: LevelSystem, pivot: int | None = None, *, base_size: int = 10) -> int:
     """Signed domination by pivotal decomposition.
 
     d(phi_k) = d(phi_k with the pivot frozen at its top state)
@@ -114,7 +108,7 @@ def pivotal_domination(
     ms = ls.max_states
     if pivot is None:
         if len(ms) <= base_size:
-            return signed_domination(ls, guard=guard)
+            return signed_domination(ls)
         e = max(range(len(ms)), key=lambda i: (ms[i], -i))
     else:
         if not 0 <= pivot < len(ms):
@@ -122,8 +116,8 @@ def pivotal_domination(
         e = pivot
     top = restrict(ls, e, ms[e])
     below = restrict(ls, e, ms[e] - 1)
-    return pivotal_domination(top, base_size=base_size, guard=guard) - pivotal_domination(
-        below, base_size=base_size, guard=guard
+    return pivotal_domination(top, base_size=base_size) - pivotal_domination(
+        below, base_size=base_size
     )
 
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from domikit import cli
 from domikit.cli import main
 
 
@@ -176,6 +177,28 @@ def test_verify_disagreement_exits_4(write_doc, capsys, monkeypatch):
     assert code == 4
     assert out.splitlines()[-1] == "agreement: NO"
     assert "pivotal      99" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--no-timing"],
+    ["domination", "--method", "mobius", "--table", "--no-timing"],
+    ["reliability", "--verify"],
+])
+def test_one_scan_and_closure_per_invocation(write_doc, capsys, monkeypatch, command):
+    calls = {"minimal_path_vectors": 0, "join_closure": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    ms = [1, 1, 2, 2, 1, 1, 2]
+    dist = [["1/2", "1/2"] if m == 1 else ["1/4", "1/4", "1/2"] for m in ms]
+    f = write_doc({"format_version": 1, "max_states": ms, "structure": {"kind": "sum"},
+                   "distribution": dist})
+    code, _, _ = run(capsys, [command[0], f, "--level", "6", *command[1:]])
+    assert code == 0
+    assert calls["minimal_path_vectors"] == 1
+    assert calls["join_closure"] <= 1
 
 
 def test_verify_guard_skips_method(write_doc, capsys):
