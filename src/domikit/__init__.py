@@ -36,7 +36,6 @@ from .poset import (
     join,
     join_closure,
     leq,
-    mobius_on_closure,
     validate_generators,
 )
 from .systems import (

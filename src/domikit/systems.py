@@ -153,6 +153,9 @@ def table_system(
     space_size = math.prod(m + 1 for m in ms)
     if isinstance(values, Mapping):
         table = {tuple(x): int(v) for x, v in values.items()}
+        for x in table:
+            if len(x) != len(ms) or not all(0 <= a <= m for a, m in zip(x, ms)):
+                raise ValidationError(f"table vector {x} lies outside the space {ms}")
     else:
         flat = list(values)
         if len(flat) != space_size:
@@ -365,6 +368,8 @@ class ComponentDistribution:
         for i, row in enumerate(rows):
             if len(row) < 2:
                 raise DistributionError(f"component {i}: pmf needs at least states 0 and 1")
+            if any(isinstance(p, float) and not math.isfinite(p) for p in row):
+                raise DistributionError(f"component {i}: non-finite probability")
             if any(p < 0 for p in row):
                 raise DistributionError(f"component {i}: negative probability")
             total = sum(row)

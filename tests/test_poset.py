@@ -17,7 +17,6 @@ from domikit import (
     formations,
     join,
     join_closure,
-    mobius_on_closure,
     validate_generators,
 )
 
@@ -136,26 +135,6 @@ def test_formation_guard_names_alternatives():
     # override allows it through
     table = domination_by_formations(gens[:5], guard=5)
     assert table[(1,) * 5 + (0,) * 16] == 1
-
-
-def test_mobius_recursion_base_and_chain():
-    cl = join_closure([(1, 0), (0, 1)])
-    mu = mobius_on_closure(cl)
-    assert mu[((1, 0), (1, 0))] == 1
-    assert mu[((1, 0), (1, 1))] == -1
-    assert mu[((0, 1), (1, 1))] == -1
-    assert ((1, 0), (0, 1)) not in mu
-
-
-def test_mobius_inverts_the_constant_one():
-    """Summing each column of the Mobius table reproduces the formation
-    counts, on the worked example."""
-    cl = join_closure(FOUR_GENS)
-    mu = mobius_on_closure(cl)
-    table = domination_by_formations(FOUR_GENS)
-    for y in cl:
-        col = sum(mu[(x, y)] for x in cl if vleq(x, y))
-        assert col == table[y]
 
 
 def test_closure_mobius_route_matches_formations():

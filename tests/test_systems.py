@@ -54,6 +54,16 @@ def test_table_system_rejects_wrong_size_and_negatives():
         table_system([1], [0, -1])
 
 
+def test_table_system_rejects_vectors_outside_the_space():
+    """A map with the right number of entries but a stray key is refused
+    up front, with or without the monotonicity check."""
+    for check in (True, False):
+        with pytest.raises(ValidationError, match=r"\(5,\) lies outside"):
+            table_system([1], {(0,): 0, (5,): 1}, check=check)
+    with pytest.raises(ValidationError, match="outside"):
+        table_system([1], {(0,): 0, (1, 0): 1})
+
+
 def test_table_system_flat_values_in_lex_order():
     sys2 = table_system([1, 1], [0, 1, 1, 2])
     assert sys2.evaluate((0, 1)) == 1
@@ -255,6 +265,12 @@ def test_distribution_validation():
     assert d.survival[0] == (1.0, 0.8, 0.5)
     assert not d.exact
     assert ComponentDistribution([[Fraction(1, 2), Fraction(1, 2)]]).exact
+
+
+def test_distribution_rejects_non_finite_floats():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DistributionError, match="non-finite"):
+            ComponentDistribution([[bad, 1.0]])
 
 
 def test_reliability_single_component():
