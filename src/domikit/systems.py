@@ -10,14 +10,20 @@ Systems are represented by a state space plus an evaluator, with
 constructors for the concrete shapes used in practice: explicit tables,
 weighted sums and families of minimal path vectors.  Flow networks get
 their constructor in the network module.
+
+Minimal path vectors are found from the level-k indicator over the whole
+product lattice, one evaluation per state, by bitset shifts rather than
+by re-evaluating the neighbours of every state; a path_vectors system
+already holds them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
+from operator import le
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -76,6 +82,8 @@ class MultistateSystem:
     space: StateSpace
     kind: str
     _func: Callable[[Vector], int]
+    # a path_vectors system's declared minimal path vectors, by level
+    _paths: Mapping[int, tuple[Vector, ...]] | None = field(default=None, compare=False, repr=False)
 
     def evaluate(self, x: Vector) -> int:
         x = tuple(x)
@@ -215,22 +223,28 @@ def path_vector_system(
             if len(v) != len(ms) or any(a > m for a, m in zip(v, ms)):
                 raise ValidationError(f"path vector {v} outside space {ms}")
         families[k] = fam
+    # lengths were checked above, and evaluate checks x
     for k in range(2, system_max + 1):
         for v in families[k]:
-            if not any(leq(u, v) for u in families[k - 1]):
+            if not any(all(map(le, u, v)) for u in families[k - 1]):
                 raise ValidationError(
                     f"level-{k} path vector {v} dominates no level-{k - 1} path vector"
                 )
 
-    # lengths were checked above, and evaluate checks x
     def phi(x: Vector) -> int:
-        for k in range(system_max, 0, -1):
-            if any(all(a <= b for a, b in zip(u, x)) for u in families[k]):
-                return k
-        return 0
+        """Bisect the levels: every level-k vector dominates a level-(k-1)
+        one, so "x lies above some F_k vector" is monotone in k."""
+        lo, hi = 0, system_max
+        while lo < hi:
+            k = (lo + hi + 1) // 2
+            if any(all(map(le, u, x)) for u in families[k]):
+                lo = k
+            else:
+                hi = k - 1
+        return lo
 
     space = StateSpace(max_states=ms, system_max=system_max)
-    return MultistateSystem(space=space, kind="path_vectors", _func=phi)
+    return MultistateSystem(space=space, kind="path_vectors", _func=phi, _paths=families)
 
 
 def restrict(ls: LevelSystem, component: int, value: int) -> LevelSystem:
@@ -268,29 +282,45 @@ def check_monotone(system: MultistateSystem, *, guard: int = 10**7) -> bool:
     return True
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def minimal_path_vectors(ls: LevelSystem, *, guard: int = 10**7) -> tuple[Vector, ...]:
-    """Minimal vectors x with phi(x) >= level, by scan and coordinate descent.
+    """Minimal vectors x with phi(x) >= level, by bitset shifts.
 
     x is minimal iff the level function holds at x but fails whenever one
     positive coordinate is lowered by one; monotonicity makes that local
-    test exact.  Output is lexicographically sorted.
+    test exact.  The level function is evaluated once per state and the
+    results packed into an int I (bit j for the j-th vector in
+    lexicographic order); lowering coordinate i is a shift by its stride,
+    so the minimal vectors are the bits of I & ~OR_i((I << stride_i) &
+    [x_i > 0]).  An unrestricted path_vectors level returns its declared
+    family.  Spaces over `guard` states are refused before anything is
+    evaluated.  Output is lexicographically sorted.
     """
     space = StateSpace(max_states=ls.max_states, system_max=1)
-    if space.size() > guard:
+    ms, size = space.max_states, space.size()
+    if size > guard:
         raise ComplexityGuardError(
-            f"path vector scan over {space.size()} states exceeds guard ({guard})"
+            f"path vector scan over {size} states exceeds guard ({guard})"
         )
-    out = []
-    for x in space.vectors():
-        if not ls(x):
-            continue
-        if all(
-            not ls(x[:i] + (s - 1,) + x[i + 1 :])
-            for i, s in enumerate(x)
-            if s > 0
-        ):
-            out.append(x)
-    return tuple(out)
+    if ls.system._paths is not None and not ls._frozen:
+        return ls.system._paths[ls.level]  # declared, and checked minimal at parse
+    # one byte per vector, read backwards as the binary digits of I
+    holds = int(bytes(map(ls, space.vectors()))[::-1].translate(_DIGITS), 2)
+    lowered = 0
+    stride = 1
+    for m in reversed(ms):
+        period = stride * (m + 1)
+        # bits where coordinate i is positive, one period repeated past size
+        positive, width = ((1 << (stride * m)) - 1) << stride, period
+        while width < size:
+            positive |= positive << width
+            width *= 2
+        lowered |= (holds << stride) & positive
+        stride = period
+    minimal = bin(holds & ~lowered)[:1:-1]  # character j is bit j, up to the last set bit
+    return tuple(compress(space.vectors(), map("1".__eq__, minimal)))
 
 
 def evaluate_from_paths(paths: Iterable[Vector], y: Vector) -> int:

@@ -6,13 +6,15 @@ from itertools import product
 
 import pytest
 
-from conftest import make_random_system, random_pmfs, vleq
+from conftest import bridge_network, make_random_system, random_pmfs, vleq
 from domikit import (
     ComplexityGuardError,
     ComponentDistribution,
     DimensionError,
     DistributionError,
     DomainError,
+    MultistateSystem,
+    StateSpace,
     ValidationError,
     check_monotone,
     domination_by_closure_mobius,
@@ -23,6 +25,7 @@ from domikit import (
     inclusion_exclusion_eval,
     join_closure,
     minimal_path_vectors,
+    network_system,
     path_vector_system,
     relevance_report,
     reliability_enumerate,
@@ -163,6 +166,102 @@ def test_minimal_path_vectors_guard():
     s = sum_system([9] * 8)
     with pytest.raises(ComplexityGuardError):
         minimal_path_vectors(s.level(1))
+    with pytest.raises(ComplexityGuardError,
+                       match=r"^path vector scan over 100000000 states exceeds guard \(99999999\)$"):
+        minimal_path_vectors(s.level(1), guard=10**8 - 1)
+
+    def unreachable(x):
+        raise AssertionError(f"evaluated {x} past the guard")
+
+    # refused by its size alone, before any evaluation
+    big = MultistateSystem(StateSpace((9,) * 8, 1), "sum", unreachable)
+    with pytest.raises(ComplexityGuardError):
+        minimal_path_vectors(big.level(1))
+
+
+def scan_minimal(ls):
+    """Reference: every state where the level holds and each one-step
+    drop fails, found by evaluating the level function state by state."""
+    return tuple(
+        x for x in product(*(range(m + 1) for m in ls.max_states))
+        if ls(x) and all(not ls(x[:i] + (s - 1,) + x[i + 1:]) for i, s in enumerate(x) if s)
+    )
+
+
+def path_family_system(system):
+    """The same structure rebuilt as a path_vectors system."""
+    return path_vector_system(system.space.max_states, {
+        k: minimal_path_vectors(system.level(k))
+        for k in range(1, system.space.system_max + 1)
+    })
+
+
+def test_minimal_path_vectors_every_kind(monkeypatch):
+    systems = [
+        sum_system([2, 1, 3]),
+        sum_system([1, 2, 2], weights=[2, 0, 3]),
+        table_system([1, 1], [0, 1, 1, 2]),
+        # a mapping given out of lexicographic order
+        table_system([1, 2], {(a, b): a * b + b for a in (1, 0) for b in (2, 1, 0)}),
+        path_vector_system((2, 2, 2, 2), {1: FOUR_GENS}),
+        path_vector_system((1, 2, 1), {1: [(0, 1, 0), (1, 0, 0)], 2: [(1, 1, 0), (0, 2, 1)],
+                                       3: [(1, 2, 1)]}),
+        network_system(bridge_network()),
+    ]
+    for system in systems:
+        for k in range(1, system.space.system_max + 1):
+            assert minimal_path_vectors(system.level(k)) == scan_minimal(system.level(k))
+    # one evaluation per state, each through evaluate, which fills the
+    # network's max-flow cache for later routes
+    calls = []
+    evaluate = MultistateSystem.evaluate
+
+    def counted(system, x):
+        calls.append(tuple(x))
+        return evaluate(system, x)
+
+    monkeypatch.setattr(MultistateSystem, "evaluate", counted)
+    net = network_system(bridge_network(directed=True))
+    minimal_path_vectors(net.level(1))
+    assert calls == list(net.space.vectors())
+    assert net._func.cache_info().currsize == net.space.size()
+    # a path_vectors level is its declared family, with no evaluation
+    calls.clear()
+    declared = path_vector_system((1, 2, 1), {1: [(1, 0, 0), (0, 1, 0)], 2: [(1, 1, 0)]})
+    assert minimal_path_vectors(declared.level(1)) == ((0, 1, 0), (1, 0, 0))
+    assert calls == []
+
+
+def test_minimal_path_vectors_match_reference_scan():
+    for seed in range(40):
+        table = make_random_system(seed)
+        # the same structure as a table and as declared path vectors
+        for system in (table, path_family_system(table)):
+            for k in range(1, system.space.system_max + 1):
+                ls = system.level(k)
+                assert minimal_path_vectors(ls) == scan_minimal(ls)
+                # freeze random components until none is left
+                rng = random.Random(seed * 100 + k)
+                while ls.max_states:
+                    i = rng.randrange(len(ls.max_states))
+                    ls = restrict(ls, i, rng.randint(0, ls.max_states[i]))
+                    assert minimal_path_vectors(ls) == scan_minimal(ls)
+    top = restrict(sum_system([2]).level(2), 0, 2)
+    assert top.max_states == ()
+    assert minimal_path_vectors(top) == ((),)
+    assert minimal_path_vectors(restrict(sum_system([2]).level(2), 0, 1)) == ()
+
+
+def test_path_vector_phi_bisection_matches_top_down_scan():
+    for seed in range(30):
+        table = make_random_system(seed)
+        system = path_family_system(table)
+        top = system.space.system_max
+        families = {k: scan_minimal(table.level(k)) for k in range(1, top + 1)}
+        for x in system.space.vectors():
+            scanned = next((k for k in range(top, 0, -1)
+                            if any(vleq(u, x) for u in families[k])), 0)
+            assert system.evaluate(x) == scanned == table.evaluate(x)
 
 
 def test_restrict_freezes_a_component():
