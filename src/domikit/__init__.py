@@ -27,9 +27,7 @@ from .errors import (
 from .poset import (
     DominationTable,
     JoinClosure,
-    Relation,
     Vector,
-    compare,
     domination_by_closure_mobius,
     domination_by_formations,
     formations,

@@ -12,14 +12,17 @@ computes it two independent ways:
 
 Both produce the same table.  The first walks all 2^s subsets of the s
 generators, the second is quadratic in the closure size.
+
+The order loops run on a thermometer code (_Packing): each vector is one
+int in which coordinate i owns w_i bits and state v sets the low v of
+them, so a join is one `|` and x <= y is `x | y == y`.  Vectors are
+encoded on entry and decoded once on the way out.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from itertools import combinations
-from operator import le
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ComplexityGuardError, DimensionError, InvalidGeneratorError
@@ -29,13 +32,6 @@ Vector = tuple[int, ...]
 #: Domination tables map state vectors to integers; vectors absent from a
 #: table are understood to carry the value 0.
 DominationTable = dict[Vector, int]
-
-
-class Relation(enum.Enum):
-    LESS = "less"
-    GREATER = "greater"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
 
 
 def _check_dims(x: Vector, y: Vector) -> None:
@@ -55,22 +51,43 @@ def leq(x: Vector, y: Vector) -> bool:
     return all(a <= b for a, b in zip(x, y))
 
 
-def compare(x: Vector, y: Vector) -> Relation:
-    """Order x against y: less, greater, equal or incomparable."""
-    _check_dims(x, y)
-    below = above = False
-    for a, b in zip(x, y):
-        if a < b:
-            below = True
-        elif a > b:
-            above = True
-    if below and above:
-        return Relation.INCOMPARABLE
-    if below:
-        return Relation.LESS
-    if above:
-        return Relation.GREATER
-    return Relation.EQUAL
+class _Packing:
+    """Thermometer code of the state vectors of one family.
+
+    Coordinate i owns widths[i] bits and state v sets the low v of them,
+    embedding the product of chains [0..w_i] in the Boolean lattice on
+    sum(w_i) atoms with joins and order kept (Birkhoff's representation).
+    Coordinate 0 owns the most significant field, so codes sort as their
+    vectors sort lexicographically.  A negative state raises and one above
+    its width spills into the next field: callers check both first.
+    """
+
+    def __init__(self, widths: Sequence[int]):
+        shifts, total = [], 0
+        for w in reversed(widths):
+            shifts.append(total)
+            total += w
+        self.shifts = shifts[::-1]
+        self.fields = [((1 << w) - 1) << s for w, s in zip(widths, self.shifts)]
+        self.base = sum(1 << s for s in self.shifts)
+
+    @classmethod
+    def of(cls, vectors: Sequence[Vector]) -> "_Packing":
+        """Widths of a non-empty family of equal-length non-negative vectors:
+        the largest state of each coordinate (0 where it is always 0).  By
+        columns, as map(max, *vectors) fails on a one-vector family."""
+        return cls([max(column) for column in zip(*vectors)])
+
+    def code(self, v: Vector) -> int:
+        # field i holds 2^(v_i + shift_i) - 2^shift_i, its low v_i bits
+        return sum(map((1).__lshift__, map(add, v, self.shifts))) - self.base
+
+    def codes(self, vectors: Iterable[Vector]) -> list[int]:
+        return list(map(self.code, vectors))
+
+    def vector(self, code: int) -> Vector:
+        """Decode: the state of each coordinate is its field's popcount."""
+        return tuple(map(int.bit_count, map(code.__and__, self.fields)))
 
 
 def validate_generators(vectors: Iterable[Vector]) -> tuple[Vector, ...]:
@@ -79,20 +96,30 @@ def validate_generators(vectors: Iterable[Vector]) -> tuple[Vector, ...]:
     Raises InvalidGeneratorError on an empty family or a comparable pair
     (duplicates included), DimensionError on ragged input.
     """
+    return _validated(vectors)[0]
+
+
+def _validated(vectors: Iterable[Vector]) -> tuple[tuple[Vector, ...], _Packing, list[int]]:
+    """validate_generators, with the family's packing and codes in its order."""
     gens = tuple(sorted(tuple(v) for v in vectors))
     if not gens:
         raise InvalidGeneratorError("generator family is empty")
     n = len(gens[0])
+    # ragged and negative vectors are refused here, before anything is encoded
     for g in gens:
         if len(g) != n:
             raise DimensionError(f"vectors of length {n} and {len(g)}")
         if any(s < 0 for s in g):
             raise InvalidGeneratorError(f"negative state in generator {g}")
-    # a precedes b lexicographically, so b <= a componentwise only if a == b
-    for a, b in combinations(gens, 2):
-        if all(p <= q for p, q in zip(a, b)):
-            raise InvalidGeneratorError(f"comparable generators {a} and {b}")
-    return gens
+    packing = _Packing.of(gens)
+    codes = packing.codes(gens)
+    # a precedes b lexicographically, so b <= a componentwise only if a == b;
+    # pairs are tried in combinations order, so the first comparable one is named
+    for i, a in enumerate(codes):
+        for j, b in enumerate(codes[i + 1 :], i + 1):
+            if a | b == b:
+                raise InvalidGeneratorError(f"comparable generators {gens[i]} and {gens[j]}")
+    return gens, packing, codes
 
 
 @dataclass(frozen=True)
@@ -128,13 +155,14 @@ class JoinClosure:
 def join_closure(generators: Iterable[Vector]) -> JoinClosure:
     """Close a generator family under joins one generator at a time: each
     generator adds itself and its join with every element closed so far,
-    so s generators take at most s * |closure| joins."""
-    gens = validate_generators(generators)
-    elements: set[Vector] = set()
-    for g in gens:
-        elements |= {tuple(map(max, g, c)) for c in elements}
+    so s generators take at most s * |closure| joins.  The joins are `|`
+    on thermometer codes; the codes sort in lex order and are decoded once."""
+    gens, packing, codes = _validated(generators)
+    elements: set[int] = set()
+    for g in codes:
+        elements |= set(map(g.__or__, elements))
         elements.add(g)
-    return JoinClosure(generators=gens, elements=tuple(sorted(elements)))
+    return JoinClosure(generators=gens, elements=tuple(map(packing.vector, sorted(elements))))
 
 
 def formations(target: Vector, generators: Iterable[Vector]) -> list[tuple[Vector, ...]]:
@@ -145,26 +173,31 @@ def formations(target: Vector, generators: Iterable[Vector]) -> list[tuple[Vecto
     """
     # only generators below the target can take part in a formation
     candidates = [g for g in validate_generators(generators) if leq(g, target)]
+    if not candidates:
+        return []  # this also keeps a target with a negative state from the encoder
+    # every candidate lies below the target, so the target's states are wide enough
+    packing = _Packing(target)
+    goal = packing.code(target)
     found = [
         tuple(g for i, g in enumerate(candidates) if mask >> i & 1)
-        for mask, v in _subset_joins(candidates)
-        if v == target
+        for mask, v in _subset_joins(packing.codes(candidates))
+        if v == goal
     ]
     return sorted(found, key=lambda f: (len(f), f))
 
 
-def _subset_joins(gens: Sequence[Vector]) -> Iterator[tuple[int, Vector]]:
-    """Every non-empty subset of gens, as a bitmask, with its join.
+def _subset_joins(gens: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Every non-empty subset of the coded gens, as a bitmask, with its join.
 
-    Depth first, each join taken from the subset's parent, so memory
-    stays quadratic in len(gens) while the walk covers all 2^s subsets.
+    Depth first, each join one `|` on its parent's, so memory stays
+    quadratic in len(gens) while the walk covers all 2^s subsets.
     """
     stack = [(1 << i, i, g) for i, g in enumerate(gens)]
     while stack:
         mask, last, v = stack.pop()
         yield mask, v
         for j in range(last + 1, len(gens)):
-            stack.append((mask | 1 << j, j, tuple(map(max, v, gens[j]))))
+            stack.append((mask | 1 << j, j, v | gens[j]))
 
 
 def domination_by_formations(generators: Iterable[Vector], *, guard: int = 20) -> DominationTable:
@@ -180,7 +213,7 @@ def domination_by_formations(generators: Iterable[Vector], *, guard: int = 20) -
     closure Mobius table, the pivotal decomposition or a closed form
     instead).
     """
-    gens = validate_generators(generators)
+    gens, packing, codes = _validated(generators)
     s = len(gens)
     if s > guard:
         raise ComplexityGuardError(
@@ -188,10 +221,10 @@ def domination_by_formations(generators: Iterable[Vector], *, guard: int = 20) -
             "domination_by_closure_mobius, pivotal_domination or a "
             "closed-form engine handles larger families"
         )
-    table: DominationTable = {}
-    for mask, v in _subset_joins(gens):
+    table: dict[int, int] = {}
+    for mask, v in _subset_joins(codes):
         table[v] = table.get(v, 0) + (1 if mask.bit_count() & 1 else -1)
-    return dict(sorted(table.items()))
+    return {packing.vector(v): d for v, d in sorted(table.items())}
 
 
 def domination_by_closure_mobius(closure: JoinClosure) -> DominationTable:
@@ -199,11 +232,15 @@ def domination_by_closure_mobius(closure: JoinClosure) -> DominationTable:
 
     The deltas at or below each element sum to 1 and lex order is a linear
     extension, so forward substitution gives delta(y) = 1 - sum of delta(x)
-    over x < y.  Quadratic in the closure size; agrees with
-    domination_by_formations on every family.
+    over x < y, where only the non-zero (code, delta) pairs so far are
+    tried, by `x | y == y` on thermometer codes.  Quadratic in the closure
+    size; agrees with domination_by_formations on every family.
     """
+    packing = _Packing.of(closure.elements)
     table: DominationTable = {}
-    for y in closure.elements:
-        below = (d for x, d in table.items() if d and all(map(le, x, y)))
-        table[y] = 1 - sum(below)
+    nonzero: list[tuple[int, int]] = []
+    for y, c in zip(closure.elements, packing.codes(closure.elements)):
+        d = table[y] = 1 - sum([dx for x, dx in nonzero if x | c == c])
+        if d:
+            nonzero.append((c, d))
     return table

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, product
-from operator import le
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -33,7 +32,7 @@ from .errors import (
     DomainError,
     ValidationError,
 )
-from .poset import DominationTable, Vector, domination_by_formations, leq, validate_generators
+from .poset import DominationTable, Vector, _Packing, domination_by_formations, leq, validate_generators
 
 
 @dataclass(frozen=True)
@@ -223,10 +222,13 @@ def path_vector_system(
             if len(v) != len(ms) or any(a > m for a, m in zip(v, ms)):
                 raise ValidationError(f"path vector {v} outside space {ms}")
         families[k] = fam
-    # lengths were checked above, and evaluate checks x
+    # thermometer codes of width m_i: every path vector was checked to lie in
+    # the space above, and evaluate range-checks x before phi encodes it
+    packing = _Packing(ms)
+    codes = {k: packing.codes(fam) for k, fam in families.items()}
     for k in range(2, system_max + 1):
-        for v in families[k]:
-            if not any(all(map(le, u, v)) for u in families[k - 1]):
+        for v, c in zip(families[k], codes[k]):
+            if not any(u | c == c for u in codes[k - 1]):
                 raise ValidationError(
                     f"level-{k} path vector {v} dominates no level-{k - 1} path vector"
                 )
@@ -234,10 +236,11 @@ def path_vector_system(
     def phi(x: Vector) -> int:
         """Bisect the levels: every level-k vector dominates a level-(k-1)
         one, so "x lies above some F_k vector" is monotone in k."""
+        c = packing.code(x)
         lo, hi = 0, system_max
         while lo < hi:
             k = (lo + hi + 1) // 2
-            if any(all(map(le, u, x)) for u in families[k]):
+            if any(u | c == c for u in codes[k]):
                 lo = k
             else:
                 hi = k - 1

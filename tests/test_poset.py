@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -10,8 +11,6 @@ from domikit import (
     ComplexityGuardError,
     DimensionError,
     InvalidGeneratorError,
-    Relation,
-    compare,
     domination_by_closure_mobius,
     domination_by_formations,
     formations,
@@ -33,13 +32,6 @@ def test_join_componentwise_max():
 def test_join_dimension_mismatch():
     with pytest.raises(DimensionError):
         join((1, 2), (1, 2, 3))
-
-
-def test_compare_directions():
-    assert compare((1, 0), (1, 1)) is Relation.LESS
-    assert compare((1, 1), (1, 0)) is Relation.GREATER
-    assert compare((2, 1, 1, 0), (1, 2, 0, 1)) is Relation.INCOMPARABLE
-    assert compare((3, 3), (3, 3)) is Relation.EQUAL
 
 
 def test_validate_generators_rejects_bad_families():
@@ -187,3 +179,101 @@ def test_permuting_coordinates_permutes_the_table():
     base = domination_by_formations(FOUR_GENS)
     other = domination_by_formations(permuted)
     assert other == {tuple(x[perm[i]] for i in range(4)): d for x, d in base.items()}
+
+
+# --- the packed kernels against plain tuple references ----------------------
+
+
+def _tuple_join(vectors):
+    j = vectors[0]
+    for v in vectors[1:]:
+        j = vjoin(j, v)
+    return j
+
+
+def _subsets(gens):
+    return (sub for r in range(1, len(gens) + 1) for sub in combinations(gens, r))
+
+
+def _subset_join_reference(gens):
+    """Sorted set of the tuple-max joins of every non-empty subset."""
+    return tuple(sorted({_tuple_join(sub) for sub in _subsets(gens)}))
+
+
+def _first_comparable_reference(vectors):
+    """validate_generators' message, by a pairwise tuple check."""
+    gens = sorted(tuple(v) for v in vectors)
+    for a, b in combinations(gens, 2):
+        if vleq(a, b):
+            return f"comparable generators {a} and {b}"
+    return None
+
+
+def _formations_reference(target, gens):
+    found = [sub for sub in _subsets(sorted(gens)) if _tuple_join(sub) == tuple(target)]
+    return sorted(found, key=lambda f: (len(f), f))
+
+
+def _closure_families():
+    rng = random.Random(7)
+    families = [[(2, 0, 1)], [(9, 0, 3, 0, 7)], [()], [(1, 0)], TWO_OF_THREE, FOUR_GENS]
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        gens = _random_antichain(rng, n, 9, rng.randint(1, 8))
+        # a coordinate that is 0 in every generator: a field of width 0
+        at = rng.randint(0, n)
+        families.append([g[:at] + (0,) + g[at:] for g in gens])
+    return families
+
+
+@pytest.mark.parametrize("gens", _closure_families())
+def test_join_closure_equals_tuple_joins_of_every_subset(gens):
+    assert join_closure(gens).elements == _subset_join_reference(gens)
+
+
+def test_validate_generators_names_the_pair_a_tuple_check_names():
+    rng = random.Random(11)
+    families = [[(1, 0), (1, 1)], [(1, 0), (1, 0)], [(0, 1, 0), (3, 0, 2), (0, 1, 0), (0, 0, 0)]]
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        fam = [tuple(rng.randint(0, 9) for _ in range(n)) for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.3:
+            fam.append(rng.choice(fam))  # a duplicate
+        families.append(fam)
+    raised = 0
+    for fam in families:
+        expected = _first_comparable_reference(fam)
+        if expected is None:
+            assert validate_generators(fam) == tuple(sorted(fam))
+            continue
+        raised += 1
+        with pytest.raises(InvalidGeneratorError) as err:
+            validate_generators(fam)
+        assert str(err.value) == expected
+    assert raised > 100
+
+
+def test_formations_match_a_tuple_reference():
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        gens = _random_antichain(rng, n, 4, rng.randint(1, 6))
+        targets = list(join_closure(gens))
+        for y in list(targets):
+            i = rng.randrange(n)
+            # above every generator in coordinate i: no formation can reach it
+            targets.append(y[:i] + (max(g[i] for g in gens) + rng.randint(1, 5),) + y[i + 1:])
+        targets += [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(5)]
+        for y in targets:
+            assert formations(y, gens) == _formations_reference(y, gens)
+            checked += 1
+    assert checked > 100
+
+
+def test_formations_with_no_candidate_below_the_target():
+    assert formations((0, 0, 0, 0), FOUR_GENS) == []
+    assert formations((1, 1, 1, 1), FOUR_GENS) == []
+    assert formations((2, 2, -1, 2), FOUR_GENS) == []
+    with pytest.raises(DimensionError):
+        formations((2, 2, 2), FOUR_GENS)

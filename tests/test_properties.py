@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import signed_formation_dp
 from domikit import (
-    Relation,
-    compare,
     delta_at,
     domination_by_closure_mobius,
     domination_by_formations,
@@ -46,15 +44,6 @@ def test_join_laws(xy, z):
     assert leq(x, join(x, y)) and leq(y, join(x, y))
     if len(z) == len(x):
         assert join(join(x, y), z) == join(x, join(y, z))
-
-
-@given(pairs)
-def test_compare_consistent_with_leq(xy):
-    x, y = xy
-    rel = compare(x, y)
-    assert (rel in (Relation.LESS, Relation.EQUAL)) == leq(x, y)
-    assert (rel in (Relation.GREATER, Relation.EQUAL)) == leq(y, x)
-    assert (rel == Relation.EQUAL) == (x == y)
 
 
 @given(pairs)

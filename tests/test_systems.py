@@ -129,6 +129,43 @@ def test_path_vector_system_validation():
         path_vector_system((1, 1), {1: [(1, 0)], 2: [(0, 1)]})
 
 
+def _antichain_in(rng, ms, count):
+    vecs = {tuple(rng.randint(0, m) for m in ms) for _ in range(count)}
+    vecs.discard((0,) * len(ms))
+    return [v for v in vecs if not any(u != v and vleq(u, v) for u in vecs)]
+
+
+def test_path_vector_system_level_check_matches_a_tuple_reference():
+    """The level-to-level check and phi, which run on packed codes, against
+    plain tuple comparisons on random families."""
+    rng = random.Random(3)
+    rejected = accepted = 0
+    for _ in range(200):
+        ms = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+        levels = {k: _antichain_in(rng, ms, rng.randint(1, 6)) for k in range(1, rng.randint(2, 4))}
+        if not all(levels.values()):
+            continue
+        expected = None
+        for k in range(2, len(levels) + 1):
+            lower = levels[k - 1]
+            missing = [v for v in sorted(levels[k]) if not any(vleq(u, v) for u in lower)]
+            if missing:
+                expected = f"level-{k} path vector {missing[0]} dominates no level-{k - 1} path vector"
+                break
+        if expected is not None:
+            rejected += 1
+            with pytest.raises(ValidationError) as err:
+                path_vector_system(ms, levels)
+            assert str(err.value) == expected
+            continue
+        accepted += 1
+        system = path_vector_system(ms, levels)
+        for x in product(*(range(m + 1) for m in ms)):
+            top = max((k for k, fam in levels.items() if any(vleq(u, x) for u in fam)), default=0)
+            assert system.evaluate(x) == top
+    assert rejected > 20 and accepted > 20
+
+
 def test_minimal_path_vectors_sum_level_four():
     """At level 4 of the four-component sum system the minimal path
     vectors are exactly the vectors of coordinate sum 4."""
