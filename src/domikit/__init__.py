@@ -12,7 +12,6 @@ matroid systems and two-terminal flow networks.
 """
 
 from .errors import (
-    CoherenceError,
     ComplexityGuardError,
     DegenerateSystemError,
     DimensionError,
@@ -43,10 +42,6 @@ from .systems import (
     RelevanceReport,
     StateSpace,
     check_monotone,
-    evaluate_from_paths,
-    evaluate_hilbert,
-    hilbert_numerator,
-    inclusion_exclusion_eval,
     minimal_path_vectors,
     path_vector_system,
     relevance_report,
@@ -59,11 +54,9 @@ from .systems import (
 from .domination import (
     BinaryStructure,
     associated_binary,
-    associated_binary_at,
     binary_signed_domination,
     delta_at,
     domination_via_binary,
-    mobius_product,
     pivotal_domination,
     signed_domination,
 )
@@ -79,7 +72,6 @@ from .matroid import (
     graphic_matroid,
     link_structure,
     matroid_system_paths,
-    structure_from_rank,
     threshold_domination,
     uniform_matroid,
     validate_circuits,
@@ -98,7 +90,6 @@ from .network import (
     reduces_to_connectivity,
     relevant_edges,
     simple_path_sets,
-    structure_min_cut,
 )
 from .documents import (
     SystemDocument,

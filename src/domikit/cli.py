@@ -216,7 +216,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="domikit",
         description="Signed domination and reliability of multistate monotone systems.",

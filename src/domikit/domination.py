@@ -20,32 +20,20 @@ from itertools import product
 from typing import Callable
 
 from .errors import ComplexityGuardError, DimensionError, DomainError
-from .poset import DominationTable, Vector
+from .poset import Vector
 from .systems import LevelSystem, restrict
-
-
-def mobius_product(x: Vector, y: Vector) -> int:
-    """Mobius function of the product lattice of component states.
-
-    For x <= y: (-1)^sum(y - x) when y_i <= x_i + 1 in every coordinate,
-    else 0.  Pairs with x <= y violated are a domain error.
-    """
-    if len(x) != len(y):
-        raise DimensionError(f"vectors of length {len(x)} and {len(y)}")
-    total = 0
-    for a, b in zip(x, y):
-        if a > b:
-            raise DomainError(f"mobius_product needs x <= y, got {x} and {y}")
-        if b > a + 1:
-            return 0
-        total += b - a
-    return -1 if total & 1 else 1
 
 
 def _alternating_sum(f: Callable[[Vector], int], y: Vector) -> int:
     """Sum of (-1)^(sum(y) - sum(x)) * f(x) over x with x_i in {y_i - 1, y_i}
     on the support of y and x_i = 0 off it: every signed domination and
     Crapo's beta come down to this loop.
+
+    The corners x and their signs are exactly where the Mobius function
+    mu(x, y) of the product of chains is non-zero, and its value there:
+    mu is the product of the chain Mobius functions, 1 on the diagonal,
+    -1 one step below and 0 further down (Rota 1964).  This is the one
+    place the package evaluates mu.
     """
     top = sum(y)
     total = 0
@@ -126,8 +114,7 @@ class BinaryStructure:
     """Monotone indicator on {0,1}^k attached to a set of components.
 
     `components` records which original components the binary slots stand
-    for (identity for whole-system reductions, the support of y for
-    pointwise ones).  `_func` returns 0 or 1 and is trusted with vectors
+    for, in slot order.  `_func` returns 0 or 1 and is trusted with vectors
     the library builds itself; calling the structure validates its input.
     """
 
@@ -157,33 +144,6 @@ def associated_binary(ls: LevelSystem) -> BinaryStructure:
         components=tuple(range(len(ms))),
         _func=lambda z: ls(tuple(b + a for b, a in zip(base, z))),
     )
-
-
-def associated_binary_at(ls: LevelSystem, y: Vector) -> BinaryStructure:
-    """Binary structure matching the signed domination at an arbitrary y.
-
-    Slots range over the support of y; slot i up means component i at
-    y_i, down means y_i - 1; components outside the support are pinned
-    at 0.  delta_k(y) of the original equals the signed domination of
-    the result.
-    """
-    ms = ls.max_states
-    y = tuple(y)
-    if len(y) != len(ms):
-        raise DimensionError(f"vector of length {len(y)} for {len(ms)} components")
-    if any(a < 0 or a > m for a, m in zip(y, ms)):
-        raise DomainError(f"state vector {y} outside space {ms}")
-    support = tuple(i for i, a in enumerate(y) if a > 0)
-    if not support:
-        raise DomainError("associated_binary_at is undefined at the all-zero vector")
-
-    def func(z: Vector) -> int:
-        x = [0] * len(ms)
-        for slot, i in enumerate(support):
-            x[i] = y[i] - 1 + z[slot]
-        return ls(tuple(x))
-
-    return BinaryStructure(components=support, _func=func)
 
 
 def binary_signed_domination(bs: BinaryStructure, *, guard: int = 25) -> int:

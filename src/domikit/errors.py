@@ -38,10 +38,6 @@ class GraphError(DomikitError):
     """A flow network is malformed."""
 
 
-class CoherenceError(DomikitError):
-    """A computation that requires coherence met an irrelevant component."""
-
-
 class DegenerateSystemError(DomikitError):
     """The derived system would be trivial (no working state, empty path sets)."""
 

@@ -56,10 +56,6 @@ class Matroid:
         )
         self._rank_memo: dict[int, int] = {}
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.ground)) - 1
-
     def to_mask(self, subset: Iterable[Hashable]) -> int:
         mask = 0
         for e in subset:
@@ -227,17 +223,9 @@ def matroid_system_paths(link: MatroidSystemLink) -> tuple[frozenset, ...]:
     return tuple(sorted(paths, key=lambda s: sorted(map(str, s))))
 
 
-def structure_from_rank(link: MatroidSystemLink, subset: Iterable[Hashable]) -> int:
-    """phi(A) = 1 + rank(A) - rank(A + x), which is 1 iff A contains a path set."""
-    m, xbit = link.matroid, link.terminal_bit
-    mask = m.to_mask(subset)
-    if mask & xbit:
-        raise DomainError(f"subset must avoid the terminal {link.terminal!r}")
-    return 1 + m.rank_mask(mask) - m.rank_mask(mask | xbit)
-
-
 def link_structure(link: MatroidSystemLink) -> BinaryStructure:
-    """The induced binary structure with slots in component order."""
+    """The induced binary structure with slots in component order:
+    phi(A) = 1 + rank(A) - rank(A + x), which is 1 iff A contains a path set."""
     m, xbit = link.matroid, link.terminal_bit
     bits = [1 << m.index[e] for e in link.components]
 

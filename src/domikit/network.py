@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from functools import lru_cache
 
-from .errors import (
-    CoherenceError,
-    ComplexityGuardError,
-    DomainError,
-    GraphError,
-)
+from .errors import ComplexityGuardError, DomainError, GraphError
 from .domination import BinaryStructure, associated_binary
 from .poset import Vector
 from .systems import MultistateSystem, StateSpace
@@ -196,20 +191,6 @@ def minimal_cut_sets(net: FlowNetwork, *, guard: int = 25) -> tuple[tuple[int, .
     return tuple(sorted(tuple(sorted(k)) for k in found))
 
 
-def structure_min_cut(net: FlowNetwork, x: Vector, *, guard: int = 25) -> int:
-    """Max flow as the minimum over cut sets of their capacity under x.
-
-    Exists as an independent cross-check of the augmenting-path value
-    (max-flow min-cut); same guard as the cut enumeration.
-    """
-    cuts = minimal_cut_sets(net, guard=guard)
-    ms = net.max_states
-    if len(x) != len(ms) or any(a < 0 or a > m for a, m in zip(x, ms)):
-        raise DomainError(f"capacity vector {x} outside 0..{ms}")
-    # disconnected terminals admit the empty cut set, so cuts is never empty
-    return min(sum(x[i - 1] for i in cut) for cut in cuts)
-
-
 def network_system(net: FlowNetwork) -> MultistateSystem:
     """The multistate system of a network: phi(x) = max flow under x.
 
@@ -303,17 +284,16 @@ def relevant_edges(net: FlowNetwork, *, guard: int = 25) -> frozenset[int]:
     return frozenset(rel)
 
 
-def find_directed_cycle(net: FlowNetwork, within: frozenset[int] | None = None) -> tuple[int, ...] | None:
-    """A directed cycle among `within` edges (default all), or None.
+def find_directed_cycle(net: FlowNetwork) -> tuple[int, ...] | None:
+    """A directed cycle of the network, or None.
 
     Depth-first search with an on-stack marking; returns the edge ids of
-    the first cycle closed, in traversal order.
+    the first cycle closed, in traversal order.  An undirected edge is a
+    domain error.
     """
     idx = {v: i for i, v in enumerate(net.nodes)}
     arcs: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
     for e in net.edges:
-        if within is not None and e.id not in within:
-            continue
         if not e.directed:
             raise DomainError(f"edge {e.id} is undirected; cycle search needs a digraph")
         arcs[idx[e.tail]].append((idx[e.head], e.id))
@@ -346,9 +326,9 @@ def find_directed_cycle(net: FlowNetwork, within: frozenset[int] | None = None) 
     return None
 
 
-def _graph_rank(net: FlowNetwork, edge_ids: frozenset[int], with_terminal_link: bool) -> int:
-    """Rank of the edge subset in the cycle matroid of the underlying
-    undirected graph, optionally with an extra source-sink link."""
+def _graph_rank(net: FlowNetwork) -> int:
+    """Rank of all edges plus a source-sink link in the cycle matroid of
+    the underlying undirected graph."""
     parent: dict[str, str] = {}
 
     def find(a: str) -> str:
@@ -358,10 +338,7 @@ def _graph_rank(net: FlowNetwork, edge_ids: frozenset[int], with_terminal_link: 
         return a
 
     rank = 0
-    links = [(e.tail, e.head) for e in net.edges if e.id in edge_ids]
-    if with_terminal_link:
-        links.append((net.source, net.sink))
-    for u, v in links:
+    for u, v in [(e.tail, e.head) for e in net.edges] + [(net.source, net.sink)]:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
@@ -369,45 +346,20 @@ def _graph_rank(net: FlowNetwork, edge_ids: frozenset[int], with_terminal_link: 
     return rank
 
 
-def directed_network_domination(
-    net: FlowNetwork,
-    *,
-    require_coherent: bool = False,
-    scope: str = "full",
-) -> int:
+def directed_network_domination(net: FlowNetwork) -> int:
     """Signed domination of the two-terminal connectivity structure of a
     directed network, by closed form.
 
-    If the edges carrying the structure contain a directed cycle the
-    value is 0; otherwise the structure is coherent on those edges and
+    An irrelevant edge (one on no simple source-sink path) or a directed
+    cycle forces the value 0.  Otherwise the structure is coherent and
     the value is (-1)^(|E| - rank), rank being that of the edge set plus
-    a source-sink link in the cycle matroid of the underlying graph.
-
-    scope selects which edges carry the structure: "full" means all of
-    them, so any irrelevant edge (one on no simple source-sink path)
-    already forces the value 0; "relevant" first discards irrelevant
-    edges and evaluates the reduced, coherent system.  With
-    require_coherent=True an irrelevant edge raises instead.
+    a source-sink link in the cycle matroid of the underlying graph.  An
+    undirected edge is a domain error.
     """
-    if scope not in ("full", "relevant"):
-        raise DomainError(f"scope must be 'full' or 'relevant', got {scope!r}")
     for e in net.edges:
         if not e.directed:
             raise DomainError(f"edge {e.id} is undirected; closed form needs a digraph")
-    rel = relevant_edges(net)
-    all_ids = frozenset(net.edge_ids)
-    if require_coherent and rel != all_ids:
-        missing = sorted(all_ids - rel)
-        raise CoherenceError(f"edges {missing} lie on no source-sink path")
-    if scope == "full":
-        if rel != all_ids:
-            return 0
-        used = all_ids
-    else:
-        used = rel
-        if not used:
-            return 0
-    if find_directed_cycle(net, within=used) is not None:
+    if relevant_edges(net) != frozenset(net.edge_ids) or find_directed_cycle(net) is not None:
         return 0
-    sign_exp = len(used) - _graph_rank(net, used, with_terminal_link=True)
+    sign_exp = len(net.edges) - _graph_rank(net)
     return 1 if sign_exp % 2 == 0 else -1

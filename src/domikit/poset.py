@@ -140,9 +140,6 @@ class JoinClosure:
     def __iter__(self) -> Iterator[Vector]:
         return iter(self.elements)
 
-    def __contains__(self, x: object) -> bool:
-        return x in set(self.elements)
-
     @property
     def top(self) -> Vector:
         """Join of all generators, the largest element of the closure."""

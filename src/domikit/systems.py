@@ -20,6 +20,7 @@ already holds them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, product
@@ -32,7 +33,7 @@ from .errors import (
     DomainError,
     ValidationError,
 )
-from .poset import DominationTable, Vector, _Packing, domination_by_formations, leq, validate_generators
+from .poset import DominationTable, Vector, _Packing, validate_generators
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,14 @@ def _splice(x: Vector, frozen: tuple[tuple[int, int], ...]) -> Vector:
     return x
 
 
+def _integer(v, what: str) -> int:
+    """v as an int, refusing floats and other non-integral values."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValidationError(f"{what} {v!r} is not an integer") from None
+
+
 def table_system(
     max_states: Sequence[int],
     values: Mapping[Vector, int] | Sequence[int],
@@ -159,17 +168,17 @@ def table_system(
     ms = tuple(max_states)
     space_size = math.prod(m + 1 for m in ms)
     if isinstance(values, Mapping):
-        table = {tuple(x): int(v) for x, v in values.items()}
+        table = {tuple(x): _integer(v, "table value") for x, v in values.items()}
         for x in table:
             if len(x) != len(ms) or not all(0 <= a <= m for a, m in zip(x, ms)):
                 raise ValidationError(f"table vector {x} lies outside the space {ms}")
     else:
-        flat = list(values)
+        flat = [_integer(v, "table value") for v in values]
         if len(flat) != space_size:
             raise ValidationError(
                 f"table has {len(flat)} entries, space has {space_size} vectors"
             )
-        table = dict(zip(product(*(range(m + 1) for m in ms)), map(int, flat)))
+        table = dict(zip(product(*(range(m + 1) for m in ms)), flat))
     if len(table) != space_size:
         raise ValidationError(f"table covers {len(table)} of {space_size} vectors")
     if any(v < 0 for v in table.values()):
@@ -185,7 +194,7 @@ def table_system(
 def sum_system(max_states: Sequence[int], weights: Sequence[int] | None = None) -> MultistateSystem:
     """phi(x) = sum of w_i * x_i, the workhorse threshold example."""
     ms = tuple(max_states)
-    w = tuple(int(v) for v in (weights if weights is not None else [1] * len(ms)))
+    w = tuple(_integer(v, "weight") for v in (weights if weights is not None else [1] * len(ms)))
     if len(w) != len(ms):
         raise DimensionError(f"{len(w)} weights for {len(ms)} components")
     if any(v < 0 for v in w):
@@ -326,22 +335,6 @@ def minimal_path_vectors(ls: LevelSystem, *, guard: int = 10**7) -> tuple[Vector
     return tuple(compress(space.vectors(), map("1".__eq__, minimal)))
 
 
-def evaluate_from_paths(paths: Iterable[Vector], y: Vector) -> int:
-    """Binary structure value at y given the minimal path vectors."""
-    return 1 if any(leq(p, y) for p in validate_generators(paths)) else 0
-
-
-def inclusion_exclusion_eval(paths: Iterable[Vector], y: Vector, *, guard: int = 20) -> int:
-    """The same structure value via inclusion-exclusion over path subsets.
-
-    sum over non-empty S of (-1)^(|S|+1) [y >= join(S)]: the formation
-    table summed over the closure elements below y.  Always 0 or 1; exists
-    as an independent cross-check of evaluate_from_paths.
-    """
-    table = domination_by_formations(paths, guard=guard)
-    return sum(d for x, d in table.items() if leq(x, y))
-
-
 @dataclass(frozen=True)
 class RelevanceReport:
     """Which component states matter for a level function.
@@ -479,26 +472,4 @@ def reliability_enumerate(
             for i, s in enumerate(x):
                 p *= dist.pmfs[i][s]
             total += p
-    return total
-
-
-def hilbert_numerator(table: DominationTable) -> tuple[tuple[Vector, int], ...]:
-    """Sparse multivariate polynomial sum of delta(x) * y^x.
-
-    Terms are the non-zero table entries as (exponent vector, coefficient),
-    lexicographically sorted by exponent.
-    """
-    return tuple(sorted((x, d) for x, d in table.items() if d != 0))
-
-
-def evaluate_hilbert(terms: Iterable[tuple[Vector, int]], y: Sequence[float | Fraction]) -> float | Fraction:
-    """Evaluate a hilbert_numerator term list at a point (with y_i^0 = 1)."""
-    total = 0
-    for x, c in terms:
-        if len(x) != len(y):
-            raise DimensionError(f"term exponent {x} for {len(y)} variables")
-        term = c
-        for yi, e in zip(y, x):
-            term *= yi**e
-        total += term
     return total

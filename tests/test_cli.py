@@ -277,6 +277,17 @@ def test_guard_below_one_exits_2(write_doc, capsys, value):
     assert "--guard" in capsys.readouterr().err
 
 
+def test_parser_is_built_once(write_doc, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # a refused command line leaves the shared parser usable
+    f = write_doc(two_of_three())
+    with pytest.raises(SystemExit):
+        main(["domination", f, "--level", "one"])
+    code, out, _ = run(capsys, ["domination", f, "--level", "1", "--no-timing"])
+    assert code == 0
+    assert out == "d(phi_1) = -2  [method: binary]\n"
+
+
 def test_auto_refuses_past_the_guard(write_doc, capsys):
     f = write_doc({"format_version": 1, "max_states": [1] * 8,
                    "structure": {"kind": "sum", "weights": [1, 2, 1, 3, 1, 2, 1, 1]}})

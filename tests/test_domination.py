@@ -7,18 +7,15 @@ import pytest
 from conftest import make_random_system, oracle_subset_delta
 from domikit import (
     ComplexityGuardError,
-    DimensionError,
     DomainError,
     MultistateSystem,
     associated_binary,
-    associated_binary_at,
     binary_signed_domination,
     delta_at,
     domination_by_closure_mobius,
     domination_via_binary,
     join_closure,
     minimal_path_vectors,
-    mobius_product,
     path_vector_system,
     pivotal_domination,
     restrict,
@@ -33,33 +30,6 @@ FOUR_GENS = [(2, 1, 1, 0), (1, 2, 0, 1), (1, 0, 2, 1), (0, 1, 1, 2)]
 
 def four_gen_level():
     return path_vector_system((2, 2, 2, 2), {1: FOUR_GENS}).level(1)
-
-
-def test_mobius_product_values():
-    assert mobius_product((1, 1), (1, 1)) == 1
-    assert mobius_product((1, 1), (2, 2)) == 1
-    assert mobius_product((1, 2), (2, 2)) == -1
-    assert mobius_product((0, 1), (2, 1)) == 0
-    with pytest.raises(DomainError):
-        mobius_product((1, 1), (0, 1))
-    with pytest.raises(DimensionError):
-        mobius_product((1,), (1, 1))
-
-
-def test_mobius_product_box_identity():
-    """Summing mu(x, u) over x <= u <= y is the delta function, the
-    defining property of a Mobius function."""
-    box = list(product(range(3), repeat=2))
-    for x in box:
-        for y in box:
-            if not all(a <= b for a, b in zip(x, y)):
-                continue
-            total = sum(
-                mobius_product(x, u)
-                for u in box
-                if all(a <= c <= b for a, c, b in zip(x, u, y))
-            )
-            assert total == (1 if x == y else 0)
 
 
 def test_delta_at_worked_values():
@@ -233,46 +203,6 @@ def test_domination_via_binary_equals_subset_formula():
         for k in range(1, system.space.system_max + 1):
             ls = system.level(k)
             assert domination_via_binary(ls) == signed_domination(ls)
-
-
-def test_associated_binary_at_top_is_whole_system():
-    ls = four_gen_level()
-    psi_top = associated_binary_at(ls, (2, 2, 2, 2))
-    psi = associated_binary(ls)
-    assert psi_top.components == psi.components
-    for z in product((0, 1), repeat=4):
-        assert psi_top(z) == psi(z)
-
-
-def test_associated_binary_at_worked_value():
-    ls = four_gen_level()
-    psi = associated_binary_at(ls, (2, 2, 1, 1))
-    assert binary_signed_domination(psi) == -1
-
-
-def test_associated_binary_at_restricted_support():
-    ls = sum_system([2, 2, 2]).level(2)
-    psi = associated_binary_at(ls, (2, 0, 1))
-    assert psi.components == (0, 2)
-    # slots stand for components 0 and 2; component 1 pinned at 0
-    assert psi((1, 1)) == ls((2, 0, 1))
-    assert psi((0, 0)) == ls((1, 0, 0))
-
-
-def test_associated_binary_at_equals_delta_everywhere():
-    for seed in range(10):
-        system = make_random_system(seed)
-        for k in range(1, system.space.system_max + 1):
-            ls = system.level(k)
-            for y in system.space.vectors():
-                if all(v == 0 for v in y):
-                    continue
-                assert binary_signed_domination(associated_binary_at(ls, y)) == delta_at(ls, y)
-
-
-def test_associated_binary_at_rejects_zero():
-    with pytest.raises(DomainError):
-        associated_binary_at(four_gen_level(), (0, 0, 0, 0))
 
 
 def test_permutation_invariance_of_delta():

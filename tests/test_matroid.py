@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -24,7 +24,6 @@ from domikit import (
     graphic_matroid,
     link_structure,
     matroid_system_paths,
-    structure_from_rank,
     threshold_domination,
     uniform_matroid,
     validate_circuits,
@@ -134,36 +133,32 @@ def test_link_terminal_must_exist():
         MatroidSystemLink(uniform_matroid(range(3), 1), 99)
 
 
+def indicator(link, subset):
+    """The 0/1 slot vector of a component subset, slots in component order."""
+    return tuple(1 if c in subset else 0 for c in link.components)
+
+
 def test_structure_from_rank_uniform_threshold():
     n, k = 5, 3
     m = uniform_matroid(list(range(1, n + 1)) + ["x"], k)
     link = MatroidSystemLink(m, "x")
+    phi = link_structure(link)
     for r in range(n + 1):
         for a in combinations(range(1, n + 1), r):
-            assert structure_from_rank(link, a) == (1 if len(a) >= k else 0)
+            assert phi(indicator(link, a)) == (1 if len(a) >= k else 0)
 
 
 def test_structure_from_rank_path_indicator():
     link = MatroidSystemLink(bridge_matroid(), "x")
+    phi = link_structure(link)
     paths = matroid_system_paths(link)
     components = link.components
-    assert structure_from_rank(link, components) == 1
-    assert structure_from_rank(link, []) == 0
+    assert phi(indicator(link, components)) == 1
+    assert phi(indicator(link, [])) == 0
     for r in range(len(components) + 1):
         for a in combinations(components, r):
             covered = any(p <= set(a) for p in paths)
-            assert structure_from_rank(link, a) == (1 if covered else 0)
-    with pytest.raises(DomainError):
-        structure_from_rank(link, ["x"])
-
-
-def test_link_structure_matches_rank_form():
-    link = MatroidSystemLink(bridge_matroid(), "x")
-    bs = link_structure(link)
-    comps = link.components
-    for z in product((0, 1), repeat=len(comps)):
-        chosen = [c for c, zi in zip(comps, z) if zi]
-        assert bs(z) == structure_from_rank(link, chosen)
+            assert phi(indicator(link, a)) == (1 if covered else 0)
 
 
 def test_crapo_beta_small_values():

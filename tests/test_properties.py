@@ -18,7 +18,6 @@ from domikit import (
     join_closure,
     leq,
     minimal_path_vectors,
-    mobius_product,
     pivotal_domination,
     signed_domination,
     sum_system,
@@ -44,18 +43,6 @@ def test_join_laws(xy, z):
     assert leq(x, join(x, y)) and leq(y, join(x, y))
     if len(z) == len(x):
         assert join(join(x, y), z) == join(x, join(y, z))
-
-
-@given(pairs)
-def test_mobius_product_box_identity(xy):
-    x, y = xy
-    if not leq(x, y):
-        return
-    total = sum(
-        mobius_product(x, z)
-        for z in product(*(range(a, b + 1) for a, b in zip(x, y)))
-    )
-    assert total == (1 if x == y else 0)
 
 
 @given(st.sets(

@@ -19,10 +19,6 @@ from domikit import (
     check_monotone,
     domination_by_closure_mobius,
     domination_by_formations,
-    evaluate_from_paths,
-    evaluate_hilbert,
-    hilbert_numerator,
-    inclusion_exclusion_eval,
     join_closure,
     minimal_path_vectors,
     network_system,
@@ -73,6 +69,17 @@ def test_table_system_flat_values_in_lex_order():
     assert sys2.evaluate((1, 1)) == 2
 
 
+def test_table_system_rejects_non_integral_values():
+    """Fractional levels are refused by name, not truncated by int()."""
+    with pytest.raises(ValidationError, match="table value 0.5 is not an integer"):
+        table_system([1], {(0,): 0.5, (1,): 1.9})
+    with pytest.raises(ValidationError, match="table value 1.9 is not an integer"):
+        table_system([1], [0, 1.9])
+    with pytest.raises(ValidationError, match="table value '1' is not an integer"):
+        table_system([1], [0, "1"])
+    assert table_system([1], [False, True]).evaluate((1,)) == 1
+
+
 def test_sum_system_values():
     s = sum_system([2, 2, 2, 2])
     assert s.evaluate((2, 2, 0, 0)) == 4
@@ -88,6 +95,13 @@ def test_weighted_sum_system():
         sum_system([2, 1], weights=[1])
     with pytest.raises(ValidationError):
         sum_system([2, 1], weights=[1, -1])
+
+
+def test_sum_system_rejects_non_integral_weights():
+    with pytest.raises(ValidationError, match="weight 0.5 is not an integer"):
+        sum_system([1, 1], [0.5, 1.7])
+    with pytest.raises(ValidationError, match="weight 2.0 is not an integer"):
+        sum_system([1, 1], [1, 2.0])
 
 
 def test_level_function_values():
@@ -323,41 +337,6 @@ def test_check_monotone():
         check_monotone(sum_system([9] * 8))
 
 
-def test_evaluate_from_paths_basics():
-    assert evaluate_from_paths(FOUR_GENS, (2, 2, 1, 1)) == 1
-    assert evaluate_from_paths(FOUR_GENS, (0, 0, 0, 0)) == 0
-    assert evaluate_from_paths([(1, 2)], (1, 2)) == 1
-    assert evaluate_from_paths([(1, 2)], (1, 1)) == 0
-    with pytest.raises(DimensionError):
-        evaluate_from_paths(FOUR_GENS, (1, 1))
-
-
-def test_inclusion_exclusion_matches_union_indicator():
-    assert inclusion_exclusion_eval(FOUR_GENS, (2, 2, 2, 2)) == 1
-    rng = random.Random(3)
-    for seed in range(8):
-        system = make_random_system(seed)
-        for k in range(1, system.space.system_max + 1):
-            ls = system.level(k)
-            paths = minimal_path_vectors(ls)
-            if not paths or len(paths) > 10:
-                continue
-            for y in system.space.vectors():
-                if rng.random() < 0.5:
-                    continue
-                assert (
-                    inclusion_exclusion_eval(paths, y)
-                    == evaluate_from_paths(paths, y)
-                    == ls(y)
-                )
-
-
-def test_inclusion_exclusion_guard():
-    paths = [tuple(1 if j == i else 0 for j in range(21)) for i in range(21)]
-    with pytest.raises(ComplexityGuardError):
-        inclusion_exclusion_eval(paths, (1,) * 21)
-
-
 def test_relevance_sum_system_strongly_coherent():
     report = relevance_report(sum_system([2, 2, 2, 2]).level(4))
     assert report.attained == ((1, 2),) * 4
@@ -467,24 +446,3 @@ def test_random_reliability_identity():
                        - reliability_enumerate(ls, df)) <= 1e-12
             assert (reliability_from_domination(table, de, system.space.max_states)
                     == reliability_enumerate(ls, de))
-
-
-def test_hilbert_terms_and_binary_identity():
-    table = domination_by_formations(FOUR_GENS)
-    terms = hilbert_numerator(table)
-    assert len(terms) == 15
-    assert terms == tuple(sorted(terms))
-    assert evaluate_hilbert(terms, (1, 1, 1, 1)) == 1
-    assert hilbert_numerator({(1, 0): 1, (0, 1): 0}) == (((1, 0), 1),)
-
-    # on a binary system the numerator evaluated at a 0/1 point is the
-    # structure value at that point
-    ls = sum_system([1, 1, 1]).level(2)
-    bin_terms = hilbert_numerator(domination_by_formations(minimal_path_vectors(ls)))
-    for y in product((0, 1), repeat=3):
-        assert evaluate_hilbert(bin_terms, y) == ls(y)
-
-
-def test_hilbert_zero_power_convention():
-    # y_i^0 is 1 even at y_i = 0
-    assert evaluate_hilbert((((0, 1), 2),), (0.0, 2.0)) == 4.0
