@@ -32,6 +32,40 @@ def four_gen_level():
     return path_vector_system((2, 2, 2, 2), {1: FOUR_GENS}).level(1)
 
 
+def test_mobius_product_box_identity():
+    """Summing mu(x, u) over x <= u <= y is the delta function, the
+    defining property of a Mobius function.  delta_at applies mu(., y)
+    of the product of chains, so on the up-set of one vector x it must
+    return 1 at y = x and 0 everywhere else."""
+    box = list(product(range(3), repeat=2))
+    for x in box[1:]:
+        upset = path_vector_system((2, 2), {1: [x]}).level(1)
+        for y in box[1:]:
+            assert delta_at(upset, y) == (1 if x == y else 0)
+
+
+def test_delta_at_pins_components_off_the_support():
+    """delta(y) only reads phi with the components off the support of y at
+    0: freezing them there leaves delta unchanged, and at the top of what
+    is left it is the signed domination of the associated binary system."""
+    for seed in range(10):
+        system = make_random_system(seed)
+        for k in range(1, system.space.system_max + 1):
+            ls = system.level(k)
+            for y in system.space.vectors():
+                support = [i for i, v in enumerate(y) if v > 0]
+                if not support:
+                    continue
+                pinned = ls
+                for i in reversed(range(len(y))):
+                    if i not in support:
+                        pinned = restrict(pinned, i, 0)
+                y_s = tuple(y[i] for i in support)
+                assert delta_at(pinned, y_s) == delta_at(ls, y)
+                if y_s == pinned.max_states:
+                    assert domination_via_binary(pinned) == delta_at(ls, y)
+
+
 def test_delta_at_worked_values():
     ls = four_gen_level()
     assert delta_at(ls, (2, 2, 1, 1)) == -1

@@ -101,9 +101,10 @@ def test_minimal_cut_sets_small_and_guard():
 
 
 def test_minimal_cut_sets_of_disconnected_terminals():
-    # disconnected terminals: the empty set is already a cut
+    # disconnected terminals: the empty set is already a cut, flow is 0
     disconnected = network(["S", "T", "A"], [(1, "S", "A", False, 1)], "S", "T")
     assert minimal_cut_sets(disconnected) == ((),)
+    assert max_flow(disconnected, (1,)) == 0
 
 
 def test_network_system_levels():

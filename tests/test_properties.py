@@ -18,6 +18,7 @@ from domikit import (
     join_closure,
     leq,
     minimal_path_vectors,
+    path_vector_system,
     pivotal_domination,
     signed_domination,
     sum_system,
@@ -43,6 +44,17 @@ def test_join_laws(xy, z):
     assert leq(x, join(x, y)) and leq(y, join(x, y))
     if len(z) == len(x):
         assert join(join(x, y), z) == join(x, join(y, z))
+
+
+@given(pairs)
+def test_mobius_product_box_identity(xy):
+    """delta_at on the up-set of x is the sum of mu(u, y) over x <= u <= y,
+    which is 1 at y = x and 0 at every other non-zero y."""
+    x, y = xy
+    if not any(x) or not any(y):
+        return
+    upset = path_vector_system((2,) * len(x), {1: [x]}).level(1)
+    assert delta_at(upset, y) == (1 if x == y else 0)
 
 
 @given(st.sets(
