@@ -111,24 +111,20 @@ def pivotal_domination(ls: LevelSystem, pivot: int | None = None, *, base_size: 
 
 @dataclass(frozen=True)
 class BinaryStructure:
-    """Monotone indicator on {0,1}^k attached to a set of components.
+    """Monotone indicator on {0,1}^size.
 
-    `components` records which original components the binary slots stand
-    for, in slot order.  `_func` returns 0 or 1 and is trusted with vectors
-    the library builds itself; calling the structure validates its input.
+    Slot i stands for component i of the structure it was derived from.
+    `_func` returns 0 or 1 and is trusted with vectors the library builds
+    itself; calling the structure validates its input.
     """
 
-    components: tuple[int, ...]
+    size: int
     _func: Callable[[Vector], int]
-
-    @property
-    def size(self) -> int:
-        return len(self.components)
 
     def __call__(self, z: Vector) -> int:
         z = tuple(z)
-        if len(z) != len(self.components) or any(b not in (0, 1) for b in z):
-            raise DomainError(f"binary vector of length {len(self.components)} expected, got {z}")
+        if len(z) != self.size or any(b not in (0, 1) for b in z):
+            raise DomainError(f"binary vector of length {self.size} expected, got {z}")
         return 1 if self._func(z) else 0
 
 
@@ -141,7 +137,7 @@ def associated_binary(ls: LevelSystem) -> BinaryStructure:
     ms = ls.max_states
     base = tuple(m - 1 for m in ms)
     return BinaryStructure(
-        components=tuple(range(len(ms))),
+        size=len(ms),
         _func=lambda z: ls(tuple(b + a for b, a in zip(base, z))),
     )
 

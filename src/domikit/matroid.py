@@ -233,7 +233,7 @@ def link_structure(link: MatroidSystemLink) -> BinaryStructure:
         mask = sum(b for b, zi in zip(bits, z) if zi)
         return 1 + m.rank_mask(mask) - m.rank_mask(mask | xbit)
 
-    return BinaryStructure(components=tuple(range(len(bits))), _func=func)
+    return BinaryStructure(size=len(bits), _func=func)
 
 
 def domination_from_beta(link: MatroidSystemLink, subset: Iterable[Hashable], *, guard: int = 25) -> int:

@@ -3,10 +3,13 @@
 Each edge is a component whose state is its current capacity, and the
 structure value of a state vector is the max flow it admits from source
 to sink.  Undirected edges carry flow either way within one shared
-capacity.  The level-k cuts of such a system reduce, through the
-associated binary structure, to plain two-terminal connectivity exactly
-when every minimal cut set is tight at full capacity, which is what
-makes the directed closed forms below applicable.
+capacity.  A network system evaluates that value in min-cut form, from
+minimal cut sets it enumerates once; max_flow, by augmenting paths, gives
+its top level and is the independent reference for the cut form.  The
+level-k cuts of such a system reduce, through the associated binary
+structure, to plain two-terminal connectivity exactly when every minimal
+cut set is tight at full capacity, which is what makes the directed
+closed forms below applicable.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from functools import lru_cache
 
 from .errors import ComplexityGuardError, DomainError, GraphError
 from .domination import BinaryStructure, associated_binary
@@ -194,9 +196,14 @@ def minimal_cut_sets(net: FlowNetwork, *, guard: int = 25) -> tuple[tuple[int, .
 def network_system(net: FlowNetwork) -> MultistateSystem:
     """The multistate system of a network: phi(x) = max flow under x.
 
-    The top system level is the max flow at full capacity; a network
-    whose terminals cannot be connected at all yields the degenerate
-    constant-0 system, flagged with a warning.
+    By the max-flow min-cut theorem phi(x) is the smallest summed
+    capacity over the minimal cut sets, so phi is evaluated in that form.
+    The cut sets are enumerated once per system, on the first
+    evaluation, so building the system does no cut enumeration and
+    evaluating a network past the cut guard raises ComplexityGuardError.
+    No state's value is memoised.  The top system level is the max flow
+    at full capacity; a network whose terminals cannot be connected at
+    all yields the degenerate constant-0 system, flagged with a warning.
     """
     ms = net.max_states
     system_max = max_flow(net, ms)
@@ -205,10 +212,21 @@ def network_system(net: FlowNetwork) -> MultistateSystem:
             "terminals are disconnected at full capacity; the system is constant 0",
             stacklevel=2,
         )
+    cuts: list[tuple[int, ...]] = []
 
-    @lru_cache(maxsize=None)
     def phi(x: Vector) -> int:
-        return max_flow(net, x)
+        if not cuts:
+            cuts.extend(tuple(i - 1 for i in c) for c in minimal_cut_sets(net))
+        # every cut is a subset of the edges, so sum(x) bounds the minimum;
+        # disconnected terminals have the one cut set (), which gives 0
+        best = sum(x)
+        for c in cuts:
+            flow = 0
+            for i in c:
+                flow += x[i]
+            if flow < best:
+                best = flow
+        return best
 
     space = StateSpace(max_states=ms, system_max=system_max)
     return MultistateSystem(space=space, kind="network", _func=phi)

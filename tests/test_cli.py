@@ -305,6 +305,23 @@ def test_auto_refuses_past_the_guard(write_doc, capsys):
     assert pivotal == out.replace("binary", "pivotal")
 
 
+def test_pivotal_on_a_network_past_the_cut_guard_exits_3(write_doc, capsys):
+    # 25 parallel unit edges in series with a 26th: 2^26 states and one
+    # edge past the cut guard, which --guard does not reach
+    edges = [{"id": i, "from": "S", "to": "A", "directed": False, "max_capacity": 1}
+             for i in range(1, 26)]
+    edges.append({"id": 26, "from": "A", "to": "T", "directed": False, "max_capacity": 1})
+    f = write_doc({"format_version": 1,
+                   "structure": {"kind": "network", "nodes": ["S", "A", "T"], "edges": edges,
+                                 "source": "S", "sink": "T"}})
+    for extra in ([], ["--guard", "100"]):
+        code, out, err = run(capsys, ["domination", f, "--level", "1", "--method", "pivotal",
+                                      "--no-timing", *extra])
+        assert code == 3
+        assert out == ""
+        assert err == "error: 26 edges exceed the cut enumeration guard (25)\n"
+
+
 def test_exit_2_on_non_finite_probability(tmp_path, capsys):
     for token in ("NaN", "Infinity"):
         text = json.dumps(two_of_three(distribution=[[0.7, 0.3]] * 3))

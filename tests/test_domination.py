@@ -15,7 +15,6 @@ from domikit import (
     domination_by_closure_mobius,
     domination_via_binary,
     join_closure,
-    minimal_path_vectors,
     path_vector_system,
     pivotal_domination,
     restrict,
@@ -197,7 +196,7 @@ def test_associated_binary_threshold_shift():
     structure on the top two states."""
     ls = sum_system([2, 2, 2, 2]).level(7)
     psi = associated_binary(ls)
-    assert psi.components == (0, 1, 2, 3)
+    assert psi.size == 4
     for z in product((0, 1), repeat=4):
         assert psi(z) == (1 if sum(z) >= 3 else 0)
 

@@ -1,8 +1,9 @@
-"""Source hygiene: every top-level import in the package is used.
+"""Source hygiene: every top-level import in the package and in the
+test modules is used.
 
 A deletion that leaves an import behind passes every behavioural test,
-so this check reads the modules themselves.  __init__.py is skipped: its
-imports are the public namespace.
+so this check reads the modules themselves.  The package's __init__.py
+is skipped: its imports are the public namespace.
 """
 
 import ast
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "domikit"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "domikit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def imported_names(tree: ast.Module):
@@ -26,7 +29,8 @@ def imported_names(tree: ast.Module):
 
 
 def test_modules_found():
-    assert {p.name for p in MODULES} >= {"cli.py", "domination.py", "systems.py"}
+    assert {p.name for p in MODULES} >= {"cli.py", "domination.py", "systems.py",
+                                         "conftest.py", "test_hygiene.py"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

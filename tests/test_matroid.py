@@ -238,7 +238,7 @@ def test_beta_sign_relation_matches_subset_formula():
 
 
 def test_invariant_recursion_series_and_bridge():
-    series = BinaryStructure(components=(0, 1, 2), _func=lambda z: int(all(z)))
+    series = BinaryStructure(size=3, _func=lambda z: int(all(z)))
     assert domination_invariant_recursion(series) == 1
     bs = link_structure(MatroidSystemLink(bridge_matroid(), "x"))
     assert domination_invariant_recursion(bs) == 3
@@ -249,10 +249,7 @@ def test_invariant_recursion_series_and_bridge():
 def test_invariant_recursion_k_out_of_n():
     for n in range(1, 8):
         for k in range(1, n + 1):
-            bs = BinaryStructure(
-                components=tuple(range(n)),
-                _func=lambda z, kk=k: int(sum(z) >= kk),
-            )
+            bs = BinaryStructure(size=n, _func=lambda z, kk=k: int(sum(z) >= kk))
             assert domination_invariant_recursion(bs, base_size=3) == math.comb(n - 1, k - 1)
 
 
@@ -293,8 +290,8 @@ def test_invariant_recursion_irrelevant_pivot():
 
 
 def test_invariant_recursion_trivial_structures():
-    always = BinaryStructure(components=(0, 1), _func=lambda z: 1)
-    never = BinaryStructure(components=(0, 1), _func=lambda z: 0)
+    always = BinaryStructure(size=2, _func=lambda z: 1)
+    never = BinaryStructure(size=2, _func=lambda z: 0)
     assert domination_invariant_recursion(always) == 0
     assert domination_invariant_recursion(never) == 0
     with pytest.raises(DomainError):

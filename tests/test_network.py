@@ -1,6 +1,8 @@
 """Flow networks: max flow, cut sets, the derived multistate system and
 the closed form for directed two-terminal connectivity."""
 
+import random
+import warnings
 from itertools import product
 
 import pytest
@@ -98,6 +100,12 @@ def test_minimal_cut_sets_small_and_guard():
     )
     with pytest.raises(ComplexityGuardError):
         minimal_cut_sets(big)
+    # its system builds, as parsing needs only max flow, and refuses on
+    # the first evaluation, which enumerates the cut sets
+    system = network_system(big)
+    assert system.space.system_max == 29
+    with pytest.raises(ComplexityGuardError, match="cut enumeration guard"):
+        system.evaluate(system.space.top)
 
 
 def test_minimal_cut_sets_of_disconnected_terminals():
@@ -234,3 +242,45 @@ def test_max_flow_agrees_with_cut_oracle_on_all_vectors():
     for net, cuts in cases:
         for x in product(*(range(m + 1) for m in net.max_states)):
             assert max_flow(net, x) == oracle_flow(cuts, x)
+
+
+def random_network(rng):
+    """2-7 nodes, 1-9 edges of capacity 1-2, all directed, all undirected
+    or mixed; parallel edges, self-loops and disconnected terminals all
+    occur."""
+    nodes = ["S", "T"] + [f"v{i}" for i in range(rng.randint(0, 5))]
+    mode = rng.choice(("directed", "undirected", "mixed"))
+    edges = []
+    for eid in range(1, rng.randint(1, 9) + 1):
+        directed = mode == "directed" or (mode == "mixed" and rng.random() < 0.5)
+        edges.append((eid, rng.choice(nodes), rng.choice(nodes), directed, rng.randint(1, 2)))
+    return network(nodes, edges, "S", "T")
+
+
+def test_cut_form_equals_max_flow_at_every_state():
+    special = [
+        # parallel edges, one of them directed against the flow
+        network(["S", "T"], [(1, "S", "T", False, 2), (2, "S", "T", True, 1),
+                             (3, "T", "S", True, 2)], "S", "T"),
+        # a self-loop on an inner node
+        network(["S", "A", "T"], [(1, "S", "A", True, 2), (2, "A", "A", False, 2),
+                                  (3, "A", "T", False, 1)], "S", "T"),
+        # an edge into the source and one out of the sink
+        network(["S", "A", "T"], [(1, "A", "S", True, 2), (2, "S", "T", True, 1),
+                                  (3, "T", "A", True, 2), (4, "A", "T", True, 1)], "S", "T"),
+        # an edge on no source-sink path
+        network(["S", "A", "B", "T"], [(1, "S", "A", True, 2), (2, "A", "T", True, 2),
+                                       (3, "A", "B", False, 1)], "S", "T"),
+        # disconnected terminals
+        network(["S", "A", "T"], [(1, "S", "A", False, 2), (2, "T", "T", True, 1)], "S", "T"),
+        bridge_network(directed=True, cyclic=True),
+    ]
+    rng = random.Random(20261018)
+    nets = special + [random_network(rng) for _ in range(150)]
+    for net in nets:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            system = network_system(net)
+        for x in product(*(range(m + 1) for m in net.max_states)):
+            assert system.evaluate(x) == max_flow(net, x), (net, x)
+

@@ -1,5 +1,6 @@
 """System constructors, level cuts, path vectors, relevance, reliability."""
 
+import importlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -262,8 +263,9 @@ def test_minimal_path_vectors_every_kind(monkeypatch):
     for system in systems:
         for k in range(1, system.space.system_max + 1):
             assert minimal_path_vectors(system.level(k)) == scan_minimal(system.level(k))
-    # one evaluation per state, each through evaluate, which fills the
-    # network's max-flow cache for later routes
+    # one evaluation per state, each through evaluate; a network system
+    # enumerates its cut sets once, on the first evaluation, and runs no
+    # max flow while scanning
     calls = []
     evaluate = MultistateSystem.evaluate
 
@@ -271,11 +273,29 @@ def test_minimal_path_vectors_every_kind(monkeypatch):
         calls.append(tuple(x))
         return evaluate(system, x)
 
+    def tallied(name):
+        original = getattr(network_module, name)
+
+        def wrapper(*args, **kwargs):
+            tally[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    # the package exports a function `network` that shadows the module name
+    network_module = importlib.import_module("domikit.network")
+    tally = {"max_flow": 0, "minimal_cut_sets": 0}
     monkeypatch.setattr(MultistateSystem, "evaluate", counted)
+    for name in tally:
+        monkeypatch.setattr(network_module, name, tallied(name))
     net = network_system(bridge_network(directed=True))
+    assert tally == {"max_flow": 1, "minimal_cut_sets": 0}
+    net.evaluate(net.space.max_states)
+    assert tally == {"max_flow": 1, "minimal_cut_sets": 1}
+    calls.clear()
     minimal_path_vectors(net.level(1))
     assert calls == list(net.space.vectors())
-    assert net._func.cache_info().currsize == net.space.size()
+    assert tally == {"max_flow": 1, "minimal_cut_sets": 1}
     # a path_vectors level is its declared family, with no evaluation
     calls.clear()
     declared = path_vector_system((1, 2, 1), {1: [(1, 0, 0), (0, 1, 0)], 2: [(1, 1, 0)]})
