@@ -7,7 +7,8 @@ domination expansion against component distributions, and `verify`
 runs every applicable method and checks that they agree.
 
 Exit codes: 0 success, 2 parse or validation failure, 3 a complexity
-guard refused the computation, 4 verification disagreement.
+guard refused the computation (in `verify`, every method), 4
+verification disagreement.
 """
 
 from __future__ import annotations
@@ -95,7 +96,9 @@ class _Routes:
 
     def compute(self, method: str) -> tuple[int, str]:
         """(value, method used).  `auto` takes a closed form when one applies,
-        else binary; past the guard it refuses, as pivotal visits as many states."""
+        else binary; past the guard it refuses, as pivotal visits as many
+        states, and names pivotal only if one evaluation of the level
+        function is not refused too."""
         if method != "auto":
             return self.methods[method](), method
         engine = _closed_form(self.doc, self.level)
@@ -104,6 +107,10 @@ class _Routes:
         try:
             return self.methods["binary"](), "binary"
         except ComplexityGuardError as e:
+            try:
+                self.ls(self.doc.max_states)
+            except ComplexityGuardError as refused:
+                raise ComplexityGuardError(f"{e}; {refused}") from e
             raise ComplexityGuardError(
                 f"{e}; --method pivotal runs without the guard but visits as many states"
             ) from e
@@ -162,7 +169,8 @@ def cmd_reliability(doc: SystemDocument, args) -> tuple[int, str]:
 
 
 def cmd_verify(doc: SystemDocument, args) -> tuple[int, str]:
-    """Run every applicable method; disagreement exits 4.  A route's seconds
+    """Run every applicable method; disagreement exits 4, and no method
+    run at all, every one refused by a guard, exits 3.  A route's seconds
     count the work it adds: the shared scan is billed to the first that needs it."""
     results: list[tuple[str, int | None, float, str | None]] = []
 
@@ -183,6 +191,7 @@ def cmd_verify(doc: SystemDocument, args) -> tuple[int, str]:
 
     values = [v for _, v, _, _ in results if v is not None]
     agree = len(set(values)) == 1 and bool(values)
+    code = 0 if agree else 4 if values else 3
     if args.json:
         payload: dict = {"level": args.level, "agree": agree, "results": []}
         for name, value, elapsed, skipped in results:
@@ -196,7 +205,7 @@ def cmd_verify(doc: SystemDocument, args) -> tuple[int, str]:
             payload["results"].append(rec)
         if agree:
             payload["value"] = values[0]
-        return (0 if agree else 4), json.dumps(payload, indent=2, sort_keys=True)
+        return code, json.dumps(payload, indent=2, sort_keys=True)
     lines = [f"signed domination at level {args.level}"]
     for name, value, elapsed, skipped in results:
         shown = f"skipped ({skipped})" if skipped is not None else str(value)
@@ -204,8 +213,9 @@ def cmd_verify(doc: SystemDocument, args) -> tuple[int, str]:
             lines.append(f"{name:<12} {shown}")
         else:
             lines.append(f"{name:<12} {shown}  ({elapsed:.3f}s)")
-    lines.append(f"agreement: {'yes' if agree else 'NO'}")
-    return (0 if agree else 4), "\n".join(lines)
+    verdict = "yes" if agree else "NO" if values else "none (every method was refused)"
+    lines.append(f"agreement: {verdict}")
+    return code, "\n".join(lines)
 
 
 _COMMANDS = {

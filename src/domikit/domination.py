@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import ComplexityGuardError, DimensionError, DomainError
 from .poset import Vector
@@ -27,7 +27,7 @@ from .systems import LevelSystem, restrict
 def _alternating_sum(f: Callable[[Vector], int], y: Vector) -> int:
     """Sum of (-1)^(sum(y) - sum(x)) * f(x) over x with x_i in {y_i - 1, y_i}
     on the support of y and x_i = 0 off it: every signed domination and
-    Crapo's beta come down to this loop.
+    Crapo's beta come down to this sum.
 
     The corners x and their signs are exactly where the Mobius function
     mu(x, y) of the product of chains is non-zero, and its value there:
@@ -35,12 +35,19 @@ def _alternating_sum(f: Callable[[Vector], int], y: Vector) -> int:
     -1 one step below and 0 further down (Rota 1964).  This is the one
     place the package evaluates mu.
     """
-    top = sum(y)
+    corners = product(*((a - 1, a) if a else (0,) for a in y))
+    return _signed_sum(map(f, corners), sum(1 for a in y if a))
+
+
+def _signed_sum(values: Iterable[int], k: int) -> int:
+    """Sum of (-1)^(k - popcount(i)) * values[i] over the 2^k values of a
+    function on {0,1}^k in product order.  Reading each of the k support
+    slots of y as down (y_i - 1, bit 0) or up (y_i, bit 1) makes the
+    corners above this order, so this is the one sign loop."""
     total = 0
-    for x in product(*((a - 1, a) if a else (0,) for a in y)):
-        value = f(x)
+    for i, value in enumerate(values):
         if value:
-            total += value if (top - sum(x)) % 2 == 0 else -value
+            total += value if (k - i.bit_count()) % 2 == 0 else -value
     return total
 
 
@@ -70,7 +77,7 @@ def delta_at(ls: LevelSystem, y: Vector, *, guard: int = 25) -> int:
     return _alternating_sum(ls, y)
 
 
-def signed_domination(ls: LevelSystem, *, guard: int = 25) -> int:
+def signed_domination(ls: LevelSystem) -> int:
     """Signed domination of the whole level function, delta at the top vector.
 
     Specialises delta_at to y = (m_1, ..., m_n), where the support is all
@@ -80,7 +87,7 @@ def signed_domination(ls: LevelSystem, *, guard: int = 25) -> int:
     ms = ls.max_states
     if not ms:
         return ls(())
-    return delta_at(ls, ms, guard=guard)
+    return delta_at(ls, ms)
 
 
 def pivotal_domination(ls: LevelSystem, pivot: int | None = None, *, base_size: int = 10) -> int:

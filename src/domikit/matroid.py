@@ -6,8 +6,9 @@ set build-up, beta from its alternating rank sum, and a distinguished
 ground element x turns the matroid into a binary monotone structure on
 C = F \\ x whose minimal path sets are the circuits through x with x
 removed.  The signed domination of that structure is beta(F) up to a
-sign fixed by the corank, which the recursion over one-element
-restrictions reproduces without ever expanding subsets.
+sign fixed by the corank, which the recursion over one-element minors
+reproduces from one truth table of the structure: each minor is a
+slice of that table, so the structure is evaluated once per vector.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from .errors import (
     DomainError,
     ValidationError,
 )
-from .domination import BinaryStructure, _alternating_sum
+from .domination import BinaryStructure, _alternating_sum, _signed_sum
 from .poset import Vector
-from .systems import _freeze, _splice
 
 
 class Matroid:
@@ -156,7 +156,7 @@ def validate_circuits(m: Matroid, *, guard: int = 20) -> CircuitValidation:
     return CircuitValidation(status="valid")
 
 
-def crapo_beta(m: Matroid, subset: Iterable[Hashable], *, guard: int = 25) -> int:
+def crapo_beta(m: Matroid, subset: Iterable[Hashable]) -> int:
     """Crapo's beta invariant of a subset A.
 
     beta(A) = sum over B <= A of (-1)^(rank(A) - |B|) * rank(B), a
@@ -164,9 +164,9 @@ def crapo_beta(m: Matroid, subset: Iterable[Hashable], *, guard: int = 25) -> in
     """
     mask = m.to_mask(subset)
     size = mask.bit_count()
-    if size > guard:
+    if size > 25:
         raise ComplexityGuardError(
-            f"subset of {size} elements exceeds the beta guard ({guard}); "
+            f"subset of {size} elements exceeds the beta guard (25); "
             "use domination_invariant_recursion"
         )
     bits = [1 << i for i in range(len(m.ground)) if mask >> i & 1]
@@ -176,9 +176,9 @@ def crapo_beta(m: Matroid, subset: Iterable[Hashable], *, guard: int = 25) -> in
     return total if (m.rank_mask(mask) - size) % 2 == 0 else -total
 
 
-def beta_number(m: Matroid, *, guard: int = 25) -> int:
+def beta_number(m: Matroid) -> int:
     """beta of the whole ground set."""
-    return crapo_beta(m, m.ground, guard=guard)
+    return crapo_beta(m, m.ground)
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def link_structure(link: MatroidSystemLink) -> BinaryStructure:
     return BinaryStructure(size=len(bits), _func=func)
 
 
-def domination_from_beta(link: MatroidSystemLink, subset: Iterable[Hashable], *, guard: int = 25) -> int:
+def domination_from_beta(link: MatroidSystemLink, subset: Iterable[Hashable]) -> int:
     """Signed domination of the induced structure at a component subset.
 
     delta(A) = (-1)^(|A| - rank(A + x)) * beta(A + x); at A = C this gives
@@ -254,7 +254,7 @@ def domination_from_beta(link: MatroidSystemLink, subset: Iterable[Hashable], *,
         return 0
     full = mask | xbit
     sign = 1 if (mask.bit_count() - m.rank_mask(full)) % 2 == 0 else -1
-    return sign * crapo_beta(m, m.from_mask(full), guard=guard)
+    return sign * crapo_beta(m, m.from_mask(full))
 
 
 def domination_invariant_recursion(
@@ -262,63 +262,47 @@ def domination_invariant_recursion(
     pivot: int | None = None,
     *,
     base_size: int = 10,
-    memo_size: int = 14,
 ) -> int:
     """D = |signed domination| of a binary structure, by splitting.
 
     D(phi) = D(phi with e up) + D(phi with e down), valid when phi comes
     from a matroid system (the split halves then carry opposite signs).
-    An irrelevant pivot contributes 0 directly.  Subsystems small enough
-    to tabulate (at most memo_size slots) are memoised on their truth
-    tables, so repeated shapes, frequent in symmetric systems, are
-    computed once.  At base_size slots the subset formula takes over.
+    The structure is evaluated once per vector of {0,1}^size, in product
+    order, into one truth table; a minor is a slice of it.  Fixing slot e
+    of a k-slot table keeps the blocks of stride 2^(k-1-e) where e is
+    down, or where it is up.  Constant tables give 0, an irrelevant pivot
+    (both halves equal) gives 0, and every minor is memoised on its
+    table, so repeated shapes, frequent in symmetric systems, are
+    computed once.  The first split is on `pivot` when given, every later
+    one on slot 0; at base_size slots the subset formula takes over.
     """
-    memo: dict[tuple[int, int], int] = {}
-    func = bs._func
-
-    # A subsystem is the set of slots frozen so far, spliced back into the
-    # original structure the same way restrict() does for level functions.
-    def run(frozen: tuple[tuple[int, int], ...], forced: int | None) -> int:
-        k = bs.size - len(frozen)
-
-        def b(z: Vector) -> int:
-            return func(_splice(z, frozen))
-
-        if k == 0:
-            return b(())
-        if b((1,) * k) == 0 or b((0,) * k) == 1:
-            return 0
-        key = None
-        if forced is None and k <= memo_size:
-            bits = 0
-            for i, z in enumerate(product((0, 1), repeat=k)):
-                if b(z):
-                    bits |= 1 << i
-            key = (k, bits)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-        if forced is None and k <= base_size:
-            value = abs(_alternating_sum(b, (1,) * k))
-        else:
-            e = forced if forced is not None else 0
-            up = _freeze(frozen, e, 1)
-            down = _freeze(frozen, e, 0)
-            if all(func(_splice(z, up)) == func(_splice(z, down))
-                   for z in product((0, 1), repeat=k - 1)):
-                # Irrelevant pivot: both halves are the same minor, so the
-                # signed domination cancels and splitting would count the
-                # minor twice.
-                value = 0
-            else:
-                value = run(up, None) + run(down, None)
-        if key is not None:
-            memo[key] = value
-        return value
-
     if pivot is not None and not 0 <= pivot < bs.size:
         raise DomainError(f"pivot {pivot} outside 0..{bs.size - 1}")
-    return run((), pivot)
+    memo: dict[bytes, int] = {}
+
+    def run(t: bytes, k: int, e: int | None) -> int:
+        if k == 0:
+            return t[0]
+        if t[-1] == 0 or t[0] == 1:
+            return 0
+        value = memo.get(t)
+        if value is not None:
+            return value
+        if e is None and k <= base_size:
+            value = abs(_signed_sum(t, k))
+        else:
+            s = 1 << (k - 1 - (e or 0))
+            starts = range(0, len(t), 2 * s)
+            down = b"".join(t[i:i + s] for i in starts)
+            up = b"".join(t[i + s:i + 2 * s] for i in starts)
+            # Irrelevant pivot: both halves are the same minor, so the
+            # signed domination cancels and splitting would count the
+            # minor twice.
+            value = 0 if up == down else run(up, k - 1, None) + run(down, k - 1, None)
+        memo[t] = value
+        return value
+
+    return run(bytes(map(bs._func, product((0, 1), repeat=bs.size))), bs.size, pivot)
 
 
 def threshold_domination(n: int, m: int, k: int) -> int:
@@ -350,11 +334,7 @@ def uniform_matroid(ground: Iterable[Hashable], rank: int) -> Matroid:
     return Matroid(elems, combinations(elems, rank + 1))
 
 
-def cycle_circuits(
-    edges: Sequence[tuple[Hashable, Hashable, Hashable]],
-    *,
-    guard: int = 16,
-) -> tuple[frozenset, ...]:
+def cycle_circuits(edges: Sequence[tuple[Hashable, Hashable, Hashable]]) -> tuple[frozenset, ...]:
     """Circuits of the graphic matroid of an undirected multigraph.
 
     `edges` lists (label, u, v); loops and parallel edges are fine.  An
@@ -362,8 +342,8 @@ def cycle_circuits(
     which every touched vertex has degree exactly 2.  Found by subset
     enumeration, hence the guard.
     """
-    if len(edges) > guard:
-        raise ComplexityGuardError(f"{len(edges)} edges exceed the cycle guard ({guard})")
+    if len(edges) > 16:
+        raise ComplexityGuardError(f"{len(edges)} edges exceed the cycle guard (16)")
     labels = [e[0] for e in edges]
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate edge labels")
@@ -394,6 +374,6 @@ def cycle_circuits(
     return tuple(sorted(out, key=lambda s: sorted(map(str, s))))
 
 
-def graphic_matroid(edges: Sequence[tuple[Hashable, Hashable, Hashable]], *, guard: int = 16) -> Matroid:
+def graphic_matroid(edges: Sequence[tuple[Hashable, Hashable, Hashable]]) -> Matroid:
     """Graphic matroid of an undirected multigraph given as (label, u, v) edges."""
-    return Matroid([e[0] for e in edges], cycle_circuits(edges, guard=guard))
+    return Matroid([e[0] for e in edges], cycle_circuits(edges))

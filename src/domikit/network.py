@@ -171,7 +171,7 @@ def _connects(net: FlowNetwork, removed: frozenset[int]) -> bool:
     return False
 
 
-def minimal_cut_sets(net: FlowNetwork, *, guard: int = 25) -> tuple[tuple[int, ...], ...]:
+def minimal_cut_sets(net: FlowNetwork) -> tuple[tuple[int, ...], ...]:
     """Minimal edge sets whose removal disconnects sink from source.
 
     Enumerated by ascending size, skipping supersets of cuts already
@@ -179,8 +179,8 @@ def minimal_cut_sets(net: FlowNetwork, *, guard: int = 25) -> tuple[tuple[int, .
     lexicographic order of sorted id tuples.
     """
     n = len(net.edges)
-    if n > guard:
-        raise ComplexityGuardError(f"{n} edges exceed the cut enumeration guard ({guard})")
+    if n > 25:
+        raise ComplexityGuardError(f"{n} edges exceed the cut enumeration guard (25)")
     ids = net.edge_ids
     found: list[frozenset[int]] = []
     for size in range(0, n + 1):
@@ -259,11 +259,11 @@ def reduces_to_connectivity(net: FlowNetwork, k: int) -> bool:
     return all(t == 1 for t in connectivity_thresholds(net, k).values())
 
 
-def simple_path_sets(net: FlowNetwork, *, guard: int = 25) -> tuple[frozenset[int], ...]:
+def simple_path_sets(net: FlowNetwork) -> tuple[frozenset[int], ...]:
     """Edge sets of simple source-to-sink paths (the minimal path sets
     of the two-terminal connectivity structure)."""
-    if len(net.edges) > guard:
-        raise ComplexityGuardError(f"{len(net.edges)} edges exceed the path guard ({guard})")
+    if len(net.edges) > 25:
+        raise ComplexityGuardError(f"{len(net.edges)} edges exceed the path guard (25)")
     idx = {v: i for i, v in enumerate(net.nodes)}
     out_arcs: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
     for e in net.edges:
@@ -293,9 +293,9 @@ def simple_path_sets(net: FlowNetwork, *, guard: int = 25) -> tuple[frozenset[in
     return tuple(sorted(found, key=sorted))
 
 
-def relevant_edges(net: FlowNetwork, *, guard: int = 25) -> frozenset[int]:
+def relevant_edges(net: FlowNetwork) -> frozenset[int]:
     """Edges lying on at least one simple source-to-sink path."""
-    paths = simple_path_sets(net, guard=guard)
+    paths = simple_path_sets(net)
     rel: set[int] = set()
     for p in paths:
         rel |= p

@@ -274,16 +274,16 @@ def restrict(ls: LevelSystem, component: int, value: int) -> LevelSystem:
     return LevelSystem(ls.system, ls.level, _freeze(ls._frozen, component, value))
 
 
-def check_monotone(system: MultistateSystem, *, guard: int = 10**7) -> bool:
+def check_monotone(system: MultistateSystem) -> bool:
     """Exhaustively verify phi(x) <= phi(y) whenever x <= y.
 
     Only one-step drops need checking.  Refuses spaces with more than
-    `guard` vectors.
+    10^7 vectors.
     """
     space = system.space
-    if space.size() > guard:
+    if space.size() > 10**7:
         raise ComplexityGuardError(
-            f"monotonicity check over {space.size()} states exceeds guard ({guard})"
+            f"monotonicity check over {space.size()} states exceeds guard ({10**7})"
         )
     for x in space.vectors():
         vx = system._func(x)
@@ -363,9 +363,9 @@ class RelevanceReport:
         return all(self.strongly_relevant)
 
 
-def relevance_report(ls: LevelSystem, *, guard: int = 10**7) -> RelevanceReport:
+def relevance_report(ls: LevelSystem) -> RelevanceReport:
     """Relevance of every component for one level function."""
-    paths = minimal_path_vectors(ls, guard=guard)
+    paths = minimal_path_vectors(ls)
     ms = ls.max_states
     attained = [set() for _ in ms]
     for p in paths:
@@ -452,18 +452,13 @@ def reliability_from_domination(
     return total
 
 
-def reliability_enumerate(
-    ls: LevelSystem,
-    dist: ComponentDistribution,
-    *,
-    guard: int = 10**7,
-) -> float | Fraction:
+def reliability_enumerate(ls: LevelSystem, dist: ComponentDistribution) -> float | Fraction:
     """P(phi >= k) by brute-force enumeration of the state space."""
     space = StateSpace(max_states=ls.max_states, system_max=1)
     dist._check_space(space.max_states)
-    if space.size() > guard:
+    if space.size() > 10**7:
         raise ComplexityGuardError(
-            f"enumeration over {space.size()} states exceeds guard ({guard})"
+            f"enumeration over {space.size()} states exceeds guard ({10**7})"
         )
     total: float | Fraction = Fraction(0) if dist.exact else 0.0
     for x in space.vectors():

@@ -305,21 +305,47 @@ def test_auto_refuses_past_the_guard(write_doc, capsys):
     assert pivotal == out.replace("binary", "pivotal")
 
 
-def test_pivotal_on_a_network_past_the_cut_guard_exits_3(write_doc, capsys):
-    # 25 parallel unit edges in series with a 26th: 2^26 states and one
-    # edge past the cut guard, which --guard does not reach
+def network_past_the_cut_guard() -> dict:
+    """25 parallel unit edges in series with a 26th: 2^26 states and one
+    edge past the cut guard, which --guard does not reach."""
     edges = [{"id": i, "from": "S", "to": "A", "directed": False, "max_capacity": 1}
              for i in range(1, 26)]
     edges.append({"id": 26, "from": "A", "to": "T", "directed": False, "max_capacity": 1})
-    f = write_doc({"format_version": 1,
-                   "structure": {"kind": "network", "nodes": ["S", "A", "T"], "edges": edges,
-                                 "source": "S", "sink": "T"}})
+    return {"format_version": 1,
+            "structure": {"kind": "network", "nodes": ["S", "A", "T"], "edges": edges,
+                          "source": "S", "sink": "T"}}
+
+
+def test_pivotal_on_a_network_past_the_cut_guard_exits_3(write_doc, capsys):
+    f = write_doc(network_past_the_cut_guard())
     for extra in ([], ["--guard", "100"]):
         code, out, err = run(capsys, ["domination", f, "--level", "1", "--method", "pivotal",
                                       "--no-timing", *extra])
         assert code == 3
         assert out == ""
         assert err == "error: 26 edges exceed the cut enumeration guard (25)\n"
+    # auto refuses on the subset guard and, as pivotal would refuse too,
+    # names both refusals and not pivotal
+    code, out, err = run(capsys, ["domination", f, "--level", "1", "--no-timing"])
+    assert code == 3
+    assert out == ""
+    assert err == ("error: 26 binary components exceed the subset guard (25); "
+                   "26 edges exceed the cut enumeration guard (25)\n")
+
+
+def test_verify_with_every_method_refused_exits_3(write_doc, capsys):
+    f = write_doc(network_past_the_cut_guard())
+    code, out, err = run(capsys, ["verify", f, "--level", "1", "--no-timing"])
+    assert (code, err) == (3, "")
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines[1:-1]] == ["skipped"] * 4
+    assert lines[-1] == "agreement: none (every method was refused)"
+    code, out, err = run(capsys, ["verify", f, "--level", "1", "--json", "--no-timing"])
+    assert (code, err) == (3, "")
+    payload = json.loads(out)
+    assert payload["agree"] is False
+    assert "value" not in payload
+    assert all("skipped" in rec for rec in payload["results"])
 
 
 def test_exit_2_on_non_finite_probability(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Source hygiene: every top-level import in the package and in the
-test modules is used.
+test modules is used, and every keyword-only option of the package is
+set by some caller.
 
-A deletion that leaves an import behind passes every behavioural test,
-so this check reads the modules themselves.  The package's __init__.py
-is skipped: its imports are the public namespace.
+A deletion that leaves an import behind, or an option nothing sets,
+passes every behavioural test, so these checks read the modules
+themselves.  The package's __init__.py is skipped by the import check:
+its imports are the public namespace.
 """
 
 import ast
@@ -15,6 +17,8 @@ TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "domikit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 MODULES += sorted(TESTS.glob("*.py"))
+CALLERS = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+CALLERS += sorted((TESTS.parent / "perfbench").glob("*.py"))
 
 
 def imported_names(tree: ast.Module):
@@ -39,3 +43,33 @@ def test_every_import_is_read(path):
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = [name for name in imported_names(tree) if name not in read]
     assert not unused, f"{path.name} imports {unused} without reading them"
+
+
+def public_functions(tree: ast.Module):
+    """Public top-level functions and public methods of public classes."""
+    for node in tree.body:
+        body = [node]
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            body = node.body
+        for fn in body:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                yield fn
+
+
+def test_every_keyword_option_is_set_by_a_caller():
+    """A keyword-only parameter that no call in the package, the tests or
+    the benchmark passes by name is a constant dressed as an option.
+    Calls are matched on the called name; a call with **kwargs counts as
+    passing every keyword."""
+    passed: dict[str, set] = {}
+    for path in CALLERS:
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                passed.setdefault(name, set()).update(kw.arg for kw in call.keywords)
+    unset = [f"{path.name}: {fn.name}({arg.arg}=)"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for fn in public_functions(ast.parse(path.read_text(encoding="utf-8")))
+             for arg in fn.args.kwonlyargs
+             if not passed.get(fn.name, set()) & {arg.arg, None}]
+    assert not unset, f"keyword options no caller sets: {unset}"
