@@ -47,7 +47,6 @@ from .systems import (
     relevance_report,
     reliability_enumerate,
     reliability_from_domination,
-    restrict,
     sum_system,
     table_system,
 )

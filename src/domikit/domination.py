@@ -5,12 +5,14 @@ subsets:
 
 * a direct alternating sum over subsets of the support of the target
   vector (2^n terms, from Mobius inversion on the product lattice),
-* a pivotal decomposition, splitting on one component's top two states
-  and recursing on systems with one component fewer, and
+* a pivotal decomposition, splitting the box of top corners (each
+  component at m_i - 1 or m_i) one component at a time, and
 * a reduction to an associated binary structure on the component set,
   whose signed domination at (1, ..., 1) equals the multistate one.
 
-All arithmetic is exact integer arithmetic.
+The last two evaluate the same 2^n corners with the same signs and
+differ only in how they sum them.  All arithmetic is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Iterable
 
 from .errors import ComplexityGuardError, DimensionError, DomainError
 from .poset import Vector
-from .systems import LevelSystem, restrict
+from .systems import LevelSystem
 
 
 def _alternating_sum(f: Callable[[Vector], int], y: Vector) -> int:
@@ -51,14 +53,15 @@ def _signed_sum(values: Iterable[int], k: int) -> int:
     return total
 
 
-def delta_at(ls: LevelSystem, y: Vector, *, guard: int = 25) -> int:
+def delta_at(ls: LevelSystem, y: Vector) -> int:
     """Signed domination of a level function at one state vector.
 
     delta(y) = sum over subsets B of the support A(y) of
     phi_k(x(B)) * (-1)^(|A(y)| - |B|), where x(B) keeps y on B, lowers y
     by one on A(y) \\ B and zeroes the rest.  The all-zero vector is
     outside the domain (its value is fixed by the support convention,
-    not computed).
+    not computed).  Supports of more than 25 components are refused
+    before anything is evaluated.
     """
     ms = ls.max_states
     y = tuple(y)
@@ -69,9 +72,9 @@ def delta_at(ls: LevelSystem, y: Vector, *, guard: int = 25) -> int:
     a = sum(1 for v in y if v > 0)
     if not a:
         raise DomainError("delta_at is undefined at the all-zero vector")
-    if a > guard:
+    if a > 25:
         raise ComplexityGuardError(
-            f"support size {a} exceeds the subset guard ({guard}); "
+            f"support size {a} exceeds the subset guard (25); "
             "use pivotal_domination or a closed-form engine"
         )
     return _alternating_sum(ls, y)
@@ -91,29 +94,36 @@ def signed_domination(ls: LevelSystem) -> int:
 
 
 def pivotal_domination(ls: LevelSystem, pivot: int | None = None, *, base_size: int = 10) -> int:
-    """Signed domination by pivotal decomposition.
+    """Signed domination by pivotal decomposition on the box of top corners.
 
-    d(phi_k) = d(phi_k with the pivot frozen at its top state)
-             - d(phi_k with the pivot frozen one below top),
-    both restrictions being binary systems on one component fewer.  With
-    no pivot given, systems of at most base_size components fall through
-    to the subset formula; larger ones pivot on a component with the most
-    states (lowest index on ties).
+    Only the corners where every component sits at m_i - 1 or m_i enter
+    the signed domination, so the recursion splits that box:
+    d = d(pivot frozen at its top state) - d(pivot frozen one below top).
+    The split is on `pivot` first when it is given, then on the first
+    free component; the order does not change the value.  At base_size
+    free components a leaf sums the signed corners of what is left, so
+    every corner is evaluated once and nothing but the box is held.
     """
     ms = ls.max_states
-    if pivot is None:
-        if len(ms) <= base_size:
-            return signed_domination(ls)
-        e = max(range(len(ms)), key=lambda i: (ms[i], -i))
-    else:
-        if not 0 <= pivot < len(ms):
-            raise DomainError(f"pivot {pivot} outside 0..{len(ms) - 1}")
-        e = pivot
-    top = restrict(ls, e, ms[e])
-    below = restrict(ls, e, ms[e] - 1)
-    return pivotal_domination(top, base_size=base_size) - pivotal_domination(
-        below, base_size=base_size
-    )
+    if pivot is not None and not 0 <= pivot < len(ms):
+        raise DomainError(f"pivot {pivot} outside 0..{len(ms) - 1}")
+    box = [(m - 1, m) for m in ms]
+    order = sorted(range(len(ms)), key=lambda i: i != pivot)  # the pivot first
+
+    def d(j: int) -> int:
+        """d with order[j:] free and the components before them frozen."""
+        free = len(ms) - j
+        if free <= base_size and (j or pivot is None):  # a given pivot always splits
+            return _signed_sum(map(ls, product(*box)), free)
+        e = order[j]
+        box[e] = (ms[e],)
+        top = d(j + 1)
+        box[e] = (ms[e] - 1,)
+        below = d(j + 1)
+        box[e] = (ms[e] - 1, ms[e])
+        return top - below
+
+    return d(0)
 
 
 @dataclass(frozen=True)

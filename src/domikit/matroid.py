@@ -98,7 +98,6 @@ class Matroid:
         mask = self.to_mask(subset)
         if not exhaustive:
             return self.rank_mask(mask)
-        best = 0
         size = mask.bit_count()
         bits = [1 << i for i in range(len(self.ground)) if mask >> i & 1]
         for r in range(size, -1, -1):
@@ -107,8 +106,7 @@ class Matroid:
                 for b in combo:
                     sub |= b
                 if self._independent(sub):
-                    return r
-        return best
+                    return r  # r = 0 tries the empty set, always independent
 
 
 @dataclass(frozen=True)
@@ -121,17 +119,17 @@ class CircuitValidation:
         return self.status == "valid"
 
 
-def validate_circuits(m: Matroid, *, guard: int = 20) -> CircuitValidation:
+def validate_circuits(m: Matroid) -> CircuitValidation:
     """Check the circuit axioms: incomparability and circuit elimination.
 
     Returns the first violation found, as ("comparable", C1, C2) or
-    ("elimination", C1, C2, e).  Ground sets larger than `guard` are
+    ("elimination", C1, C2, e).  Ground sets of more than 20 elements are
     skipped with a warning rather than refused, since validity is a
     soundness question, not a liveness one.
     """
-    if len(m.ground) > guard:
+    if len(m.ground) > 20:
         warnings.warn(
-            f"circuit validation skipped: {len(m.ground)} ground elements exceed guard ({guard})",
+            f"circuit validation skipped: {len(m.ground)} ground elements exceed guard (20)",
             stacklevel=2,
         )
         return CircuitValidation(status="skipped")

@@ -42,9 +42,9 @@ class StateSpace:
 
     system_max = 0 marks a degenerate system that never leaves level 0;
     it arises from flow networks whose terminals are disconnected.  The
-    empty space (n = 0, the single vector ()) is allowed so restrictions
-    can strip components one by one; documents read from files always
-    have n >= 1.
+    empty space (n = 0, the single vector ()) is allowed because
+    table_system([], [v]) builds a constant system on it; documents read
+    from files always have n >= 1.
     """
 
     max_states: tuple[int, ...]
@@ -102,47 +102,17 @@ class MultistateSystem:
 
 @dataclass(frozen=True)
 class LevelSystem:
-    """Binary cut of a multistate structure at a fixed level.
-
-    A restriction keeps the original system and its frozen coordinates as
-    (position, state) pairs in ascending order, so one evaluation at any
-    depth is one call of MultistateSystem.evaluate.
-    """
+    """Binary cut of a multistate structure at a fixed level."""
 
     system: MultistateSystem
     level: int
-    _frozen: tuple[tuple[int, int], ...] = ()
 
     @property
     def max_states(self) -> tuple[int, ...]:
-        ms = self.system.space.max_states
-        if not self._frozen:
-            return ms
-        fixed = {i for i, _ in self._frozen}
-        return tuple(m for i, m in enumerate(ms) if i not in fixed)
+        return self.system.space.max_states
 
     def __call__(self, x: Vector) -> int:
-        if self._frozen:
-            x = _splice(tuple(x), self._frozen)
         return 1 if self.system.evaluate(x) >= self.level else 0
-
-
-def _freeze(
-    frozen: tuple[tuple[int, int], ...], component: int, value: int
-) -> tuple[tuple[int, int], ...]:
-    """Add one frozen coordinate, given by its index among the free ones."""
-    position = component
-    for i, _ in frozen:
-        if i <= position:
-            position += 1
-    return tuple(sorted(frozen + ((position, value),)))
-
-
-def _splice(x: Vector, frozen: tuple[tuple[int, int], ...]) -> Vector:
-    """The full vector; an x of the wrong length gives one of the wrong length."""
-    for i, v in frozen:
-        x = x[:i] + (v,) + x[i:]
-    return x
 
 
 def _integer(v, what: str) -> int:
@@ -156,14 +126,12 @@ def _integer(v, what: str) -> int:
 def table_system(
     max_states: Sequence[int],
     values: Mapping[Vector, int] | Sequence[int],
-    *,
-    check: bool = True,
 ) -> MultistateSystem:
     """System from an explicit table of structure values.
 
     `values` is either a map from state vectors to levels, total on the
     space, or a flat sequence in lexicographic vector order.  Monotonicity
-    is verified on construction unless check=False.
+    is verified on construction.
     """
     ms = tuple(max_states)
     space_size = math.prod(m + 1 for m in ms)
@@ -186,7 +154,7 @@ def table_system(
     system_max = max(table.values())
     space = StateSpace(max_states=ms, system_max=system_max)
     system = MultistateSystem(space=space, kind="table", _func=table.__getitem__)
-    if check and not check_monotone(system):
+    if not check_monotone(system):
         raise ValidationError("table is not monotone non-decreasing")
     return system
 
@@ -259,21 +227,6 @@ def path_vector_system(
     return MultistateSystem(space=space, kind="path_vectors", _func=phi, _paths=families)
 
 
-def restrict(ls: LevelSystem, component: int, value: int) -> LevelSystem:
-    """Freeze one component at a value and drop it from the system.
-
-    The result is a binary system on the remaining n - 1 components whose
-    indicator is the original level function with the frozen coordinate
-    spliced back in.
-    """
-    ms = ls.max_states
-    if not 0 <= component < len(ms):
-        raise DomainError(f"component {component} outside 0..{len(ms) - 1}")
-    if not 0 <= value <= ms[component]:
-        raise DomainError(f"state {value} outside 0..{ms[component]} for component {component}")
-    return LevelSystem(ls.system, ls.level, _freeze(ls._frozen, component, value))
-
-
 def check_monotone(system: MultistateSystem) -> bool:
     """Exhaustively verify phi(x) <= phi(y) whenever x <= y.
 
@@ -297,27 +250,27 @@ def check_monotone(system: MultistateSystem) -> bool:
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def minimal_path_vectors(ls: LevelSystem, *, guard: int = 10**7) -> tuple[Vector, ...]:
+def minimal_path_vectors(ls: LevelSystem) -> tuple[Vector, ...]:
     """Minimal vectors x with phi(x) >= level, by bitset shifts.
 
-    x is minimal iff the level function holds at x but fails whenever one
-    positive coordinate is lowered by one; monotonicity makes that local
-    test exact.  The level function is evaluated once per state and the
-    results packed into an int I (bit j for the j-th vector in
-    lexicographic order); lowering coordinate i is a shift by its stride,
-    so the minimal vectors are the bits of I & ~OR_i((I << stride_i) &
-    [x_i > 0]).  An unrestricted path_vectors level returns its declared
-    family.  Spaces over `guard` states are refused before anything is
-    evaluated.  Output is lexicographically sorted.
+    A path_vectors level returns its declared family, with no scan.
+    Otherwise x is minimal iff the level function holds at x but fails
+    whenever one positive coordinate is lowered by one; monotonicity
+    makes that local test exact.  The level function is evaluated once
+    per state and the results packed into an int I (bit j for the j-th
+    vector in lexicographic order); lowering coordinate i is a shift by
+    its stride, so the minimal vectors are the bits of I & ~OR_i((I <<
+    stride_i) & [x_i > 0]).  Spaces over 10^7 states are refused before
+    anything is evaluated.  Output is lexicographically sorted.
     """
-    space = StateSpace(max_states=ls.max_states, system_max=1)
-    ms, size = space.max_states, space.size()
-    if size > guard:
-        raise ComplexityGuardError(
-            f"path vector scan over {size} states exceeds guard ({guard})"
-        )
-    if ls.system._paths is not None and not ls._frozen:
+    if ls.system._paths is not None:
         return ls.system._paths[ls.level]  # declared, and checked minimal at parse
+    space = ls.system.space
+    ms, size = space.max_states, space.size()
+    if size > 10**7:
+        raise ComplexityGuardError(
+            f"path vector scan over {size} states exceeds guard ({10**7})"
+        )
     # one byte per vector, read backwards as the binary digits of I
     holds = int(bytes(map(ls, space.vectors()))[::-1].translate(_DIGITS), 2)
     lowered = 0
@@ -454,7 +407,7 @@ def reliability_from_domination(
 
 def reliability_enumerate(ls: LevelSystem, dist: ComponentDistribution) -> float | Fraction:
     """P(phi >= k) by brute-force enumeration of the state space."""
-    space = StateSpace(max_states=ls.max_states, system_max=1)
+    space = ls.system.space
     dist._check_space(space.max_states)
     if space.size() > 10**7:
         raise ComplexityGuardError(

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from domikit import network, table_system
+from domikit import MultistateSystem, StateSpace, network, table_system
 
 
 def vjoin(a, b):
@@ -101,6 +101,23 @@ def make_random_system(seed):
     max_states = tuple(rng.randint(1, 3) for _ in range(n))
     table = random_monotone_table(rng, max_states, rng.randint(1, 4))
     return table_system(max_states, table)
+
+
+def frozen_level(ls, frozen):
+    """The level function ls with the components in `frozen` (a map from
+    position to state) held fixed, as a level-1 function of the others.
+
+    Built on a StateSpace directly: freezing can leave a constant 0
+    structure, which table_system would give no level 1.
+    """
+    ms = ls.max_states
+    rest = tuple(m for i, m in enumerate(ms) if i not in frozen)
+
+    def phi(x):
+        free = iter(x)
+        return ls(tuple(frozen[i] if i in frozen else next(free) for i in range(len(ms))))
+
+    return MultistateSystem(StateSpace(rest, 1), "table", phi).level(1)
 
 
 def random_pmfs(rng, max_states):

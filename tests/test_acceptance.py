@@ -19,6 +19,7 @@ from conftest import (
     BRIDGE_CUTS_CYCLIC,
     BRIDGE_CUTS_UNDIRECTED,
     bridge_network,
+    frozen_level,
     make_random_system,
     naive_formation_delta,
     random_monotone_table,
@@ -51,7 +52,6 @@ from domikit import (
     relevance_report,
     reliability_enumerate,
     reliability_from_domination,
-    restrict,
     sum_system,
     table_system,
     threshold_domination,
@@ -102,8 +102,8 @@ def test_criterion_02_sum_system_level_four():
     assert domination_by_closure_mobius(join_closure(paths)).get(top, 0) == 0
     assert pivotal_domination(ls) == 0
     assert domination_via_binary(ls) == 0
-    assert len(minimal_path_vectors(restrict(ls, 3, 2))) == 6
-    assert len(minimal_path_vectors(restrict(ls, 3, 1))) == 7
+    assert len(minimal_path_vectors(frozen_level(ls, {3: 2}))) == 6
+    assert len(minimal_path_vectors(frozen_level(ls, {3: 1}))) == 7
     assert time.perf_counter() - started < 5.0
 
 

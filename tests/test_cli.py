@@ -348,6 +348,25 @@ def test_verify_with_every_method_refused_exits_3(write_doc, capsys):
     assert all("skipped" in rec for rec in payload["results"])
 
 
+def test_declared_paths_need_no_scan_past_the_guard(write_doc, capsys):
+    """A path_vectors level is its declared family: over [9]^8, 10^8
+    states and past the scan guard, paths, the table and verify still
+    run."""
+    f = write_doc({"format_version": 1, "max_states": [9] * 8,
+                   "structure": {"kind": "path_vectors",
+                                 "levels": {"1": [[9] * 4 + [0] * 4, [0] * 4 + [9] * 4]}}})
+    code, out, err = run(capsys, ["paths", f, "--level", "1", "--no-timing"])
+    assert (code, err) == (0, "")
+    assert out == "minimal path vectors at level 1: 2\n0 0 0 0 9 9 9 9\n9 9 9 9 0 0 0 0\n"
+    code, out, err = run(capsys, ["domination", f, "--level", "1", "--table", "--no-timing"])
+    assert (code, err) == (0, "")
+    assert out == ("d(phi_1) = -1  [method: binary]\n0 0 0 0 9 9 9 9\t1\n"
+                   "9 9 9 9 0 0 0 0\t1\n9 9 9 9 9 9 9 9\t-1\n")
+    code, out, err = run(capsys, ["verify", f, "--level", "1", "--no-timing"])
+    assert (code, err) == (0, "")
+    assert [line.split()[1] for line in out.splitlines()[1:-1]] == ["-1"] * 4
+
+
 def test_exit_2_on_non_finite_probability(tmp_path, capsys):
     for token in ("NaN", "Infinity"):
         text = json.dumps(two_of_three(distribution=[[0.7, 0.3]] * 3))

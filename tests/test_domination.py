@@ -1,14 +1,16 @@
 """Full-lattice subset formula, pivotal recursion, associated binary."""
 
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
 
-from conftest import make_random_system, oracle_subset_delta
+from conftest import frozen_level, make_random_system, oracle_subset_delta
 from domikit import (
     ComplexityGuardError,
     DomainError,
     MultistateSystem,
+    StateSpace,
     associated_binary,
     binary_signed_domination,
     delta_at,
@@ -17,7 +19,6 @@ from domikit import (
     join_closure,
     path_vector_system,
     pivotal_domination,
-    restrict,
     signed_domination,
     sum_system,
     table_system,
@@ -55,10 +56,7 @@ def test_delta_at_pins_components_off_the_support():
                 support = [i for i, v in enumerate(y) if v > 0]
                 if not support:
                     continue
-                pinned = ls
-                for i in reversed(range(len(y))):
-                    if i not in support:
-                        pinned = restrict(pinned, i, 0)
+                pinned = frozen_level(ls, {i: 0 for i in range(len(y)) if i not in support})
                 y_s = tuple(y[i] for i in support)
                 assert delta_at(pinned, y_s) == delta_at(ls, y)
                 if y_s == pinned.max_states:
@@ -83,9 +81,17 @@ def test_delta_at_outside_space():
 
 
 def test_delta_at_guard():
-    ls = sum_system([1] * 6).level(1)
-    with pytest.raises(ComplexityGuardError):
-        delta_at(ls, (1,) * 6, guard=5)
+    """A support of 26 components is refused before any evaluation; one
+    of 25 passes the guard and reaches the first evaluation."""
+    def unreachable(x):
+        raise AssertionError(f"evaluated {x} past the guard")
+
+    big = MultistateSystem(StateSpace((1,) * 26, 1), "sum", unreachable).level(1)
+    with pytest.raises(ComplexityGuardError,
+                       match=r"^support size 26 exceeds the subset guard \(25\); "):
+        delta_at(big, (1,) * 26)
+    with pytest.raises(AssertionError, match="past the guard"):
+        delta_at(big, (0,) + (1,) * 25)
 
 
 def test_delta_at_agrees_with_closure_table_everywhere():
@@ -119,7 +125,7 @@ def test_signed_domination_worked_values():
 
 def test_signed_domination_empty_system():
     ls = sum_system([2]).level(1)
-    reduced = restrict(ls, 0, 2)
+    reduced = frozen_level(ls, {0: 2})
     assert reduced.max_states == ()
     assert signed_domination(reduced) == 1
 
@@ -128,8 +134,8 @@ def test_pivotal_explicit_pivot_level_four():
     ls = sum_system([2, 2, 2, 2]).level(4)
     assert pivotal_domination(ls, 3) == 0
     # the two branch values behind the difference
-    assert signed_domination(restrict(ls, 3, 2)) == 0
-    assert signed_domination(restrict(ls, 3, 1)) == 0
+    assert signed_domination(frozen_level(ls, {3: 2})) == 0
+    assert signed_domination(frozen_level(ls, {3: 1})) == 0
 
 
 def test_pivotal_every_pivot_and_deep_recursion():
@@ -143,8 +149,8 @@ def test_pivotal_every_pivot_and_deep_recursion():
 def test_pivotal_binary_case_is_state_split():
     """On binary components the recursion is the plain 0/1 split."""
     ls = sum_system([1, 1, 1]).level(2)
-    d1 = signed_domination(restrict(ls, 0, 1))
-    d0 = signed_domination(restrict(ls, 0, 0))
+    d1 = signed_domination(frozen_level(ls, {0: 1}))
+    d0 = signed_domination(frozen_level(ls, {0: 0}))
     assert pivotal_domination(ls, 0) == d1 - d0 == -2
 
 
@@ -157,22 +163,39 @@ def test_evaluate_called_once_per_structure_evaluation(monkeypatch):
         return evaluate(system, x)
 
     monkeypatch.setattr(MultistateSystem, "evaluate", counted)
-    # 12 components pivot twice down to four 10-component leaves
+    # 12 components split twice down to four 10-component leaves
     ls = sum_system([1] * 12).level(6)
     assert pivotal_domination(ls) == threshold_domination(12, 1, 6)
     assert len(calls) == 2**12
-    # phi(2, a, 0, b, 1) >= 5 on the two components left free
-    deep = restrict(restrict(restrict(sum_system([2] * 5).level(5), 4, 1), 0, 2), 1, 0)
-    assert deep.max_states == (2, 2)
-    calls.clear()
-    values = {x: deep(x) for x in product(range(3), repeat=2)}
-    assert len(calls) == 9
-    assert calls[5] == (2, 1, 0, 2, 1)
-    assert values == {(a, b): int(a + b >= 2) for a, b in values}
-    with pytest.raises(DomainError):
-        deep((1, 3))
-    with pytest.raises(DomainError):
-        deep((1,))
+    # each corner of the box of top corners once, and nothing else
+    assert set(calls) == set(product((0, 1), repeat=12))
+    # with a pivot, the half of the box with the pivot at its top state
+    # comes first, then the half one below top
+    ls = sum_system([2, 1, 3, 2, 2]).level(7)
+    ms = ls.max_states
+    want = signed_domination(ls)
+    for e in range(5):
+        calls.clear()
+        assert pivotal_domination(ls, e) == want
+        assert sorted(calls) == sorted(product(*((m - 1, m) for m in ms)))
+        assert all(x[e] == ms[e] for x in calls[:16])
+        assert all(x[e] == ms[e] - 1 for x in calls[16:])
+
+
+def test_pivotal_holds_no_table_of_the_box():
+    """Past the subset guard pivotal is the only route, so it keeps no
+    value per corner: its peak allocation over 2^14 corners stays below
+    half a byte per corner."""
+    ls = sum_system([1] * 14).level(7)
+    want = threshold_domination(14, 1, 7)
+    tracemalloc.start()
+    try:
+        got = pivotal_domination(ls)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2**14 // 2
 
 
 def test_pivotal_bad_pivot():
@@ -226,7 +249,7 @@ def test_binary_signed_domination_guard_and_empty():
     psi = associated_binary(sum_system([1] * 26).level(1))
     with pytest.raises(ComplexityGuardError):
         binary_signed_domination(psi)
-    ls = restrict(sum_system([1]).level(1), 0, 1)
+    ls = frozen_level(sum_system([1]).level(1), {0: 1})
     assert binary_signed_domination(associated_binary(ls)) == 1
 
 

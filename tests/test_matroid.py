@@ -71,9 +71,9 @@ def test_validate_circuits_graphic_families():
 
 
 def test_validate_circuits_skip_warns():
-    m = uniform_matroid(range(5), 2)
-    with pytest.warns(UserWarning, match="skipped"):
-        result = validate_circuits(m, guard=4)
+    m = uniform_matroid(range(21), 2)
+    with pytest.warns(UserWarning, match=r"^circuit validation skipped: 21 ground elements exceed guard \(20\)$"):
+        result = validate_circuits(m)
     assert result.status == "skipped"
 
 
