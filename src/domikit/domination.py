@@ -10,9 +10,9 @@ subsets:
 * a reduction to an associated binary structure on the component set,
   whose signed domination at (1, ..., 1) equals the multistate one.
 
-The last two evaluate the same 2^n corners with the same signs and
-differ only in how they sum them.  All arithmetic is exact integer
-arithmetic.
+At the top vector all three come down to the same signed sum over the
+2^n top corners; the pivotal route is the one that runs it past the
+subset guard.  All arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -93,37 +93,22 @@ def signed_domination(ls: LevelSystem) -> int:
     return delta_at(ls, ms)
 
 
-def pivotal_domination(ls: LevelSystem, pivot: int | None = None, *, base_size: int = 10) -> int:
+def pivotal_domination(ls: LevelSystem, pivot: int | None = None) -> int:
     """Signed domination by pivotal decomposition on the box of top corners.
 
     Only the corners where every component sits at m_i - 1 or m_i enter
-    the signed domination, so the recursion splits that box:
+    the signed domination, and each split of that box is
     d = d(pivot frozen at its top state) - d(pivot frozen one below top).
-    The split is on `pivot` first when it is given, then on the first
-    free component; the order does not change the value.  At base_size
-    free components a leaf sums the signed corners of what is left, so
-    every corner is evaluated once and nothing but the box is held.
+    Expanded down to single corners, the splits give each corner its
+    sign (-1)^(number of components one below top), whatever the pivot
+    and the split order, so the expanded sum is evaluated directly: every
+    corner once, nothing held but the corner being evaluated.  Unlike
+    signed_domination this runs past the subset guard.
     """
     ms = ls.max_states
     if pivot is not None and not 0 <= pivot < len(ms):
         raise DomainError(f"pivot {pivot} outside 0..{len(ms) - 1}")
-    box = [(m - 1, m) for m in ms]
-    order = sorted(range(len(ms)), key=lambda i: i != pivot)  # the pivot first
-
-    def d(j: int) -> int:
-        """d with order[j:] free and the components before them frozen."""
-        free = len(ms) - j
-        if free <= base_size and (j or pivot is None):  # a given pivot always splits
-            return _signed_sum(map(ls, product(*box)), free)
-        e = order[j]
-        box[e] = (ms[e],)
-        top = d(j + 1)
-        box[e] = (ms[e] - 1,)
-        below = d(j + 1)
-        box[e] = (ms[e] - 1, ms[e])
-        return top - below
-
-    return d(0)
+    return _alternating_sum(ls, ms)
 
 
 @dataclass(frozen=True)
