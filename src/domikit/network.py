@@ -17,10 +17,12 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 from .errors import ComplexityGuardError, DomainError, GraphError
 from .domination import BinaryStructure, associated_binary
+from .lanes import Lanes
 from .poset import Vector
 from .systems import MultistateSystem, StateSpace
 
@@ -147,63 +149,64 @@ def max_flow(net: FlowNetwork, x: Vector) -> int:
         flow += bottleneck
 
 
-def _connects(net: FlowNetwork, removed: frozenset[int]) -> bool:
-    """Can the sink be reached from the source avoiding `removed` edges?"""
-    idx = {v: i for i, v in enumerate(net.nodes)}
-    adj: list[list[int]] = [[] for _ in net.nodes]
-    for e in net.edges:
-        if e.id in removed:
-            continue
-        adj[idx[e.tail]].append(idx[e.head])
-        if not e.directed:
-            adj[idx[e.head]].append(idx[e.tail])
-    s, t = idx[net.source], idx[net.sink]
-    seen = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        if u == t:
-            return True
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return False
-
-
 def minimal_cut_sets(net: FlowNetwork) -> tuple[tuple[int, ...], ...]:
     """Minimal edge sets whose removal disconnects sink from source.
 
     Enumerated by ascending size, skipping supersets of cuts already
     found, so the result is exactly the minimal ones; listed in
-    lexicographic order of sorted id tuples.
+    lexicographic order of sorted id tuples.  An edge set is a bitmask,
+    bit i for edge i + 1, and the arcs are built once: a subset is tested
+    by a search that skips the arcs of its edges.
     """
     n = len(net.edges)
     if n > 25:
         raise ComplexityGuardError(f"{n} edges exceed the cut enumeration guard (25)")
-    ids = net.edge_ids
-    found: list[frozenset[int]] = []
+    idx = {v: i for i, v in enumerate(net.nodes)}
+    arcs: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
+    for bit, e in enumerate(net.edges):  # edges are sorted by id, 1..n
+        arcs[idx[e.tail]].append((idx[e.head], 1 << bit))
+        if not e.directed:
+            arcs[idx[e.head]].append((idx[e.tail], 1 << bit))
+    s, t = idx[net.source], idx[net.sink]
+
+    def connects(removed: int) -> bool:
+        seen = {s}
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            if u == t:
+                return True
+            for v, bit in arcs[u]:
+                if not removed & bit and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return False
+
+    found: list[int] = []
     for size in range(0, n + 1):
-        for combo in combinations(ids, size):
-            k = frozenset(combo)
-            if any(c <= k for c in found):
+        for combo in combinations([1 << i for i in range(n)], size):
+            k = sum(combo)
+            if any(c & k == c for c in found):
                 continue
-            if not _connects(net, k):
+            if not connects(k):
                 found.append(k)
-    return tuple(sorted(tuple(sorted(k)) for k in found))
+    return tuple(sorted(tuple(i + 1 for i in range(n) if k >> i & 1) for k in found))
 
 
 def network_system(net: FlowNetwork) -> MultistateSystem:
     """The multistate system of a network: phi(x) = max flow under x.
 
     By the max-flow min-cut theorem phi(x) is the smallest summed
-    capacity over the minimal cut sets, so phi is evaluated in that form.
-    The cut sets are enumerated once per system, on the first
-    evaluation, so building the system does no cut enumeration and
-    evaluating a network past the cut guard raises ComplexityGuardError.
-    No state's value is memoised.  The top system level is the max flow
-    at full capacity; a network whose terminals cannot be connected at
-    all yields the degenerate constant-0 system, flagged with a warning.
+    capacity over the minimal cut sets, so phi is evaluated in that form,
+    state by state, and tabulated over the whole space in the same form:
+    each cut's summed capacity in lanes (one per state, see
+    lanes.Lanes), then their lane-wise minimum.  The cut sets are
+    enumerated once per system, on the first evaluation or tabulation,
+    so building the system does no cut enumeration and evaluating a
+    network past the cut guard raises ComplexityGuardError.  No state's
+    value is memoised.  The top system level is the max flow at full
+    capacity; a network whose terminals cannot be connected at all
+    yields the degenerate constant-0 system, flagged with a warning.
     """
     ms = net.max_states
     system_max = max_flow(net, ms)
@@ -214,13 +217,16 @@ def network_system(net: FlowNetwork) -> MultistateSystem:
         )
     cuts: list[tuple[int, ...]] = []
 
-    def phi(x: Vector) -> int:
+    def cut_sets() -> list[tuple[int, ...]]:
         if not cuts:
             cuts.extend(tuple(i - 1 for i in c) for c in minimal_cut_sets(net))
+        return cuts
+
+    def phi(x: Vector) -> int:
         # every cut is a subset of the edges, so sum(x) bounds the minimum;
         # disconnected terminals have the one cut set (), which gives 0
         best = sum(x)
-        for c in cuts:
+        for c in cut_sets():
             flow = 0
             for i in c:
                 flow += x[i]
@@ -228,8 +234,13 @@ def network_system(net: FlowNetwork) -> MultistateSystem:
                 best = flow
         return best
 
+    def lanes() -> tuple[Lanes, int]:
+        lanes = Lanes(ms, sum(ms))  # bounds every cut's summed capacity
+        flows = (lanes.weighted([int(i in c) for i in range(len(ms))]) for c in cut_sets())
+        return lanes, reduce(lanes.minimum, flows)
+
     space = StateSpace(max_states=ms, system_max=system_max)
-    return MultistateSystem(space=space, kind="network", _func=phi)
+    return MultistateSystem(space=space, kind="network", _func=phi, _lanes=lanes)
 
 
 def associated_binary_network(net: FlowNetwork, k: int) -> BinaryStructure:

@@ -11,10 +11,13 @@ constructors for the concrete shapes used in practice: explicit tables,
 weighted sums and families of minimal path vectors.  Flow networks get
 their constructor in the network module.
 
-Minimal path vectors are found from the level-k indicator over the whole
-product lattice, one evaluation per state, by bitset shifts rather than
-by re-evaluating the neighbours of every state; a path_vectors system
-already holds them.
+The full-lattice routes (minimal path vectors, the monotonicity check,
+reliability by enumeration) read phi over the whole product lattice as
+one int in lanes, built by each kind's constructor with whole-int
+arithmetic: no state is evaluated one by one.  A system built from a
+bare structure function is tabulated by evaluating every state once.
+Minimal path vectors are then found by bitset shifts of the level-k
+indicator; a path_vectors system already holds them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, product
+from functools import reduce
+from itertools import chain, compress, cycle, product, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -33,6 +37,7 @@ from .errors import (
     DomainError,
     ValidationError,
 )
+from .lanes import Lanes
 from .poset import DominationTable, Vector, _Packing, validate_generators
 
 
@@ -84,6 +89,9 @@ class MultistateSystem:
     _func: Callable[[Vector], int]
     # a path_vectors system's declared minimal path vectors, by level
     _paths: Mapping[int, tuple[Vector, ...]] | None = field(default=None, compare=False, repr=False)
+    # phi over the whole space in lanes, by the kind's own arithmetic; None
+    # tabulates by evaluating each state (see _phi_lanes)
+    _lanes: Callable[[], tuple[Lanes, int]] | None = field(default=None, compare=False, repr=False)
 
     def evaluate(self, x: Vector) -> int:
         x = tuple(x)
@@ -140,6 +148,9 @@ def table_system(
         for x in table:
             if len(x) != len(ms) or not all(0 <= a <= m for a, m in zip(x, ms)):
                 raise ValidationError(f"table vector {x} lies outside the space {ms}")
+        if len(table) != space_size:
+            raise ValidationError(f"table covers {len(table)} of {space_size} vectors")
+        flat = list(map(table.__getitem__, product(*(range(m + 1) for m in ms))))
     else:
         flat = [_integer(v, "table value") for v in values]
         if len(flat) != space_size:
@@ -147,13 +158,14 @@ def table_system(
                 f"table has {len(flat)} entries, space has {space_size} vectors"
             )
         table = dict(zip(product(*(range(m + 1) for m in ms)), flat))
-    if len(table) != space_size:
-        raise ValidationError(f"table covers {len(table)} of {space_size} vectors")
-    if any(v < 0 for v in table.values()):
+    if any(v < 0 for v in flat):
         raise ValidationError("negative structure value in table")
-    system_max = max(table.values())
+    system_max = max(flat)
     space = StateSpace(max_states=ms, system_max=system_max)
-    system = MultistateSystem(space=space, kind="table", _func=table.__getitem__)
+    lanes = Lanes(ms, system_max)
+    packed = lanes, lanes.pack(flat)
+    system = MultistateSystem(space=space, kind="table", _func=table.__getitem__,
+                              _lanes=lambda: packed)
     if not check_monotone(system):
         raise ValidationError("table is not monotone non-decreasing")
     return system
@@ -168,10 +180,16 @@ def sum_system(max_states: Sequence[int], weights: Sequence[int] | None = None) 
     if any(v < 0 for v in w):
         raise ValidationError("weights must be non-negative")
     space = StateSpace(max_states=ms, system_max=sum(a * b for a, b in zip(w, ms)))
+
+    def lanes() -> tuple[Lanes, int]:
+        lanes = Lanes(ms, space.system_max)
+        return lanes, lanes.weighted(w)
+
     return MultistateSystem(
         space=space,
         kind="sum",
         _func=lambda x: sum(a * b for a, b in zip(w, x)),
+        _lanes=lanes,
     )
 
 
@@ -223,28 +241,48 @@ def path_vector_system(
                 hi = k - 1
         return lo
 
+    def lanes() -> tuple[Lanes, int]:
+        lanes = Lanes(ms, system_max)
+        return lanes, lanes.highest_below(families)
+
     space = StateSpace(max_states=ms, system_max=system_max)
-    return MultistateSystem(space=space, kind="path_vectors", _func=phi, _paths=families)
+    return MultistateSystem(space=space, kind="path_vectors", _func=phi, _paths=families,
+                            _lanes=lanes)
+
+
+def _phi_lanes(system: MultistateSystem) -> tuple[Lanes, int]:
+    """phi over the whole space in lanes: by the system's own tabulator, or
+    for a system given only its structure function, by evaluating each
+    state once."""
+    if system._lanes is not None:
+        return system._lanes()
+    space = system.space
+    values = list(map(system._func, space.vectors()))
+    lanes = Lanes(space.max_states, max(max(values), space.system_max))
+    return lanes, lanes.pack(values)
+
+
+def _level_table(ls: LevelSystem) -> bytes:
+    """phi_k over the whole space, one byte 0 or 1 per state in
+    lexicographic order."""
+    lanes, phi = _phi_lanes(ls.system)
+    return lanes.table(phi, ls.level)
 
 
 def check_monotone(system: MultistateSystem) -> bool:
     """Exhaustively verify phi(x) <= phi(y) whenever x <= y.
 
-    Only one-step drops need checking.  Refuses spaces with more than
-    10^7 vectors.
+    Only one-step drops need checking: along each axis, phi in lanes is
+    compared with phi moved one step up that axis.  Refuses spaces with
+    more than 10^7 vectors.
     """
     space = system.space
     if space.size() > 10**7:
         raise ComplexityGuardError(
             f"monotonicity check over {space.size()} states exceeds guard ({10**7})"
         )
-    for x in space.vectors():
-        vx = system._func(x)
-        for i, s in enumerate(x):
-            if s > 0:
-                if system._func(x[:i] + (s - 1,) + x[i + 1 :]) > vx:
-                    return False
-    return True
+    lanes, phi = _phi_lanes(system)
+    return all(lanes.at_least(phi, lanes.up(phi, i)) == lanes.top for i in range(space.n))
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -256,12 +294,12 @@ def minimal_path_vectors(ls: LevelSystem) -> tuple[Vector, ...]:
     A path_vectors level returns its declared family, with no scan.
     Otherwise x is minimal iff the level function holds at x but fails
     whenever one positive coordinate is lowered by one; monotonicity
-    makes that local test exact.  The level function is evaluated once
-    per state and the results packed into an int I (bit j for the j-th
-    vector in lexicographic order); lowering coordinate i is a shift by
-    its stride, so the minimal vectors are the bits of I & ~OR_i((I <<
+    makes that local test exact.  The level table, tabulated in lanes
+    (see _phi_lanes), is packed into an int I (bit j for the j-th vector
+    in lexicographic order); lowering coordinate i is a shift by its
+    stride, so the minimal vectors are the bits of I & ~OR_i((I <<
     stride_i) & [x_i > 0]).  Spaces over 10^7 states are refused before
-    anything is evaluated.  Output is lexicographically sorted.
+    anything is tabulated.  Output is lexicographically sorted.
     """
     if ls.system._paths is not None:
         return ls.system._paths[ls.level]  # declared, and checked minimal at parse
@@ -272,7 +310,7 @@ def minimal_path_vectors(ls: LevelSystem) -> tuple[Vector, ...]:
             f"path vector scan over {size} states exceeds guard ({10**7})"
         )
     # one byte per vector, read backwards as the binary digits of I
-    holds = int(bytes(map(ls, space.vectors()))[::-1].translate(_DIGITS), 2)
+    holds = int(_level_table(ls)[::-1].translate(_DIGITS), 2)
     lowered = 0
     stride = 1
     for m in reversed(ms):
@@ -406,18 +444,23 @@ def reliability_from_domination(
 
 
 def reliability_enumerate(ls: LevelSystem, dist: ComponentDistribution) -> float | Fraction:
-    """P(phi >= k) by brute-force enumeration of the state space."""
+    """P(phi >= k) by brute-force enumeration of the state space.
+
+    The probability of each state is the product of its pmf entries,
+    taken left to right from 1; those of the states in the level table
+    are added in lexicographic order.  The products are generated
+    lazily, a prefix's product once per state of the next component.
+    """
     space = ls.system.space
     dist._check_space(space.max_states)
     if space.size() > 10**7:
         raise ComplexityGuardError(
             f"enumeration over {space.size()} states exceeds guard ({10**7})"
         )
-    total: float | Fraction = Fraction(0) if dist.exact else 0.0
-    for x in space.vectors():
-        if ls(x):
-            p: float | Fraction = Fraction(1) if dist.exact else 1.0
-            for i, s in enumerate(x):
-                p *= dist.pmfs[i][s]
-            total += p
-    return total
+    one, zero = (Fraction(1), Fraction(0)) if dist.exact else (1.0, 0.0)
+    probs = iter((one,))
+    for row in dist.pmfs:
+        prefixes = chain.from_iterable(map(repeat, probs, repeat(len(row))))
+        probs = map(operator.mul, prefixes, cycle(row))
+    # a left fold, as builtin sum compensates float rounding from 3.12 on
+    return reduce(operator.add, compress(probs, _level_table(ls)), zero)

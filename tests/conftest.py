@@ -162,3 +162,39 @@ BRIDGE_CUTS_CYCLIC = (
 def oracle_flow(cuts, x):
     """Structure value of a capacity vector as min over cut-set sums."""
     return min(sum(x[i - 1] for i in cut) for cut in cuts)
+
+
+def random_network(rng):
+    """2-7 nodes, 1-9 edges of capacity 1-2, all directed, all undirected
+    or mixed; parallel edges, self-loops and disconnected terminals all
+    occur."""
+    nodes = ["S", "T"] + [f"v{i}" for i in range(rng.randint(0, 5))]
+    mode = rng.choice(("directed", "undirected", "mixed"))
+    edges = []
+    for eid in range(1, rng.randint(1, 9) + 1):
+        directed = mode == "directed" or (mode == "mixed" and rng.random() < 0.5)
+        edges.append((eid, rng.choice(nodes), rng.choice(nodes), directed, rng.randint(1, 2)))
+    return network(nodes, edges, "S", "T")
+
+
+def cut_form_networks():
+    """156 networks: six special shapes, then 150 seeded random ones."""
+    special = [
+        # parallel edges, one of them directed against the flow
+        network(["S", "T"], [(1, "S", "T", False, 2), (2, "S", "T", True, 1),
+                             (3, "T", "S", True, 2)], "S", "T"),
+        # a self-loop on an inner node
+        network(["S", "A", "T"], [(1, "S", "A", True, 2), (2, "A", "A", False, 2),
+                                  (3, "A", "T", False, 1)], "S", "T"),
+        # an edge into the source and one out of the sink
+        network(["S", "A", "T"], [(1, "A", "S", True, 2), (2, "S", "T", True, 1),
+                                  (3, "T", "A", True, 2), (4, "A", "T", True, 1)], "S", "T"),
+        # an edge on no source-sink path
+        network(["S", "A", "B", "T"], [(1, "S", "A", True, 2), (2, "A", "T", True, 2),
+                                       (3, "A", "B", False, 1)], "S", "T"),
+        # disconnected terminals
+        network(["S", "A", "T"], [(1, "S", "A", False, 2), (2, "T", "T", True, 1)], "S", "T"),
+        bridge_network(directed=True, cyclic=True),
+    ]
+    rng = random.Random(20261018)
+    return special + [random_network(rng) for _ in range(150)]

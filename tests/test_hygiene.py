@@ -73,3 +73,20 @@ def test_every_keyword_option_is_set_by_a_caller():
              for arg in fn.args.kwonlyargs
              if not passed.get(fn.name, set()) & {arg.arg, None}]
     assert not unset, f"keyword options no caller sets: {unset}"
+
+
+def test_int_byte_conversions_name_length_and_byteorder():
+    """int.to_bytes needs its length and byteorder, and int.from_bytes its
+    byteorder, on Python 3.10, the oldest version the package supports;
+    3.11 made them optional, so a call that leaves them out passes here
+    and breaks there."""
+    required = {"to_bytes": ("length", "byteorder"), "from_bytes": ("bytes", "byteorder")}
+    short = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = isinstance(call, ast.Call) and required.get(getattr(call.func, "attr", None))
+            if names:
+                passed = set(names[:len(call.args)]) | {kw.arg for kw in call.keywords}
+                if not passed >= set(names):
+                    short.append(f"{path.name}:{call.lineno} {call.func.attr}")
+    assert not short, f"byte conversions without length or byteorder: {short}"

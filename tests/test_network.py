@@ -1,9 +1,8 @@
 """Flow networks: max flow, cut sets, the derived multistate system and
 the closed form for directed two-terminal connectivity."""
 
-import random
 import warnings
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -12,6 +11,7 @@ from conftest import (
     BRIDGE_CUTS_CYCLIC,
     BRIDGE_CUTS_UNDIRECTED,
     bridge_network,
+    cut_form_networks,
     oracle_flow,
 )
 from domikit import (
@@ -244,39 +244,8 @@ def test_max_flow_agrees_with_cut_oracle_on_all_vectors():
             assert max_flow(net, x) == oracle_flow(cuts, x)
 
 
-def random_network(rng):
-    """2-7 nodes, 1-9 edges of capacity 1-2, all directed, all undirected
-    or mixed; parallel edges, self-loops and disconnected terminals all
-    occur."""
-    nodes = ["S", "T"] + [f"v{i}" for i in range(rng.randint(0, 5))]
-    mode = rng.choice(("directed", "undirected", "mixed"))
-    edges = []
-    for eid in range(1, rng.randint(1, 9) + 1):
-        directed = mode == "directed" or (mode == "mixed" and rng.random() < 0.5)
-        edges.append((eid, rng.choice(nodes), rng.choice(nodes), directed, rng.randint(1, 2)))
-    return network(nodes, edges, "S", "T")
-
-
 def test_cut_form_equals_max_flow_at_every_state():
-    special = [
-        # parallel edges, one of them directed against the flow
-        network(["S", "T"], [(1, "S", "T", False, 2), (2, "S", "T", True, 1),
-                             (3, "T", "S", True, 2)], "S", "T"),
-        # a self-loop on an inner node
-        network(["S", "A", "T"], [(1, "S", "A", True, 2), (2, "A", "A", False, 2),
-                                  (3, "A", "T", False, 1)], "S", "T"),
-        # an edge into the source and one out of the sink
-        network(["S", "A", "T"], [(1, "A", "S", True, 2), (2, "S", "T", True, 1),
-                                  (3, "T", "A", True, 2), (4, "A", "T", True, 1)], "S", "T"),
-        # an edge on no source-sink path
-        network(["S", "A", "B", "T"], [(1, "S", "A", True, 2), (2, "A", "T", True, 2),
-                                       (3, "A", "B", False, 1)], "S", "T"),
-        # disconnected terminals
-        network(["S", "A", "T"], [(1, "S", "A", False, 2), (2, "T", "T", True, 1)], "S", "T"),
-        bridge_network(directed=True, cyclic=True),
-    ]
-    rng = random.Random(20261018)
-    nets = special + [random_network(rng) for _ in range(150)]
+    nets = cut_form_networks()
     for net in nets:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
@@ -284,3 +253,33 @@ def test_cut_form_equals_max_flow_at_every_state():
         for x in product(*(range(m + 1) for m in net.max_states)):
             assert system.evaluate(x) == max_flow(net, x), (net, x)
 
+
+def subset_search_cuts(net):
+    """Reference: the minimal cut sets by testing each edge subset, in
+    ascending size, with a fresh adjacency list and search per subset."""
+    found = []
+    for size in range(len(net.edges) + 1):
+        for combo in combinations(net.edge_ids, size):
+            removed = frozenset(combo)
+            if any(c <= removed for c in found):
+                continue
+            adj = {v: [] for v in net.nodes}
+            for e in net.edges:
+                if e.id not in removed:
+                    adj[e.tail].append(e.head)
+                    if not e.directed:
+                        adj[e.head].append(e.tail)
+            seen, stack = {net.source}, [net.source]
+            while stack:
+                for v in adj[stack.pop()]:
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            if net.sink not in seen:
+                found.append(removed)
+    return tuple(sorted(tuple(sorted(c)) for c in found))
+
+
+def test_cut_enumeration_matches_the_subset_search_reference():
+    for net in cut_form_networks():
+        assert minimal_cut_sets(net) == subset_search_cuts(net), net

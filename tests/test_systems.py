@@ -2,12 +2,21 @@
 
 import importlib
 import random
+import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from conftest import bridge_network, frozen_level, make_random_system, random_pmfs, vleq
+from conftest import (
+    bridge_network,
+    cut_form_networks,
+    frozen_level,
+    make_random_system,
+    random_pmfs,
+    vleq,
+)
 from domikit import (
     ComplexityGuardError,
     ComponentDistribution,
@@ -21,7 +30,9 @@ from domikit import (
     domination_by_closure_mobius,
     domination_by_formations,
     join_closure,
+    minimal_cut_sets,
     minimal_path_vectors,
+    network,
     network_system,
     path_vector_system,
     relevance_report,
@@ -30,6 +41,8 @@ from domikit import (
     sum_system,
     table_system,
 )
+from domikit.lanes import Lanes
+from domikit.systems import _level_table
 
 FOUR_GENS = [(2, 1, 1, 0), (1, 2, 0, 1), (1, 0, 2, 1), (0, 1, 1, 2)]
 
@@ -227,6 +240,19 @@ def test_minimal_path_vectors_guard():
         minimal_path_vectors(big.level(1))
 
 
+def test_full_lattice_guards_build_no_lanes(monkeypatch):
+    def no_lanes(*args):
+        raise AssertionError("lanes built past the guard")
+
+    monkeypatch.setattr(Lanes, "__init__", no_lanes)
+    s = sum_system([9] * 8)
+    dist = ComponentDistribution([[0.1] * 10] * 8)
+    for refused in (lambda: minimal_path_vectors(s.level(1)), lambda: check_monotone(s),
+                    lambda: reliability_enumerate(s.level(1), dist)):
+        with pytest.raises(ComplexityGuardError, match=r"over 100000000 states exceeds guard"):
+            refused()
+
+
 def scan_minimal(ls):
     """Reference: every state where the level holds and each one-step
     drop fails, found by evaluating the level function state by state."""
@@ -259,9 +285,9 @@ def test_minimal_path_vectors_every_kind(monkeypatch):
     for system in systems:
         for k in range(1, system.space.system_max + 1):
             assert minimal_path_vectors(system.level(k)) == scan_minimal(system.level(k))
-    # one evaluation per state, each through evaluate; a network system
-    # enumerates its cut sets once, on the first evaluation, and runs no
-    # max flow while scanning
+    # a network scan tabulates its level in lanes: no evaluation and no max
+    # flow; the cut sets are enumerated once, on the first tabulation, and
+    # the evaluations after it reuse them
     calls = []
     evaluate = MultistateSystem.evaluate
 
@@ -286,16 +312,16 @@ def test_minimal_path_vectors_every_kind(monkeypatch):
         monkeypatch.setattr(network_module, name, tallied(name))
     net = network_system(bridge_network(directed=True))
     assert tally == {"max_flow": 1, "minimal_cut_sets": 0}
-    net.evaluate(net.space.max_states)
-    assert tally == {"max_flow": 1, "minimal_cut_sets": 1}
-    calls.clear()
     minimal_path_vectors(net.level(1))
-    assert calls == list(net.space.vectors())
+    assert calls == []
+    assert tally == {"max_flow": 1, "minimal_cut_sets": 1}
+    net.evaluate(net.space.max_states)
     assert tally == {"max_flow": 1, "minimal_cut_sets": 1}
     # a path_vectors level is its declared family, with no evaluation
     calls.clear()
     declared = path_vector_system((1, 2, 1), {1: [(1, 0, 0), (0, 1, 0)], 2: [(1, 1, 0)]})
     assert minimal_path_vectors(declared.level(1)) == ((0, 1, 0), (1, 0, 0))
+    assert _level_table(declared.level(2)) == bytes(8) + bytes([1, 1, 1, 1])
     assert calls == []
 
 
@@ -442,3 +468,131 @@ def test_random_reliability_identity():
                        - reliability_enumerate(ls, df)) <= 1e-12
             assert (reliability_from_domination(table, de, system.space.max_states)
                     == reliability_enumerate(ls, de))
+
+
+def lane_kinds():
+    """Systems of every kind whose level tables come from lanes, n = 0
+    included."""
+    tables = [make_random_system(seed) for seed in range(40)]
+    systems = tables + [path_family_system(t) for t in tables]
+    systems += [sum_system([2, 1, 3]), sum_system([1, 2, 2], weights=[2, 0, 3]),
+                sum_system([3, 1], weights=[0, 0]), sum_system([2, 2], weights=[70, 100]),
+                sum_system([1] * 5, weights=[1, 2, 3, 5, 8]), table_system([1], [0, 300])]
+    systems += [table_system([], [v]) for v in (0, 1, 3)]
+    systems += [sum_system([]), path_vector_system((), {1: [()], 2: [()]})]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        systems += [network_system(net) for net in cut_form_networks()]
+        systems.append(network_system(network(["S", "T"], [], "S", "T")))
+    # cut sums past 127, so two bytes a lane
+    systems.append(network_system(network(["S", "A", "T"], [(1, "S", "A", False, 100),
+                                                            (2, "A", "T", True, 40)], "S", "T")))
+    return systems
+
+
+def test_level_tables_match_the_per_state_loop():
+    """The lane table equals one evaluation per state, at every level of
+    every kind."""
+    for system in lane_kinds():
+        for k in range(1, system.space.system_max + 1):
+            ls = system.level(k)
+            assert _level_table(ls) == bytes(map(ls, system.space.vectors())), (system, k)
+
+
+def monotone_by_loop(system):
+    """Reference: every one-step drop of every state, evaluated."""
+    for x in system.space.vectors():
+        for i, s in enumerate(x):
+            if s and system.evaluate(x[:i] + (s - 1,) + x[i + 1:]) > system.evaluate(x):
+                return False
+    return True
+
+
+def test_check_monotone_matches_the_per_state_loop():
+    for system in lane_kinds():
+        assert check_monotone(system)
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(200):
+        ms = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+        values = [rng.choice((0, 1, 2, 200)) for _ in product(*(range(m + 1) for m in ms))]
+        if rng.random() < 0.3:
+            values.sort()  # ascending in lexicographic order is monotone
+        table = dict(zip(product(*(range(m + 1) for m in ms)), values))
+        bare = MultistateSystem(StateSpace(ms, max(values)), "table", table.__getitem__)
+        verdicts.add(check_monotone(bare))
+        assert check_monotone(bare) == monotone_by_loop(bare), (ms, values)
+    assert verdicts == {True, False}
+
+
+def enumerate_by_loop(ls, dist):
+    """Reference: the per-state loop, one probability product per state
+    where the level holds, added up in lexicographic order."""
+    total = Fraction(0) if dist.exact else 0.0
+    for x in ls.system.space.vectors():
+        if ls(x):
+            p = Fraction(1) if dist.exact else 1.0
+            for i, s in enumerate(x):
+                p *= dist.pmfs[i][s]
+            total += p
+    return total
+
+
+def test_reliability_enumerate_is_bit_identical_to_the_per_state_loop():
+    rng = random.Random(12)
+    for system in lane_kinds():
+        if not system.space.n:
+            continue
+        floats = [[rng.random() for _ in range(m + 1)] for m in system.space.max_states]
+        floats = [[p / sum(row) for p in row] for row in floats]
+        _, exacts = random_pmfs(rng, system.space.max_states)
+        dists = [ComponentDistribution(floats)]
+        if system.space.size() <= 300:  # Fraction arithmetic is slow; every kind still has one
+            dists.append(ComponentDistribution(exacts))
+        for dist in dists:
+            for k in range(1, system.space.system_max + 1):
+                ls = system.level(k)
+                got, want = reliability_enumerate(ls, dist), enumerate_by_loop(ls, dist)
+                assert type(got) is type(want) and got == want, (system, k)
+
+
+# fixed bound on the lanes alive while one network level is tabulated,
+# in units of one full lane int (size * width bytes): the coordinate
+# sums, the running minimum, their constants and temporaries
+LANES_ALIVE = 12
+
+
+def ladder(rungs, capacity):
+    """Two rails from S to T joined by rungs: many minimal cut sets."""
+    nodes = ["S", "T"] + [f"{side}{i}" for side in "ab" for i in range(rungs)]
+    pairs = [("S", "a0"), ("S", "b0")]
+    for i in range(rungs):
+        pairs.append((f"a{i}", f"b{i}"))
+        if i + 1 < rungs:
+            pairs += [(f"a{i}", f"a{i + 1}"), (f"b{i}", f"b{i + 1}")]
+    pairs += [(f"a{rungs - 1}", "T"), (f"b{rungs - 1}", "T")]
+    return network(nodes, [(i + 1, u, v, False, capacity) for i, (u, v) in enumerate(pairs)],
+                   "S", "T")
+
+
+def test_network_level_table_keeps_a_fixed_number_of_lanes():
+    ten_edge = network("SABCDET", [(i + 1, u, v, False, c) for i, (u, v, c) in enumerate([
+        ("A", "T", 1), ("C", "T", 2), ("S", "E", 2), ("A", "D", 2), ("B", "D", 2),
+        ("D", "T", 1), ("C", "E", 2), ("A", "C", 2), ("S", "C", 2), ("B", "T", 2)])],
+        "S", "T")
+    shapes = set()
+    for net in (ten_edge, ladder(3, 2), ladder(4, 1)):
+        system = network_system(net)
+        ms = system.space.max_states
+        ls = system.level(1)
+        _level_table(ls)  # enumerates the cut sets
+        lane_bytes = system.space.size() * (sum(ms).bit_length() // 8 + 1)
+        tracemalloc.start()
+        try:
+            _level_table(ls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= LANES_ALIVE * lane_bytes, (net, peak / lane_bytes)
+        shapes.add((len(ms), len(minimal_cut_sets(net))))
+    assert len(shapes) == 3 and min(n for n, _ in shapes) >= 10
