@@ -20,7 +20,8 @@ class Lanes:
     carries into the next lane and runs on the whole int at once (SWAR:
     Lamport, CACM 1975; Knuth, TAOCP 4A, 7.1.3).  The caller's bound
     covers every value a lane takes and every level it is compared
-    with.
+    with, the partial sums of `weighted` included; the coordinates
+    x_i themselves need not fit.
     """
 
     def __init__(self, max_states: tuple[int, ...], bound: int):
@@ -74,10 +75,16 @@ class Lanes:
         """Lane-wise min(a, b)."""
         return b ^ ((a ^ b) & self._whole(self.at_least(b, a)))
 
-    def up(self, lanes: int, i: int) -> int:
-        """Lane x holds lanes(x - e_i) where x_i > 0, and 0 where x_i = 0."""
-        axis = self.weighted([int(j == i) for j in range(len(self.strides))])
-        positive = self._whole(self.at_least(axis, self.ones))
+    def positive(self, i: int) -> int:
+        """Every bit of the lanes where x_i > 0: periodic, stride_i lanes
+        of zeros and then stride_i * m_i lanes of ones."""
+        stride, m = self.strides[i], self.max_states[i]
+        run = bytes(stride * self.width) + b"\xff" * (stride * m * self.width)
+        return int.from_bytes(run * (self.size // (stride * (m + 1))), "little")
+
+    def up(self, lanes: int, i: int, positive: int) -> int:
+        """Lane x holds lanes(x - e_i) where x_i > 0, and 0 where x_i = 0;
+        `positive` is self.positive(i)."""
         return (lanes << (self.bits * self.strides[i])) & positive
 
     def highest_below(self, families: Mapping[int, Iterable[tuple[int, ...]]]) -> int:
@@ -91,8 +98,9 @@ class Lanes:
                 levels[j : j + self.width] = k.to_bytes(self.width, "little")
         closed = int.from_bytes(levels, "little")
         for i, m in enumerate(self.max_states):
+            positive = self.positive(i)
             for _ in range(m):
-                below = self.up(closed, i)
+                below = self.up(closed, i, positive)
                 closed += below - self.minimum(closed, below)  # the lane-wise max
         return closed
 

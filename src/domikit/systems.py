@@ -282,7 +282,8 @@ def check_monotone(system: MultistateSystem) -> bool:
             f"monotonicity check over {space.size()} states exceeds guard ({10**7})"
         )
     lanes, phi = _phi_lanes(system)
-    return all(lanes.at_least(phi, lanes.up(phi, i)) == lanes.top for i in range(space.n))
+    return all(lanes.at_least(phi, lanes.up(phi, i, lanes.positive(i))) == lanes.top
+               for i in range(space.n))
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")

@@ -67,6 +67,16 @@ def test_parse_table():
     assert doc.system.evaluate((1, 1)) == 1
 
 
+def test_parse_table_over_more_states_than_its_values():
+    doc = parse_system_dict({
+        "format_version": 1,
+        "max_states": [256],
+        "structure": {"kind": "table", "values": [0] * 200 + [1] * 57},
+    })
+    assert doc.system_max == 1
+    assert doc.system.evaluate((199,)) == 0 and doc.system.evaluate((200,)) == 1
+
+
 def test_parse_sum_default_weights():
     doc = parse_system_dict({
         "format_version": 1,

@@ -479,6 +479,11 @@ def lane_kinds():
                 sum_system([3, 1], weights=[0, 0]), sum_system([2, 2], weights=[70, 100]),
                 sum_system([1] * 5, weights=[1, 2, 3, 5, 8]), table_system([1], [0, 300])]
     systems += [table_system([], [v]) for v in (0, 1, 3)]
+    # one-byte lanes over coordinates past 127: the lane width follows the
+    # values, not the max states
+    systems += [table_system([m], [0] * m + [1]) for m in (128, 256)]
+    systems += [path_vector_system((m,), {1: [(1,)]}) for m in (128, 300)]
+    systems += [path_vector_system((130, 2), {1: [(3, 0), (0, 1)], 2: [(129, 0), (4, 1)]})]
     systems += [sum_system([]), path_vector_system((), {1: [()], 2: [()]})]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -523,6 +528,15 @@ def test_check_monotone_matches_the_per_state_loop():
         verdicts.add(check_monotone(bare))
         assert check_monotone(bare) == monotone_by_loop(bare), (ms, values)
     assert verdicts == {True, False}
+    # a drop anywhere along an axis of more states than a lane's value range
+    for m in (128, 256):
+        for drop in (1, 127, m - 1):
+            values = [0] * drop + [1] + [0] * (m - drop)
+            table = dict(zip(product(range(m + 1)), values))
+            bare = MultistateSystem(StateSpace((m,), 1), "table", table.__getitem__)
+            assert not check_monotone(bare) and not monotone_by_loop(bare), (m, drop)
+            with pytest.raises(ValidationError):
+                table_system([m], values)
 
 
 def enumerate_by_loop(ls, dist):
