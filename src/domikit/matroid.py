@@ -1,14 +1,17 @@
-"""Matroids given by circuits, Crapo's beta invariant and matroid systems.
+"""Matroids by rank oracle, Crapo's beta invariant and matroid systems.
 
-A matroid on a finite ground set is stored through its circuit family
-(bitmasks over the ground set).  Rank comes from the greedy independent
-set build-up, beta from its alternating rank sum, and a distinguished
-ground element x turns the matroid into a binary monotone structure on
-C = F \\ x whose minimal path sets are the circuits through x with x
-removed.  The signed domination of that structure is beta(F) up to a
-sign fixed by the corank, which the recursion over one-element minors
-reproduces from one truth table of the structure: each minor is a
-slice of that table, so the structure is evaluated once per vector.
+A matroid on a finite ground set is held through its rank function on
+bitmasks over the ground set.  A uniform matroid ranks by min(|A|, r), a
+graphic one by union-find over the edge ends, and a matroid presented by
+its circuit family by the greedy independent set build-up; the first two
+build their circuit family only when it is read.  Beta is the
+alternating rank sum, and a distinguished ground element x turns the
+matroid into a binary monotone structure on C = F \\ x whose minimal
+path sets are the circuits through x with x removed.  The signed
+domination of that structure is beta(F) up to a sign fixed by the
+corank, which the recursion over one-element minors reproduces from one
+truth table of the structure: each minor is a slice of that table, so
+the structure is evaluated once per vector.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import (
     ComplexityGuardError,
@@ -30,17 +34,39 @@ from .poset import Vector
 
 
 class Matroid:
-    """Circuit presentation of a matroid.
+    """A matroid held through its rank function.
 
     Ground elements may be any hashable labels; order of first appearance
-    fixes the bit layout.  The constructor only normalises, it does not
-    check the circuit axioms: validate_circuits does, so that deliberately
-    broken families can be built and then rejected.
+    fixes the bit layout.  Matroid(ground, circuits) presents it by its
+    circuit family and ranks greedily.  That constructor only normalises,
+    it does not check the circuit axioms: validate_circuits does, so that
+    deliberately broken families can be built and then rejected.
+    uniform_matroid and graphic_matroid rank directly and build their
+    circuit family the first time it is read.
     """
 
     def __init__(self, ground: Iterable[Hashable], circuits: Iterable[Iterable[Hashable]]):
+        self._set_ground(ground)
+        self.circuit_masks: tuple[int, ...] = self._circuit_family(circuits)
+        self._rank_memo: dict[int, int] = {}
+        self._rank: Callable[[int], int] = self._greedy_rank
+
+    @classmethod
+    def _by_rank(cls, ground: Iterable[Hashable], rank: Callable[[int], int],
+                 circuits: Callable[[], Iterable[Iterable[Hashable]]]) -> Matroid:
+        """The matroid with rank function `rank` on bitmasks, whose circuit
+        family circuits() is built when circuit_masks is first read."""
+        m = cls.__new__(cls)
+        m._set_ground(ground)
+        m._rank, m._circuits = rank, circuits
+        return m
+
+    def _set_ground(self, ground: Iterable[Hashable]) -> None:
         self.ground: tuple[Hashable, ...] = tuple(dict.fromkeys(ground))
         self.index = {e: i for i, e in enumerate(self.ground)}
+
+    def _circuit_family(self, circuits: Iterable[Iterable[Hashable]]) -> tuple[int, ...]:
+        """Circuit bitmasks without repeats, by size and then by mask."""
         masks = set()
         for circuit in circuits:
             mask = 0
@@ -51,10 +77,11 @@ class Matroid:
             if mask == 0:
                 raise ValidationError("empty circuit")
             masks.add(mask)
-        self.circuit_masks: tuple[int, ...] = tuple(
-            sorted(masks, key=lambda m: (m.bit_count(), m))
-        )
-        self._rank_memo: dict[int, int] = {}
+        return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+
+    @cached_property
+    def circuit_masks(self) -> tuple[int, ...]:
+        return self._circuit_family(self._circuits())
 
     def to_mask(self, subset: Iterable[Hashable]) -> int:
         mask = 0
@@ -74,6 +101,11 @@ class Matroid:
         return all(c & mask != c for c in self.circuit_masks)
 
     def rank_mask(self, mask: int) -> int:
+        """Rank of the subset with bitmask `mask`; every rank, whatever
+        the presentation, is taken here."""
+        return self._rank(mask)
+
+    def _greedy_rank(self, mask: int) -> int:
         """Greedy rank: grow an independent subset element by element.
 
         Correct whenever the circuit family satisfies the axioms; for
@@ -160,7 +192,11 @@ def crapo_beta(m: Matroid, subset: Iterable[Hashable]) -> int:
     beta(A) = sum over B <= A of (-1)^(rank(A) - |B|) * rank(B), a
     non-negative integer for any matroid.  2^|A| terms, guarded.
     """
-    mask = m.to_mask(subset)
+    return _beta(m, m.to_mask(subset))
+
+
+def _beta(m: Matroid, mask: int) -> int:
+    """crapo_beta of the subset with bitmask `mask`."""
     size = mask.bit_count()
     if size > 25:
         raise ComplexityGuardError(
@@ -247,12 +283,13 @@ def domination_from_beta(link: MatroidSystemLink, subset: Iterable[Hashable]) ->
         raise DomainError(f"subset must avoid the terminal {link.terminal!r}")
     if mask == 0:
         raise DomainError("signed domination is undefined at the empty subset")
-    if not any(c & xbit for c in m.circuit_masks):
-        # x in no circuit: the induced structure is constant 0
+    every = (1 << len(m.ground)) - 1
+    if m.rank_mask(every & ~xbit) < m.rank_mask(every):
+        # x is a coloop, in no circuit: the induced structure is constant 0
         return 0
     full = mask | xbit
     sign = 1 if (mask.bit_count() - m.rank_mask(full)) % 2 == 0 else -1
-    return sign * crapo_beta(m, m.from_mask(full))
+    return sign * _beta(m, full)
 
 
 def domination_invariant_recursion(
@@ -323,13 +360,41 @@ def threshold_domination(n: int, m: int, k: int) -> int:
 
 
 def uniform_matroid(ground: Iterable[Hashable], rank: int) -> Matroid:
-    """Uniform matroid U_{rank, |ground|}: circuits are all (rank+1)-subsets."""
+    """Uniform matroid U_{rank, |ground|}: rank min(|A|, rank), circuits
+    all (rank+1)-subsets."""
     elems = tuple(dict.fromkeys(ground))
     if not 0 <= rank <= len(elems):
         raise DomainError(f"rank {rank} outside 0..{len(elems)}")
-    if rank == len(elems):
-        return Matroid(elems, [])
-    return Matroid(elems, combinations(elems, rank + 1))
+    return Matroid._by_rank(elems, lambda mask: min(mask.bit_count(), rank),
+                            lambda: combinations(elems, rank + 1))
+
+
+def _edge_labels(edges: Sequence[tuple[Hashable, Hashable, Hashable]]) -> list[Hashable]:
+    labels = [e[0] for e in edges]
+    if len(set(labels)) != len(labels):
+        raise ValidationError("duplicate edge labels")
+    return labels
+
+
+def _forest_rank(ends: Iterable[tuple[Hashable, Hashable]]) -> int:
+    """Graphic rank of the edges with ends (u, v): the size of a spanning
+    forest, by union-find.  A loop adds nothing, nor does each parallel
+    edge after the first."""
+    parent: dict[Hashable, Hashable] = {}
+
+    def find(a: Hashable) -> Hashable:
+        while parent.setdefault(a, a) != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    rank = 0
+    for u, v in ends:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            rank += 1
+    return rank
 
 
 def cycle_circuits(edges: Sequence[tuple[Hashable, Hashable, Hashable]]) -> tuple[frozenset, ...]:
@@ -342,9 +407,7 @@ def cycle_circuits(edges: Sequence[tuple[Hashable, Hashable, Hashable]]) -> tupl
     """
     if len(edges) > 16:
         raise ComplexityGuardError(f"{len(edges)} edges exceed the cycle guard (16)")
-    labels = [e[0] for e in edges]
-    if len(set(labels)) != len(labels):
-        raise ValidationError("duplicate edge labels")
+    _edge_labels(edges)
     out = []
     for mask in range(1, 1 << len(edges)):
         chosen = [edges[i] for i in range(len(edges)) if mask >> i & 1]
@@ -373,5 +436,12 @@ def cycle_circuits(edges: Sequence[tuple[Hashable, Hashable, Hashable]]) -> tupl
 
 
 def graphic_matroid(edges: Sequence[tuple[Hashable, Hashable, Hashable]]) -> Matroid:
-    """Graphic matroid of an undirected multigraph given as (label, u, v) edges."""
-    return Matroid([e[0] for e in edges], cycle_circuits(edges))
+    """Graphic matroid of an undirected multigraph given as (label, u, v)
+    edges; its circuits come from cycle_circuits when first read."""
+    edges = tuple(edges)
+    ends = [(u, v) for _, u, v in edges]
+    return Matroid._by_rank(
+        _edge_labels(edges),
+        lambda mask: _forest_rank(e for i, e in enumerate(ends) if mask >> i & 1),
+        lambda: cycle_circuits(edges),
+    )

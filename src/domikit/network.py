@@ -23,6 +23,7 @@ from itertools import combinations
 from .errors import ComplexityGuardError, DomainError, GraphError
 from .domination import BinaryStructure, associated_binary
 from .lanes import Lanes
+from .matroid import _forest_rank
 from .poset import Vector
 from .systems import MultistateSystem, StateSpace
 
@@ -355,26 +356,6 @@ def find_directed_cycle(net: FlowNetwork) -> tuple[int, ...] | None:
     return None
 
 
-def _graph_rank(net: FlowNetwork) -> int:
-    """Rank of all edges plus a source-sink link in the cycle matroid of
-    the underlying undirected graph."""
-    parent: dict[str, str] = {}
-
-    def find(a: str) -> str:
-        while parent.setdefault(a, a) != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    rank = 0
-    for u, v in [(e.tail, e.head) for e in net.edges] + [(net.source, net.sink)]:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            rank += 1
-    return rank
-
-
 def directed_network_domination(net: FlowNetwork) -> int:
     """Signed domination of the two-terminal connectivity structure of a
     directed network, by closed form.
@@ -390,5 +371,6 @@ def directed_network_domination(net: FlowNetwork) -> int:
             raise DomainError(f"edge {e.id} is undirected; closed form needs a digraph")
     if relevant_edges(net) != frozenset(net.edge_ids) or find_directed_cycle(net) is not None:
         return 0
-    sign_exp = len(net.edges) - _graph_rank(net)
+    rank = _forest_rank([(e.tail, e.head) for e in net.edges] + [(net.source, net.sink)])
+    sign_exp = len(net.edges) - rank
     return 1 if sign_exp % 2 == 0 else -1

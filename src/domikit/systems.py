@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -314,6 +315,7 @@ def minimal_path_vectors(ls: LevelSystem) -> tuple[Vector, ...]:
     holds = int(_level_table(ls)[::-1].translate(_DIGITS), 2)
     lowered = 0
     stride = 1
+    digits = []  # (stride, radix) of each coordinate, last coordinate first
     for m in reversed(ms):
         period = stride * (m + 1)
         # bits where coordinate i is positive, one period repeated past size
@@ -322,9 +324,13 @@ def minimal_path_vectors(ls: LevelSystem) -> tuple[Vector, ...]:
             positive |= positive << width
             width *= 2
         lowered |= (holds << stride) & positive
+        digits.append((stride, m + 1))
         stride = period
     minimal = bin(holds & ~lowered)[:1:-1]  # character j is bit j, up to the last set bit
-    return tuple(compress(space.vectors(), map("1".__eq__, minimal)))
+    # decode the set bits alone: vector j has x_i = j // stride_i % (m_i + 1)
+    js = [hit.start() for hit in re.finditer("1", minimal)]
+    columns = [[j // s % r for j in js] for s, r in reversed(digits)]
+    return tuple(zip(*columns)) if columns else ((),) * len(js)
 
 
 @dataclass(frozen=True)

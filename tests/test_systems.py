@@ -325,6 +325,24 @@ def test_minimal_path_vectors_every_kind(monkeypatch):
     assert calls == []
 
 
+def test_minimal_path_vectors_decode_by_stride():
+    """The path vectors are decoded from the set bits of the level table
+    by index and stride, and match the per-state scan: with coordinates
+    of ten or more states, on the empty space, and at a level no vector
+    reaches."""
+    # phi stays at 2 or below, so its top level 3 has no path vector
+    capped = MultistateSystem(StateSpace((11, 1), 3), "bare", lambda x: min(x[0] // 4 + x[1], 2))
+    systems = [sum_system([12, 1, 3]), sum_system([2, 10, 1], weights=[5, 1, 3]),
+               table_system([], [1]), capped]
+    for system in systems:
+        for k in range(1, system.space.system_max + 1):
+            paths = minimal_path_vectors(system.level(k))
+            assert paths == scan_minimal(system.level(k))
+    assert minimal_path_vectors(table_system([], [1]).level(1)) == ((),)
+    assert minimal_path_vectors(capped.level(3)) == ()
+    assert minimal_path_vectors(capped.level(2)) == ((4, 1), (8, 0))
+
+
 def test_minimal_path_vectors_match_reference_scan():
     for seed in range(40):
         table = make_random_system(seed)
