@@ -11,8 +11,12 @@ subsets:
   whose signed domination at (1, ..., 1) equals the multistate one.
 
 At the top vector all three come down to the same signed sum over the
-2^n top corners; the pivotal route is the one that runs it past the
-subset guard.  All arithmetic is exact integer arithmetic.
+2^n top corners.  The subset formula and the binary route take it one
+evaluation per corner and are the per-state reference.  The pivotal
+route reads the corners from the system's own lane tabulator (see
+systems._phi_lanes) and runs past the subset guard, so pivotal agreeing
+with binary checks that tabulator against the structure function.  All
+arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +27,11 @@ from typing import Callable, Iterable
 
 from .errors import ComplexityGuardError, DimensionError, DomainError
 from .poset import Vector
-from .systems import LevelSystem
+from .systems import LevelSystem, _phi_lanes
+
+# free components per chunk of the box of top corners: 2^9 corners, so a
+# chunk's lanes stay a few hundred bytes whatever the number of components
+_CHUNK_AXES = 9
 
 
 def _alternating_sum(f: Callable[[Vector], int], y: Vector) -> int:
@@ -101,14 +109,47 @@ def pivotal_domination(ls: LevelSystem, pivot: int | None = None) -> int:
     d = d(pivot frozen at its top state) - d(pivot frozen one below top).
     Expanded down to single corners, the splits give each corner its
     sign (-1)^(number of components one below top), whatever the pivot
-    and the split order, so the expanded sum is evaluated directly: every
-    corner once, nothing held but the corner being evaluated.  Unlike
-    signed_domination this runs past the subset guard.
+    and the split order, so the expanded sum is taken directly.
+
+    The box is tabulated by the system's own lane arithmetic, with no
+    evaluate call, in chunks of at most 2^9 corners: the leading
+    components are fixed at m_i - 1 or m_i and the last ones are free.
+    Corner j of a chunk has sign (-1)^(fixed components below top + free
+    components - popcount(j)), so a chunk sums to two popcounts of its
+    level indicator, one of all its lanes and one of the lanes of odd j.
+    Memory stays flat in the number of components and, unlike
+    signed_domination, this runs past the subset guard.
     """
     ms = ls.max_states
     if pivot is not None and not 0 <= pivot < len(ms):
         raise DomainError(f"pivot {pivot} outside 0..{len(ms) - 1}")
-    return _alternating_sum(ls, ms)
+    n = len(ms)
+    fixed = max(0, n - _CHUNK_AXES)
+    # the chunk's bounds, changed in place; the fixed components start below top
+    lo = [m - 1 for m in ms]
+    hi = lo[:fixed] + list(ms[fixed:])
+    odd: dict[int, int] = {}  # top bits of the lanes of odd j, by lane width
+    total = 0
+    for c in range(1 << fixed):
+        if c:  # Gray code: chunk c moves one fixed component of chunk c - 1
+            i = (c & -c).bit_length() - 1
+            lo[i] = hi[i] = 2 * ms[i] - 1 - lo[i]
+        value = _chunk_sum(ls, lo, hi, odd)
+        # the fixed components below top number fixed at c = 0 and one more or
+        # one fewer at each step, so their parity is that of fixed + c
+        total += -value if (n + c) % 2 else value
+    return total
+
+
+def _chunk_sum(ls: LevelSystem, lo: list[int], hi: list[int], odd: dict[int, int]) -> int:
+    """Sum of (-1)^popcount(j) * phi_k over the corners j of a box of
+    extents 0 or 1, read from the system's lanes; its own function, so a
+    chunk's lanes are freed before the next chunk is tabulated."""
+    lanes, phi = _phi_lanes(ls.system, lo, hi, ls.level)
+    holds = lanes.at_least(phi, ls.level * lanes.ones)
+    if lanes.width not in odd:
+        odd[lanes.width] = lanes.odd()
+    return holds.bit_count() - 2 * (holds & odd[lanes.width]).bit_count()
 
 
 @dataclass(frozen=True)

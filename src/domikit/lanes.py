@@ -1,37 +1,50 @@
-"""Lanes: one value per state of a product space, in one int.
+"""Lanes: one value per state of a box of a product space, in one int.
 
-They are the full-lattice form of a structure function: the level
-tables, the monotonicity check and reliability by enumeration read phi
-in this form (see systems._phi_lanes).
+They are the tabulated form of a structure function.  Over the whole
+space they feed the level tables, the monotonicity check and
+reliability by enumeration; over the box of top corners (each x_i at
+m_i - 1 or m_i) they feed pivotal decomposition, whose signed sum is
+two popcounts against the lanes of odd parity (see systems._phi_lanes
+and domination.pivotal_domination).
 """
 
 from __future__ import annotations
 
-import math
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 
 class Lanes:
-    """Values 0..bound, one per state of a product space, packed in one int.
+    """Values 0..bound, one per state x of a box lo <= x <= hi of a product
+    space, packed in one int.
 
-    The j-th state in lexicographic order owns the j-th lane of `width`
-    bytes, little-endian.  The width leaves each lane's top bit out of
-    every value up to `bound`, so a lane-wise add or compare never
-    carries into the next lane and runs on the whole int at once (SWAR:
-    Lamport, CACM 1975; Knuth, TAOCP 4A, 7.1.3).  The caller's bound
-    covers every value a lane takes and every level it is compared
-    with, the partial sums of `weighted` included; the coordinates
-    x_i themselves need not fit.
+    The state x owns lane j, the rank of x - lo in lexicographic order,
+    and lane j is the j-th run of `width` bytes, little-endian.  The whole
+    space 0..m is the box lo = 0, hi = m.  The width leaves each lane's
+    top bit out of every value up to `bound`, so a lane-wise add or
+    compare never carries into the next lane and runs on the whole int at
+    once (SWAR: Lamport, CACM 1975; Knuth, TAOCP 4A, 7.1.3).  The caller's
+    bound covers every value a lane takes and every level it is compared
+    with, the partial sums of `weighted` included; the coordinates x_i
+    themselves need not fit.
     """
 
-    def __init__(self, max_states: tuple[int, ...], bound: int):
-        self.max_states = max_states
-        self.size = math.prod(m + 1 for m in max_states)
+    def __init__(self, lo: Sequence[int], hi: Sequence[int], bound: int):
+        # lists: a tuple built from an iterator of no known length is resized,
+        # which moves it to another size's free list, so boxes made one after
+        # another would pile up free tuples
+        self.lo = list(lo)
+        # x_i - lo_i runs over 0..extents[i]
+        self.extents = list(map(sub, hi, lo))
         self.width = bound.bit_length() // 8 + 1
         self.bits = 8 * self.width
         # lanes between two states one step apart along axis i
-        self.strides = tuple(math.prod(m + 1 for m in max_states[i + 1:])
-                             for i in range(len(max_states)))
+        strides, size = [], 1
+        for e in reversed(self.extents):
+            strides.append(size)
+            size *= e + 1
+        self.strides = strides[::-1]
+        self.size = size
         self.ones = self._spread(1, 1, self.size)
         self.top = self.ones << (self.bits - 1)
 
@@ -43,25 +56,50 @@ class Lanes:
         """Values listed in lexicographic state order."""
         return int.from_bytes(b"".join(v.to_bytes(self.width, "little") for v in values), "little")
 
+    def cut(self, space: Lanes, lanes: bytes) -> int:
+        """The lanes of this box out of `lanes`, the bytes of the lanes of
+        `space`, the whole space at this width.
+
+        The box spans every axis after axis t - 1 in full, so for each
+        state of the axes before t - 1 it is one run of contiguous lanes.
+        """
+        t = len(space.extents)
+        while t and not self.lo[t - 1] and self.extents[t - 1] == space.extents[t - 1]:
+            t -= 1
+        starts = [0]
+        for i in range(t - 1):
+            starts = [j + x * space.strides[i] for j in starts
+                      for x in range(self.lo[i], self.lo[i] + self.extents[i] + 1)]
+        first, last = 0, space.size
+        if t:
+            first = self.lo[t - 1] * space.strides[t - 1]
+            last = first + (self.extents[t - 1] + 1) * space.strides[t - 1]
+        w = self.width
+        return int.from_bytes(b"".join(lanes[w * (j + first) : w * (j + last)] for j in starts),
+                              "little")
+
     def weighted(self, weights: Sequence[int]) -> int:
         """sum_i weights[i] * x_i in every lane.
 
-        Coordinate i is periodic: a run of stride_i lanes at each of its
-        states 0..m_i, repeated.  The sum is built from the last axis up;
-        the part summed so far has the period of the last axis added, and
-        is spread to the next axis' period before that axis is added, so
-        no full-size coordinate is ever held.
+        Coordinate i is lo_i plus a periodic part: a run of stride_i lanes
+        at each of 0..extents[i], repeated.  The periodic sum is built
+        from the last axis up; the part summed so far has the period of
+        the last axis added, and is spread to the next axis' period before
+        that axis is added, so no full-size coordinate is ever held.
+        sum_i weights[i] * lo_i is added to every lane last.
         """
-        lanes, length = 0, 1
-        for m, c, stride in reversed(tuple(zip(self.max_states, weights, self.strides))):
-            if c:
-                period = stride * (m + 1)
+        lanes, length, base = 0, 1, 0
+        for a, e, c, stride in reversed(list(zip(self.lo, self.extents, weights, self.strides))):
+            base += c * a
+            if c and e:
+                period = stride * (e + 1)
                 run = b"".join((c * r).to_bytes(self.width, "little") * stride
-                               for r in range(m + 1))
+                               for r in range(e + 1))
                 lanes = self._spread(lanes, length, period // length)
                 lanes += int.from_bytes(run, "little")
                 length = period
-        return self._spread(lanes, length, self.size // length)
+        lanes = self._spread(lanes, length, self.size // length)
+        return lanes + base * self.ones if base else lanes
 
     def at_least(self, a: int, b: int) -> int:
         """Top bits of the lanes where a >= b."""
@@ -76,33 +114,56 @@ class Lanes:
         return b ^ ((a ^ b) & self._whole(self.at_least(b, a)))
 
     def positive(self, i: int) -> int:
-        """Every bit of the lanes where x_i > 0: periodic, stride_i lanes
-        of zeros and then stride_i * m_i lanes of ones."""
-        stride, m = self.strides[i], self.max_states[i]
-        run = bytes(stride * self.width) + b"\xff" * (stride * m * self.width)
-        return int.from_bytes(run * (self.size // (stride * (m + 1))), "little")
+        """Every bit of the lanes where x_i > lo_i: periodic, stride_i lanes
+        of zeros and then stride_i * extents[i] lanes of ones."""
+        stride, e = self.strides[i], self.extents[i]
+        run = bytes(stride * self.width) + b"\xff" * (stride * e * self.width)
+        return int.from_bytes(run * (self.size // (stride * (e + 1))), "little")
 
     def up(self, lanes: int, i: int, positive: int) -> int:
-        """Lane x holds lanes(x - e_i) where x_i > 0, and 0 where x_i = 0;
-        `positive` is self.positive(i)."""
+        """Lane x holds lanes(x - e_i) where x_i > lo_i, and 0 where x_i =
+        lo_i; `positive` is self.positive(i)."""
         return (lanes << (self.bits * self.strides[i])) & positive
 
     def highest_below(self, families: Mapping[int, Iterable[tuple[int, ...]]]) -> int:
         """Lane x holds the highest k with a vector of families[k] below x,
-        or 0.  Each vector's lane is set to its k, then closed upwards by
-        a lane-wise max along each axis."""
+        or 0.  A vector v below some x of the box lies below hi, and is
+        below x exactly when max(0, v - lo) is below x - lo: that lane is
+        set to its k, then closed upwards by a lane-wise max along each
+        axis."""
         levels = bytearray(self.size * self.width)
         for k in sorted(families):  # ascending, so a vector in two families keeps the higher k
             for v in families[k]:
-                j = self.width * sum(a * s for a, s in zip(v, self.strides))
-                levels[j : j + self.width] = k.to_bytes(self.width, "little")
+                j = 0
+                for a, low, e, s in zip(v, self.lo, self.extents, self.strides):
+                    if a > low:
+                        if a - low > e:
+                            break  # above hi
+                        j += (a - low) * s
+                else:
+                    j *= self.width
+                    levels[j : j + self.width] = k.to_bytes(self.width, "little")
         closed = int.from_bytes(levels, "little")
-        for i, m in enumerate(self.max_states):
+        for i, e in enumerate(self.extents):
             positive = self.positive(i)
-            for _ in range(m):
+            for _ in range(e):
                 below = self.up(closed, i, positive)
                 closed += below - self.minimum(closed, below)  # the lane-wise max
         return closed
+
+    def odd(self) -> int:
+        """Top bits of the lanes j whose popcount(j) is odd.  On a box whose
+        extents are 0 or 1, popcount(j) counts the axes at hi_i.
+
+        Built by doubling, as the Thue-Morse sequence: the next `length`
+        lanes are the first `length` with every top bit flipped.
+        """
+        odd, tops, length = 0, 1 << (self.bits - 1), 1
+        while length < self.size:
+            odd |= (odd ^ tops) << (length * self.bits)
+            tops |= tops << (length * self.bits)
+            length *= 2
+        return odd & self.top
 
     def table(self, lanes: int, k: int) -> bytes:
         """[lane >= k], one byte 0 or 1 per state in lexicographic order."""

@@ -199,9 +199,9 @@ def network_system(net: FlowNetwork) -> MultistateSystem:
 
     By the max-flow min-cut theorem phi(x) is the smallest summed
     capacity over the minimal cut sets, so phi is evaluated in that form,
-    state by state, and tabulated over the whole space in the same form:
-    each cut's summed capacity in lanes (one per state, see
-    lanes.Lanes), then their lane-wise minimum.  The cut sets are
+    state by state, and tabulated over a box of the space in the same
+    form: each cut's summed capacity in lanes (one per state of the box,
+    see lanes.Lanes), then their lane-wise minimum.  The cut sets are
     enumerated once per system, on the first evaluation or tabulation,
     so building the system does no cut enumeration and evaluating a
     network past the cut guard raises ComplexityGuardError.  No state's
@@ -235,8 +235,8 @@ def network_system(net: FlowNetwork) -> MultistateSystem:
                 best = flow
         return best
 
-    def lanes() -> tuple[Lanes, int]:
-        lanes = Lanes(ms, sum(ms))  # bounds every cut's summed capacity
+    def lanes(lo, hi, k) -> tuple[Lanes, int]:
+        lanes = Lanes(lo, hi, sum(ms))  # bounds every cut's summed capacity
         flows = (lanes.weighted([int(i in c) for i in range(len(ms))]) for c in cut_sets())
         return lanes, reduce(lanes.minimum, flows)
 

@@ -13,7 +13,8 @@ their constructor in the network module.
 
 The full-lattice routes (minimal path vectors, the monotonicity check,
 reliability by enumeration) read phi over the whole product lattice as
-one int in lanes, built by each kind's constructor with whole-int
+one int in lanes, and pivotal decomposition reads it over the box of
+top corners.  Each kind's constructor tabulates any box with whole-int
 arithmetic: no state is evaluated one by one.  A system built from a
 bare structure function is tabulated by evaluating every state once.
 Minimal path vectors are then found by bitset shifts of the level-k
@@ -90,9 +91,10 @@ class MultistateSystem:
     _func: Callable[[Vector], int]
     # a path_vectors system's declared minimal path vectors, by level
     _paths: Mapping[int, tuple[Vector, ...]] | None = field(default=None, compare=False, repr=False)
-    # phi over the whole space in lanes, by the kind's own arithmetic; None
-    # tabulates by evaluating each state (see _phi_lanes)
-    _lanes: Callable[[], tuple[Lanes, int]] | None = field(default=None, compare=False, repr=False)
+    # _lanes(lo, hi, k): phi over the box lo <= x <= hi in lanes, by the kind's
+    # own arithmetic; None tabulates by evaluating each state (see _phi_lanes)
+    _lanes: Callable[[Sequence[int], Sequence[int], int | None], tuple[Lanes, int]] | None = field(
+        default=None, compare=False, repr=False)
 
     def evaluate(self, x: Vector) -> int:
         x = tuple(x)
@@ -163,10 +165,14 @@ def table_system(
         raise ValidationError("negative structure value in table")
     system_max = max(flat)
     space = StateSpace(max_states=ms, system_max=system_max)
-    lanes = Lanes(ms, system_max)
-    packed = lanes, lanes.pack(flat)
-    system = MultistateSystem(space=space, kind="table", _func=table.__getitem__,
-                              _lanes=lambda: packed)
+    whole = Lanes((0,) * len(ms), ms, system_max)
+    packed = whole.pack(flat).to_bytes(whole.size * whole.width, "little")
+
+    def lanes(lo, hi, k) -> tuple[Lanes, int]:
+        box = Lanes(lo, hi, system_max)
+        return box, box.cut(whole, packed)
+
+    system = MultistateSystem(space=space, kind="table", _func=table.__getitem__, _lanes=lanes)
     if not check_monotone(system):
         raise ValidationError("table is not monotone non-decreasing")
     return system
@@ -182,8 +188,8 @@ def sum_system(max_states: Sequence[int], weights: Sequence[int] | None = None) 
         raise ValidationError("weights must be non-negative")
     space = StateSpace(max_states=ms, system_max=sum(a * b for a, b in zip(w, ms)))
 
-    def lanes() -> tuple[Lanes, int]:
-        lanes = Lanes(ms, space.system_max)
+    def lanes(lo, hi, k) -> tuple[Lanes, int]:
+        lanes = Lanes(lo, hi, space.system_max)
         return lanes, lanes.weighted(w)
 
     return MultistateSystem(
@@ -213,9 +219,14 @@ def path_vector_system(
         raise ValidationError(f"levels must be exactly 1..{system_max}, got {sorted(levels)}")
     families: dict[int, tuple[Vector, ...]] = {}
     for k in range(1, system_max + 1):
-        fam = validate_generators(levels[k])
+        fam = tuple(sorted(map(tuple, levels[k])))
+        # bounded before validate_generators sizes a thermometer code from the largest state
         for v in fam:
-            if len(v) != len(ms) or any(a > m for a, m in zip(v, ms)):
+            if any(a > m for a, m in zip(v, ms)):
+                raise ValidationError(f"path vector {v} outside space {ms}")
+        fam = validate_generators(fam)
+        for v in fam:
+            if len(v) != len(ms):
                 raise ValidationError(f"path vector {v} outside space {ms}")
         families[k] = fam
     # thermometer codes of width m_i: every path vector was checked to lie in
@@ -242,31 +253,34 @@ def path_vector_system(
                 hi = k - 1
         return lo
 
-    def lanes() -> tuple[Lanes, int]:
-        lanes = Lanes(ms, system_max)
-        return lanes, lanes.highest_below(families)
+    def lanes(lo, hi, k) -> tuple[Lanes, int]:
+        lanes = Lanes(lo, hi, system_max)
+        return lanes, lanes.highest_below(families if k is None else {k: families[k]})
 
     space = StateSpace(max_states=ms, system_max=system_max)
     return MultistateSystem(space=space, kind="path_vectors", _func=phi, _paths=families,
                             _lanes=lanes)
 
 
-def _phi_lanes(system: MultistateSystem) -> tuple[Lanes, int]:
-    """phi over the whole space in lanes: by the system's own tabulator, or
-    for a system given only its structure function, by evaluating each
-    state once."""
+def _phi_lanes(system: MultistateSystem, lo: Sequence[int], hi: Sequence[int],
+               k: int | None = None) -> tuple[Lanes, int]:
+    """phi over the box lo <= x <= hi in lanes: by the system's own
+    tabulator, or for a system given only its structure function, by
+    evaluating each state of the box once.  Given a level k, a lane need
+    only be >= k exactly where phi is, which lets a path_vectors system
+    close its level-k family alone."""
     if system._lanes is not None:
-        return system._lanes()
-    space = system.space
-    values = list(map(system._func, space.vectors()))
-    lanes = Lanes(space.max_states, max(max(values), space.system_max))
+        return system._lanes(lo, hi, k)
+    values = list(map(system._func, product(*(range(a, b + 1) for a, b in zip(lo, hi)))))
+    lanes = Lanes(lo, hi, max(max(values), system.space.system_max))
     return lanes, lanes.pack(values)
 
 
 def _level_table(ls: LevelSystem) -> bytes:
     """phi_k over the whole space, one byte 0 or 1 per state in
     lexicographic order."""
-    lanes, phi = _phi_lanes(ls.system)
+    ms = ls.max_states
+    lanes, phi = _phi_lanes(ls.system, (0,) * len(ms), ms, ls.level)
     return lanes.table(phi, ls.level)
 
 
@@ -282,7 +296,7 @@ def check_monotone(system: MultistateSystem) -> bool:
         raise ComplexityGuardError(
             f"monotonicity check over {space.size()} states exceeds guard ({10**7})"
         )
-    lanes, phi = _phi_lanes(system)
+    lanes, phi = _phi_lanes(system, (0,) * space.n, space.max_states)
     return all(lanes.at_least(phi, lanes.up(phi, i, lanes.positive(i))) == lanes.top
                for i in range(space.n))
 

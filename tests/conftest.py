@@ -7,10 +7,20 @@ checked against something that shares no implementation.
 """
 
 import random
+import warnings
 from fractions import Fraction
 from itertools import combinations, product
 
-from domikit import MultistateSystem, StateSpace, network, table_system
+from domikit import (
+    MultistateSystem,
+    StateSpace,
+    minimal_path_vectors,
+    network,
+    network_system,
+    path_vector_system,
+    sum_system,
+    table_system,
+)
 
 
 def vjoin(a, b):
@@ -198,3 +208,43 @@ def cut_form_networks():
     ]
     rng = random.Random(20261018)
     return special + [random_network(rng) for _ in range(150)]
+
+
+def path_family_system(system):
+    """The same structure rebuilt as a path_vectors system."""
+    return path_vector_system(system.space.max_states, {
+        k: minimal_path_vectors(system.level(k))
+        for k in range(1, system.space.system_max + 1)
+    })
+
+
+def lane_kinds():
+    """Systems of every kind whose level tables come from lanes, n = 0
+    included."""
+    tables = [make_random_system(seed) for seed in range(40)]
+    systems = tables + [path_family_system(t) for t in tables]
+    systems += [sum_system([2, 1, 3]), sum_system([1, 2, 2], weights=[2, 0, 3]),
+                sum_system([3, 1], weights=[0, 0]), sum_system([2, 2], weights=[70, 100]),
+                sum_system([1] * 5, weights=[1, 2, 3, 5, 8]), table_system([1], [0, 300])]
+    systems += [table_system([], [v]) for v in (0, 1, 3)]
+    # one-byte lanes over coordinates past 127: the lane width follows the
+    # values, not the max states
+    systems += [table_system([m], [0] * m + [1]) for m in (128, 256)]
+    systems += [path_vector_system((m,), {1: [(1,)]}) for m in (128, 300)]
+    systems += [path_vector_system((130, 2), {1: [(3, 0), (0, 1)], 2: [(129, 0), (4, 1)]})]
+    systems += [sum_system([]), path_vector_system((), {1: [()], 2: [()]})]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        systems += [network_system(net) for net in cut_form_networks()]
+        systems.append(network_system(network(["S", "T"], [], "S", "T")))
+    # cut sums past 127, so two bytes a lane
+    systems.append(network_system(network(["S", "A", "T"], [(1, "S", "A", False, 100),
+                                                            (2, "A", "T", True, 40)], "S", "T")))
+    return systems
+
+
+def bare_systems():
+    """Systems given only a structure function, tabulated by evaluating
+    each state: random tables with component 0 frozen (n = 0 included)."""
+    return [frozen_level(make_random_system(seed).level(1), {0: 1}).system
+            for seed in range(12)]

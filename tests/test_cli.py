@@ -8,6 +8,7 @@ import pytest
 
 from domikit import cli
 from domikit.cli import main
+from domikit.lanes import Lanes
 
 
 @pytest.fixture
@@ -177,6 +178,40 @@ def test_verify_disagreement_exits_4(write_doc, capsys, monkeypatch):
     assert code == 4
     assert out.splitlines()[-1] == "agreement: NO"
     assert "pivotal      99" in out
+
+
+def test_verify_catches_a_wrong_tabulator(write_doc, capsys, monkeypatch):
+    """Pivotal reads the top corners from the system's lanes and binary
+    evaluates them one by one, so a tabulator wrong at one top corner
+    shows as a disagreement."""
+    weighted = Lanes.weighted
+
+    def off_at_one_corner(lanes, weights):
+        value = weighted(lanes, weights)
+        # lane 0 of the box of top corners of sum_doc is (1, 1, 1, 1), phi = 4
+        return value + 1 if lanes.lo == [1, 1, 1, 1] else value
+
+    monkeypatch.setattr(Lanes, "weighted", off_at_one_corner)
+    f = write_doc(sum_doc())
+    code, out, _ = run(capsys, ["verify", f, "--level", "5", "--no-timing"])
+    values = dict(line.split() for line in out.splitlines()[1:-1])
+    assert code == 4
+    assert out.splitlines()[-1] == "agreement: NO"
+    assert values["pivotal"] == str(int(values["binary"]) + 1)
+    assert values["binary"] == values["formations"] == values["mobius"]
+
+
+@pytest.mark.parametrize("command", [["paths"], ["domination"], ["verify"],
+                                     ["reliability", "--verify"]])
+def test_exit_2_on_a_path_vector_far_outside_the_space(write_doc, capsys, command):
+    """The space bound is checked before a thermometer code is sized from
+    the largest coordinate, which for 10^30 could not be built at all."""
+    doc = {"format_version": 1, "max_states": [2, 2],
+           "structure": {"kind": "path_vectors", "levels": {"1": [[1, 0], [0, 10**30]]}},
+           "distribution": [["1/3"] * 3] * 2}
+    code, out, err = run(capsys, [command[0], write_doc(doc), "--level", "1", *command[1:]])
+    assert (code, out) == (2, "")
+    assert err == f"error: structure.levels: path vector (0, {10**30}) outside space (2, 2)\n"
 
 
 @pytest.mark.parametrize("command", [

@@ -1,11 +1,18 @@
 """Full-lattice subset formula, pivotal recursion, associated binary."""
 
+import random
 import tracemalloc
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
-from conftest import frozen_level, make_random_system, oracle_subset_delta
+from conftest import (
+    bare_systems,
+    frozen_level,
+    lane_kinds,
+    make_random_system,
+    oracle_subset_delta,
+)
 from domikit import (
     ComplexityGuardError,
     DomainError,
@@ -17,6 +24,8 @@ from domikit import (
     domination_by_closure_mobius,
     domination_via_binary,
     join_closure,
+    network,
+    network_system,
     path_vector_system,
     pivotal_domination,
     signed_domination,
@@ -164,34 +173,42 @@ def test_evaluate_called_once_per_structure_evaluation(monkeypatch):
 
     monkeypatch.setattr(MultistateSystem, "evaluate", counted)
     ls = sum_system([1] * 12).level(6)
-    assert pivotal_domination(ls) == threshold_domination(12, 1, 6)
+    assert domination_via_binary(ls) == threshold_domination(12, 1, 6)
     assert len(calls) == 2**12
     # each corner of the box of top corners once, and nothing else
     assert set(calls) == set(product((0, 1), repeat=12))
-    # a pivot changes neither the value nor the corners evaluated
+    # pivotal reads the box from the lane tabulator, with no evaluate call
+    calls.clear()
+    assert pivotal_domination(ls) == threshold_domination(12, 1, 6)
+    assert calls == []
+    # a pivot changes neither the value nor the calls
     ls = sum_system([2, 1, 3, 2, 2]).level(7)
     ms = ls.max_states
     want = signed_domination(ls)
+    calls.clear()
+    assert domination_via_binary(ls) == want
+    assert sorted(calls) == sorted(product(*((m - 1, m) for m in ms)))
     for e in range(5):
         calls.clear()
         assert pivotal_domination(ls, e) == want
-        assert sorted(calls) == sorted(product(*((m - 1, m) for m in ms)))
+        assert calls == []
 
 
 def test_pivotal_holds_no_table_of_the_box():
     """Past the subset guard pivotal is the only route, so it keeps no
     value per corner: its peak allocation over 2^14 corners stays below
-    half a byte per corner."""
-    ls = sum_system([1] * 14).level(7)
-    want = threshold_domination(14, 1, 7)
-    tracemalloc.start()
-    try:
-        got = pivotal_domination(ls)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert got == want
-    assert peak < 2**14 // 2
+    half a byte per corner, and over 2^20 corners under the same bound."""
+    for n in (14, 20):
+        ls = sum_system([1] * n).level(n // 2)
+        want = threshold_domination(n, 1, n // 2)
+        tracemalloc.start()
+        try:
+            got = pivotal_domination(ls)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2**14 // 2, (n, peak)
 
 
 def test_pivotal_bad_pivot():
@@ -208,6 +225,60 @@ def test_pivotal_matches_subset_formula_on_random_systems():
             for e in range(len(ls.max_states)):
                 assert pivotal_domination(ls, e) == want
             assert pivotal_domination(ls) == want
+
+
+def test_pivotal_lanes_agree_with_binary_on_every_kind():
+    """Pivotal reads the box of top corners from the system's lanes and
+    binary evaluates each corner through evaluate: equal at every level
+    of every kind, bare structure functions and n = 0 included, under
+    every pivot."""
+    for system in lane_kinds() + bare_systems():
+        for k in range(1, system.space.system_max + 1):
+            ls = system.level(k)
+            want = domination_via_binary(ls)
+            assert pivotal_domination(ls) == want, (system, k)
+            for e in range(system.space.n):
+                assert pivotal_domination(ls, e) == want
+
+
+def chunk_edge_systems(n):
+    """Every kind on n components, n around the 2^9 corners of a chunk."""
+    rng = random.Random(n)
+    ms = [rng.randint(1, 2) for _ in range(n)]
+    # a series of hops of two parallel unit edges, every edge strongly relevant,
+    # the last hop one edge of capacity 2 when n is odd
+    nodes = ["S"] + [f"v{i}" for i in range((n - 1) // 2)] + ["T"]
+    net = network(nodes, [(i + 1, nodes[i // 2], nodes[i // 2 + 1], rng.random() < 0.5,
+                           1 + (i == n - 1 and n % 2)) for i in range(n)], "S", "T")
+    weights = [rng.randint(1, 3) for _ in range(n)]
+    return [
+        network_system(net),
+        sum_system([1] * n),
+        sum_system(ms, weights),
+        table_system([1] * n, [min(4, sum(w * a for w, a in zip(weights, x)) // 3)
+                               for x in product((0, 1), repeat=n)]),
+        path_vector_system([1] * n, {
+            1: [tuple(int(i in c) for i in range(n)) for c in combinations(range(n), n - 3)],
+            2: [(1,) * n]}),
+        frozen_level(sum_system([1] * (n + 1)).level(n // 2 + 1), {n: 1}).system,
+    ]
+
+
+@pytest.mark.parametrize("n", [9, 10, 13])
+def test_pivotal_across_the_chunk_edge(n):
+    """One chunk at n = 9, two at 10 and sixteen at 13: pivotal equals the
+    per-corner binary route at the lowest, middle and top levels."""
+    for system in chunk_edge_systems(n):
+        top = system.space.system_max
+        for k in sorted({1, (top + 1) // 2, top}):
+            ls = system.level(k)
+            assert pivotal_domination(ls) == domination_via_binary(ls), (system.kind, k)
+
+
+def test_pivotal_on_four_million_corners():
+    """22 components: 8 192 chunks, a few hundred ms, where one evaluate
+    call per corner takes tens of seconds."""
+    assert pivotal_domination(sum_system([1] * 22).level(11)) == threshold_domination(22, 1, 11)
 
 
 def test_associated_binary_threshold_shift():

@@ -3,7 +3,6 @@
 import importlib
 import random
 import tracemalloc
-import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -11,9 +10,11 @@ import pytest
 
 from conftest import (
     bridge_network,
-    cut_form_networks,
+    bare_systems,
     frozen_level,
+    lane_kinds,
     make_random_system,
+    path_family_system,
     random_pmfs,
     vleq,
 )
@@ -42,7 +43,7 @@ from domikit import (
     table_system,
 )
 from domikit.lanes import Lanes
-from domikit.systems import _level_table
+from domikit.systems import _level_table, _phi_lanes
 
 FOUR_GENS = [(2, 1, 1, 0), (1, 2, 0, 1), (1, 0, 2, 1), (0, 1, 1, 2)]
 
@@ -260,14 +261,6 @@ def scan_minimal(ls):
         x for x in product(*(range(m + 1) for m in ls.max_states))
         if ls(x) and all(not ls(x[:i] + (s - 1,) + x[i + 1:]) for i, s in enumerate(x) if s)
     )
-
-
-def path_family_system(system):
-    """The same structure rebuilt as a path_vectors system."""
-    return path_vector_system(system.space.max_states, {
-        k: minimal_path_vectors(system.level(k))
-        for k in range(1, system.space.system_max + 1)
-    })
 
 
 def test_minimal_path_vectors_every_kind(monkeypatch):
@@ -488,31 +481,6 @@ def test_random_reliability_identity():
                     == reliability_enumerate(ls, de))
 
 
-def lane_kinds():
-    """Systems of every kind whose level tables come from lanes, n = 0
-    included."""
-    tables = [make_random_system(seed) for seed in range(40)]
-    systems = tables + [path_family_system(t) for t in tables]
-    systems += [sum_system([2, 1, 3]), sum_system([1, 2, 2], weights=[2, 0, 3]),
-                sum_system([3, 1], weights=[0, 0]), sum_system([2, 2], weights=[70, 100]),
-                sum_system([1] * 5, weights=[1, 2, 3, 5, 8]), table_system([1], [0, 300])]
-    systems += [table_system([], [v]) for v in (0, 1, 3)]
-    # one-byte lanes over coordinates past 127: the lane width follows the
-    # values, not the max states
-    systems += [table_system([m], [0] * m + [1]) for m in (128, 256)]
-    systems += [path_vector_system((m,), {1: [(1,)]}) for m in (128, 300)]
-    systems += [path_vector_system((130, 2), {1: [(3, 0), (0, 1)], 2: [(129, 0), (4, 1)]})]
-    systems += [sum_system([]), path_vector_system((), {1: [()], 2: [()]})]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        systems += [network_system(net) for net in cut_form_networks()]
-        systems.append(network_system(network(["S", "T"], [], "S", "T")))
-    # cut sums past 127, so two bytes a lane
-    systems.append(network_system(network(["S", "A", "T"], [(1, "S", "A", False, 100),
-                                                            (2, "A", "T", True, 40)], "S", "T")))
-    return systems
-
-
 def test_level_tables_match_the_per_state_loop():
     """The lane table equals one evaluation per state, at every level of
     every kind."""
@@ -520,6 +488,32 @@ def test_level_tables_match_the_per_state_loop():
         for k in range(1, system.space.system_max + 1):
             ls = system.level(k)
             assert _level_table(ls) == bytes(map(ls, system.space.vectors())), (system, k)
+
+
+def test_box_lanes_match_the_structure_function():
+    """Over random boxes lo <= x <= hi, phi in lanes equals _func at each
+    state of the box, lane j holding the j-th state in lexicographic
+    order; given a level k, the lanes are >= k exactly where phi is."""
+    rng = random.Random(14)
+    kinds = set()
+    for system in lane_kinds() + bare_systems():
+        ms = system.space.max_states
+        for _ in range(3):
+            lo = [rng.randint(0, m) for m in ms]
+            hi = [rng.randint(a, m) for a, m in zip(lo, ms)]
+            states = list(product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+            values = [system._func(x) for x in states]
+            lanes, phi = _phi_lanes(system, lo, hi)
+            assert lanes.size == len(states)
+            mask = (1 << lanes.bits) - 1
+            assert [phi >> (j * lanes.bits) & mask for j in range(lanes.size)] == values
+            for k in range(1, system.space.system_max + 1):
+                lanes, phi = _phi_lanes(system, lo, hi, k)
+                assert lanes.table(phi, k) == bytes(v >= k for v in values), (system, lo, hi, k)
+            kinds.add((system.kind, system._lanes is None, len(ms) > 0))
+    assert {kind for kind, _, _ in kinds} == {"table", "sum", "network", "path_vectors"}
+    assert {(bare, n) for _, bare, n in kinds} == {(False, False), (False, True),
+                                                   (True, False), (True, True)}
 
 
 def monotone_by_loop(system):
