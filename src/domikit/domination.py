@@ -12,7 +12,8 @@ subsets:
 
 At the top vector all three come down to the same signed sum over the
 2^n top corners.  The subset formula and the binary route take it one
-evaluation per corner and are the per-state reference.  The pivotal
+evaluate call per corner and are the per-state reference; the signs and
+the sum run in C, 2^9 terms at a time (see _signed_sum).  The pivotal
 route reads the corners from the system's own lane tabulator (see
 systems._phi_lanes) and runs past the subset guard, so pivotal agreeing
 with binary checks that tabulator against the structure function.  All
@@ -22,7 +23,8 @@ arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, islice, product, repeat
+from operator import ge
 from typing import Callable, Iterable
 
 from .errors import ComplexityGuardError, DimensionError, DomainError
@@ -33,31 +35,48 @@ from .systems import LevelSystem, _phi_lanes
 # chunk's lanes stay a few hundred bytes whatever the number of components
 _CHUNK_AXES = 9
 
+# Thue-Morse parity masks of the indices j < 2^9: _ODD[j] is 1 where
+# popcount(j) is odd and _EVEN[j] where it is even, so compress(chunk,
+# _EVEN) keeps the terms of a chunk at an even number of slots up
+_ODD = bytes(j.bit_count() & 1 for j in range(1 << _CHUNK_AXES))
+_EVEN = bytes(1 - b for b in _ODD)
 
-def _alternating_sum(f: Callable[[Vector], int], y: Vector) -> int:
-    """Sum of (-1)^(sum(y) - sum(x)) * f(x) over x with x_i in {y_i - 1, y_i}
-    on the support of y and x_i = 0 off it: every signed domination and
-    Crapo's beta come down to this sum.
 
-    The corners x and their signs are exactly where the Mobius function
-    mu(x, y) of the product of chains is non-zero, and its value there:
-    mu is the product of the chain Mobius functions, 1 on the diagonal,
-    -1 one step below and 0 further down (Rota 1964).  This is the one
-    place the package evaluates mu.
+def _alternating_sum(ls: LevelSystem, y: Vector) -> int:
+    """Sum of (-1)^(sum(y) - sum(x)) * phi_k(x) over x with x_i in
+    {y_i - 1, y_i} on the support of y and x_i = 0 off it: the subset
+    formula and the binary route at the top vector.
+
+    One evaluate call per corner, in product order; thresholding and
+    summing run in C (see _signed_sum).
     """
     corners = product(*((a - 1, a) if a else (0,) for a in y))
-    return _signed_sum(map(f, corners), sum(1 for a in y if a))
+    holds = map(ge, map(ls.system.evaluate, corners), repeat(ls.level))
+    return _signed_sum(holds, sum(1 for a in y if a))
 
 
 def _signed_sum(values: Iterable[int], k: int) -> int:
     """Sum of (-1)^(k - popcount(i)) * values[i] over the 2^k values of a
-    function on {0,1}^k in product order.  Reading each of the k support
-    slots of y as down (y_i - 1, bit 0) or up (y_i, bit 1) makes the
-    corners above this order, so this is the one sign loop."""
+    function on {0,1}^k in product order: every signed domination and
+    Crapo's beta come down to this sum.
+
+    Reading each of the k support slots of y as down (y_i - 1, bit 0) or
+    up (y_i, bit 1), the signs are exactly the Mobius function mu(x, y)
+    of the product of chains where it is non-zero: mu is the product of
+    the chain Mobius functions, 1 on the diagonal, -1 one step below and
+    0 further down (Rota 1964).  This is the one place the package
+    evaluates mu.
+
+    The values are summed in chunks of 2^9, each by two C-level sums
+    through the Thue-Morse parity masks: popcount(c * 2^9 + j) =
+    popcount(c) + popcount(j), so chunk c is its even-j sum minus its
+    odd-j sum, signed by (-1)^(k - popcount(c)).
+    """
+    values = iter(values)
     total = 0
-    for i, value in enumerate(values):
-        if value:
-            total += value if (k - i.bit_count()) % 2 == 0 else -value
+    for c, chunk in enumerate(iter(lambda: list(islice(values, len(_EVEN))), [])):
+        value = sum(compress(chunk, _EVEN)) - sum(compress(chunk, _ODD))
+        total += -value if (k - c.bit_count()) % 2 else value
     return total
 
 
@@ -185,7 +204,7 @@ def associated_binary(ls: LevelSystem) -> BinaryStructure:
     )
 
 
-def binary_signed_domination(bs: BinaryStructure, *, guard: int = 25) -> int:
+def binary_signed_domination(bs: BinaryStructure) -> int:
     """Signed domination of a binary structure at the all-ones vector.
 
     sum over subsets B of the slots of psi(1_B) * (-1)^(k - |B|).
@@ -193,13 +212,21 @@ def binary_signed_domination(bs: BinaryStructure, *, guard: int = 25) -> int:
     k = bs.size
     if k == 0:
         return bs(())
-    if k > guard:
-        raise ComplexityGuardError(
-            f"{k} binary components exceed the subset guard ({guard})"
-        )
-    return _alternating_sum(bs._func, (1,) * k)
+    if k > 25:
+        raise ComplexityGuardError(f"{k} binary components exceed the subset guard (25)")
+    return _signed_sum(map(bs._func, product((0, 1), repeat=k)), k)
 
 
 def domination_via_binary(ls: LevelSystem, *, guard: int = 25) -> int:
-    """Signed domination computed through the associated binary structure."""
-    return binary_signed_domination(associated_binary(ls), guard=guard)
+    """Signed domination computed through the associated binary structure.
+
+    psi(z) = phi_k(m - 1 + z) over {0,1}^n in product order is phi_k over
+    the box of top corners in product order, so psi is read there
+    directly: one evaluate call per corner.
+    """
+    k = len(ls.max_states)
+    if k == 0:
+        return ls(())
+    if k > guard:
+        raise ComplexityGuardError(f"{k} binary components exceed the subset guard ({guard})")
+    return _alternating_sum(ls, ls.max_states)

@@ -29,7 +29,7 @@ from .errors import (
     DomainError,
     ValidationError,
 )
-from .domination import BinaryStructure, _alternating_sum, _signed_sum
+from .domination import BinaryStructure, _signed_sum
 from .poset import Vector
 
 
@@ -204,9 +204,8 @@ def _beta(m: Matroid, mask: int) -> int:
             "use domination_invariant_recursion"
         )
     bits = [1 << i for i in range(len(m.ground)) if mask >> i & 1]
-    total = _alternating_sum(
-        lambda z: m.rank_mask(sum(b for b, zi in zip(bits, z) if zi)), (1,) * size
-    )
+    # the subsets B in product order, slot 0 slowest, each as its bitmask
+    total = _signed_sum(map(m.rank_mask, map(sum, product(*((0, b) for b in bits)))), size)
     return total if (m.rank_mask(mask) - size) % 2 == 0 else -total
 
 

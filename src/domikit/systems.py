@@ -74,9 +74,6 @@ class StateSpace:
     def size(self) -> int:
         return math.prod(m + 1 for m in self.max_states)
 
-    def contains(self, x: Vector) -> bool:
-        return len(x) == self.n and all(0 <= a <= m for a, m in zip(x, self.max_states))
-
     def vectors(self):
         """All state vectors in lexicographic order."""
         return product(*(range(m + 1) for m in self.max_states))
@@ -98,8 +95,9 @@ class MultistateSystem:
 
     def evaluate(self, x: Vector) -> int:
         x = tuple(x)
-        if not self.space.contains(x):
-            raise DomainError(f"state vector {x} outside space {self.space.max_states}")
+        ms = self.space.max_states
+        if not (len(x) == len(ms) and all(map(operator.le, x, ms)) and (not x or min(x) >= 0)):
+            raise DomainError(f"state vector {x} outside space {ms}")
         return self._func(x)
 
     def level(self, k: int) -> "LevelSystem":
@@ -195,7 +193,7 @@ def sum_system(max_states: Sequence[int], weights: Sequence[int] | None = None) 
     return MultistateSystem(
         space=space,
         kind="sum",
-        _func=lambda x: sum(a * b for a, b in zip(w, x)),
+        _func=lambda x: sum(map(operator.mul, w, x)),
         _lanes=lanes,
     )
 
@@ -410,7 +408,7 @@ class ComponentDistribution:
                 raise DistributionError(f"component {i}: non-finite probability")
             if any(p < 0 for p in row):
                 raise DistributionError(f"component {i}: negative probability")
-            total = sum(row)
+            total = reduce(operator.add, row, 0)
             if exact:
                 if total != 1:
                     raise DistributionError(f"component {i}: pmf sums to {total}, not 1")
@@ -418,9 +416,10 @@ class ComponentDistribution:
                 raise DistributionError(f"component {i}: pmf sums to {total!r}")
         self.pmfs = rows
         self.exact = exact
-        # survival[i][r] = P(component i >= r), survival[i][0] = 1
+        # survival[i][r] = P(component i >= r), survival[i][0] = 1; left folds
+        # like the pmf total, as builtin sum compensates float rounding from 3.12 on
         self.survival = tuple(
-            tuple(sum(row[r:]) for r in range(len(row)))
+            tuple(reduce(operator.add, row[r:], 0) for r in range(len(row)))
             for row in rows
         )
 

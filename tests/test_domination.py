@@ -1,5 +1,6 @@
 """Full-lattice subset formula, pivotal recursion, associated binary."""
 
+import operator
 import random
 import tracemalloc
 from itertools import combinations, permutations, product
@@ -33,6 +34,7 @@ from domikit import (
     table_system,
     threshold_domination,
 )
+from domikit.domination import _signed_sum
 
 FOUR_GENS = [(2, 1, 1, 0), (1, 2, 0, 1), (1, 0, 2, 1), (0, 1, 1, 2)]
 
@@ -314,10 +316,44 @@ def test_binary_structure_rejects_bad_input():
 
 def test_binary_signed_domination_guard_and_empty():
     psi = associated_binary(sum_system([1] * 26).level(1))
-    with pytest.raises(ComplexityGuardError):
+    with pytest.raises(ComplexityGuardError) as err:
         binary_signed_domination(psi)
+    assert str(err.value) == "26 binary components exceed the subset guard (25)"
+    with pytest.raises(ComplexityGuardError) as err:
+        domination_via_binary(sum_system([1] * 13).level(1), guard=12)
+    assert str(err.value) == "13 binary components exceed the subset guard (12)"
     ls = frozen_level(sum_system([1]).level(1), {0: 1})
     assert binary_signed_domination(associated_binary(ls)) == 1
+    assert domination_via_binary(ls) == 1
+
+
+def _signed_sum_by_term(values, k):
+    """The per-term sign loop that _signed_sum sums in chunks."""
+    total = 0
+    for i, value in enumerate(values):
+        total += value if (k - i.bit_count()) % 2 == 0 else -value
+    return total
+
+
+@pytest.mark.parametrize("k", range(14))
+def test_signed_sum_matches_the_per_term_sign_loop(k):
+    """Part of a chunk below k = 9, one chunk of 2^9 terms at 9, two at 10
+    and sixteen at 13; values negative and above 1, given as a list, as
+    bytes and as a lazy map."""
+    rng = random.Random(k)
+    values = [rng.randint(-3, 5) for _ in range(1 << k)]
+    counts = bytes(rng.randint(0, 3) for _ in range(1 << k))
+    want = _signed_sum_by_term(values, k)
+    assert _signed_sum(values, k) == want
+    assert _signed_sum(map(operator.neg, values), k) == -want
+    assert _signed_sum(counts, k) == _signed_sum_by_term(counts, k)
+    # one term alone keeps its own sign, first and last of every chunk included
+    for i in {0, (1 << k) - 1} | {c + j for c in range(0, 1 << k, 512) for j in (0, 511)}:
+        if i < 1 << k:
+            one = [0] * (1 << k)
+            one[i] = 3
+            assert _signed_sum(one, k) == (3 if (k - i.bit_count()) % 2 == 0 else -3), i
+    assert type(_signed_sum(iter(()), 0)) is int and _signed_sum([5], 0) == 5
 
 
 def test_domination_via_binary_equals_subset_formula():

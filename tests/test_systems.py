@@ -1,9 +1,11 @@
 """System constructors, level cuts, path vectors, relevance, reliability."""
 
 import importlib
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -129,11 +131,20 @@ def test_level_function_values():
 
 
 def test_evaluate_outside_space_rejected():
-    s = sum_system([2, 2])
-    with pytest.raises(DomainError):
-        s.evaluate((3, 0))
-    with pytest.raises(DomainError):
-        s.evaluate((0, -1))
+    """The range check zips x with the max states, which stops at the
+    shorter one, so the length test alone refuses a short vector: short,
+    long, negative and above-top vectors are refused on every kind."""
+    for system in lane_kinds() + bare_systems():
+        ms = system.space.max_states
+        bad = [ms + (0,)] + [ms[:-1]] * bool(ms)
+        bad += [ms[:i] + (-1,) + ms[i + 1:] for i in range(len(ms))]
+        bad += [ms[:i] + (ms[i] + 1,) + ms[i + 1:] for i in range(len(ms))]
+        for x in bad:
+            with pytest.raises(DomainError) as err:
+                system.evaluate(x)
+            assert str(err.value) == f"state vector {x} outside space {ms}"
+        # the corners of the space are inside it
+        assert system.evaluate(ms) >= system.evaluate((0,) * len(ms)) >= 0
 
 
 def test_path_vector_system_round_trip():
@@ -413,6 +424,19 @@ def test_distribution_validation():
     assert d.survival[0] == (1.0, 0.8, 0.5)
     assert not d.exact
     assert ComponentDistribution([[Fraction(1, 2), Fraction(1, 2)]]).exact
+
+
+def test_survival_and_pmf_total_are_left_folds():
+    """builtin sum compensates float rounding from Python 3.12 on; the
+    survival function and the pmf total fold left from 0 on every
+    version, as sum did up to 3.11, so float output stays the same."""
+    row = [0.1] * 10
+    d = ComponentDistribution([row, [0.3, 0.7]])
+    assert d.survival[0] == tuple(reduce(operator.add, row[r:], 0) for r in range(10))
+    assert d.survival[0][0] == 0.9999999999999999
+    with pytest.raises(DistributionError) as err:
+        ComponentDistribution([[0.1] * 9 + [0.1 + 2e-12]])
+    assert str(err.value) == f"component 0: pmf sums to {reduce(operator.add, [0.1] * 9 + [0.1 + 2e-12], 0)!r}"
 
 
 def test_distribution_rejects_non_finite_floats():
