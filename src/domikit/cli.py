@@ -6,6 +6,15 @@ function (optionally its full table), `reliability` evaluates the
 domination expansion against component distributions, and `verify`
 runs every applicable method and checks that they agree.
 
+`domination --method auto` takes a closed form when one applies and the
+per-corner binary route otherwise.  The closed forms are the threshold
+formula, signed value distributions for every other sum and for
+undirected series-parallel networks (see signed), and the sign rule for
+directed networks; `verify` runs the one that applies as its
+`closed_form` line.  A distribution route bounds its integer steps
+before it starts and, past 10^7, leaves the document to the other
+routes and their guards.
+
 Exit codes: 0 success, 2 parse or validation failure, 3 a complexity
 guard refused the computation (in `verify`, every method), 4
 verification disagreement.
@@ -31,6 +40,7 @@ from .poset import (
     domination_by_formations,
     join_closure,
 )
+from .signed import series_parallel_domination, sum_domination
 from .systems import (
     minimal_path_vectors,
     reliability_enumerate,
@@ -50,23 +60,28 @@ def _prob(p) -> str:
     return format(p, ".15g")
 
 
-def _closed_form(doc: SystemDocument, level: int):
-    """The applicable closed-form engine for this document, or None.
+def _closed_form(doc: SystemDocument, level: int) -> int | None:
+    """d(phi_level) by the first closed form that applies, or None.
 
-    Unit-weight sums over equal state ranges hit the threshold formula;
-    fully directed networks whose cut sets are all tight at this level
-    reduce to two-terminal connectivity and hit the acyclic/cyclic sign
-    rule.
+    Unit-weight sums over equal state ranges hit the threshold formula,
+    and every other sum the signed value distribution route.  Fully
+    directed networks whose cut sets are all tight at this level reduce
+    to two-terminal connectivity and hit the acyclic/cyclic sign rule;
+    undirected series-parallel networks take the distribution route.
+    A distribution route gives None past its work bound (see signed),
+    and so does a document no closed form takes.
     """
     ms = doc.max_states
     if doc.structure_kind == "sum":
         weights = doc.raw_structure["weights"]
         if all(w == 1 for w in weights) and len(set(ms)) == 1:
-            return lambda: threshold_domination(len(ms), ms[0], level)
+            return threshold_domination(len(ms), ms[0], level)
+        return sum_domination(ms, weights, level)
     if doc.structure_kind == "network" and doc.net is not None:
         net = doc.net
         if all(e.directed for e in net.edges) and reduces_to_connectivity(net, level):
-            return lambda: directed_network_domination(net)
+            return directed_network_domination(net)
+        return series_parallel_domination(net, level)
     return None
 
 
@@ -95,15 +110,17 @@ class _Routes:
         return domination_by_closure_mobius(join_closure(self.paths))
 
     def compute(self, method: str) -> tuple[int, str]:
-        """(value, method used).  `auto` takes a closed form when one applies,
-        else binary; past the guard it refuses, as pivotal visits as many
+        """(value, method used).  `auto` takes a closed form when one applies
+        (the threshold formula, a signed value distribution within its
+        work bound, or the directed sign rule; see _closed_form), else
+        binary; past the guard it refuses, as pivotal visits as many
         states, and names pivotal only if one evaluation of the level
         function is not refused too."""
         if method != "auto":
             return self.methods[method](), method
-        engine = _closed_form(self.doc, self.level)
-        if engine is not None:
-            return engine(), "closed_form"
+        value = _closed_form(self.doc, self.level)
+        if value is not None:
+            return value, "closed_form"
         try:
             return self.methods["binary"](), "binary"
         except ComplexityGuardError as e:
@@ -185,9 +202,10 @@ def cmd_verify(doc: SystemDocument, args) -> tuple[int, str]:
 
     for method, fn in _Routes(doc, args.level, args.guard).methods.items():
         run(method, fn)
-    engine = _closed_form(doc, args.level)
-    if engine is not None:
-        run("closed_form", engine)
+    started = time.perf_counter()
+    value = _closed_form(doc, args.level)
+    if value is not None:
+        results.append(("closed_form", value, time.perf_counter() - started, None))
 
     values = [v for _, v, _, _ in results if v is not None]
     agree = len(set(values)) == 1 and bool(values)

@@ -98,6 +98,10 @@ class MultistateSystem:
         ms = self.space.max_states
         if not (len(x) == len(ms) and all(map(operator.le, x, ms)) and (not x or min(x) >= 0)):
             raise DomainError(f"state vector {x} outside space {ms}")
+        try:  # a sum of states in range is an int only when every state is
+            operator.index(sum(x))
+        except TypeError:
+            raise DomainError(f"state vector {x} outside space {ms}") from None
         return self._func(x)
 
     def level(self, k: int) -> "LevelSystem":

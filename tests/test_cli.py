@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -333,9 +334,22 @@ def test_parser_is_built_once(write_doc, capsys):
     assert out == "d(phi_1) = -2  [method: binary]\n"
 
 
+WEIGHTS_8 = [1, 2, 1, 3, 1, 2, 1, 1]
+
+
+def weighted_8(kind: str) -> dict:
+    """phi(x) = sum of WEIGHTS_8[i] * x_i over eight binary components,
+    as a sum or as the same function tabulated."""
+    structure = {"kind": "sum", "weights": WEIGHTS_8}
+    if kind == "table":
+        values = [sum(w for w, b in zip(WEIGHTS_8, format(j, "08b")) if b == "1")
+                  for j in range(256)]
+        structure = {"kind": "table", "values": values}
+    return {"format_version": 1, "max_states": [1] * 8, "structure": structure}
+
+
 def test_auto_refuses_past_the_guard(write_doc, capsys):
-    f = write_doc({"format_version": 1, "max_states": [1] * 8,
-                   "structure": {"kind": "sum", "weights": [1, 2, 1, 3, 1, 2, 1, 1]}})
+    f = write_doc(weighted_8("table"))
     code, out, err = run(capsys, ["domination", f, "--level", "6", "--guard", "5",
                                   "--no-timing"])
     assert code == 3
@@ -350,9 +364,49 @@ def test_auto_refuses_past_the_guard(write_doc, capsys):
     assert pivotal == out.replace("binary", "pivotal")
 
 
+def test_auto_answers_a_weighted_sum_past_the_guard_by_closed_form(write_doc, capsys):
+    f = write_doc(weighted_8("sum"))
+    code, out, err = run(capsys, ["domination", f, "--level", "6", "--guard", "5",
+                                  "--no-timing"])
+    assert (code, err) == (0, "")
+    assert out.endswith("  [method: closed_form]\n")
+    _, pivotal, _ = run(capsys, ["domination", f, "--level", "6", "--method", "pivotal",
+                                 "--no-timing"])
+    assert pivotal == out.replace("closed_form", "pivotal")
+    _, table, _ = run(capsys, ["domination", write_doc(weighted_8("table"), "table.json"),
+                               "--level", "6", "--method", "pivotal", "--no-timing"])
+    assert table == pivotal
+
+
+def test_auto_past_the_distribution_bound_refuses_as_before(write_doc, capsys):
+    """Weights 2^i over 30 components: n * min(2^n, sum w + 1) is past
+    10^7, so the sum route gives way and auto refuses on the subset guard."""
+    f = write_doc({"format_version": 1, "max_states": [1] * 30,
+                   "structure": {"kind": "sum", "weights": [2 ** i for i in range(30)]}})
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["domination", f, "--level", str(2 ** 29), "--no-timing"])
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (3, "")
+    assert err == ("error: 30 binary components exceed the subset guard (25); "
+                   "--method pivotal runs without the guard but visits as many states\n")
+
+
 def network_past_the_cut_guard() -> dict:
-    """25 parallel unit edges in series with a 26th: 2^26 states and one
-    edge past the cut guard, which --guard does not reach."""
+    """The bridge with S-A split into 20 parallel edges, all of capacity 1:
+    26 edges, one past the cut guard, which --guard does not reach, and
+    not series-parallel, so no closed form takes it."""
+    ends = [("S", "A")] * 20 + [("S", "B"), ("A", "B"), ("A", "C"), ("B", "C"),
+                                ("C", "T"), ("B", "T")]
+    edges = [{"id": i, "from": u, "to": v, "directed": False, "max_capacity": 1}
+             for i, (u, v) in enumerate(ends, 1)]
+    return {"format_version": 1,
+            "structure": {"kind": "network", "nodes": ["S", "A", "B", "C", "T"],
+                          "edges": edges, "source": "S", "sink": "T"}}
+
+
+def series_parallel_past_the_cut_guard() -> dict:
+    """25 parallel unit edges in series with a 26th: 2^26 states, one edge
+    past the cut guard, and series-parallel."""
     edges = [{"id": i, "from": "S", "to": "A", "directed": False, "max_capacity": 1}
              for i in range(1, 26)]
     edges.append({"id": 26, "from": "A", "to": "T", "directed": False, "max_capacity": 1})
@@ -391,6 +445,18 @@ def test_verify_with_every_method_refused_exits_3(write_doc, capsys):
     assert payload["agree"] is False
     assert "value" not in payload
     assert all("skipped" in rec for rec in payload["results"])
+
+
+def test_series_parallel_network_past_the_cut_guard_by_closed_form(write_doc, capsys):
+    """d(phi_1) = d(OR_25) * d(x_26) = 1 * 1, with no cut set enumerated."""
+    f = write_doc(series_parallel_past_the_cut_guard())
+    code, out, err = run(capsys, ["domination", f, "--level", "1", "--no-timing"])
+    assert (code, out, err) == (0, "d(phi_1) = 1  [method: closed_form]\n", "")
+    code, out, err = run(capsys, ["verify", f, "--level", "1", "--no-timing"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines[1:5]] == ["skipped"] * 4
+    assert lines[5:] == ["closed_form  1", "agreement: yes"]
 
 
 def test_declared_paths_need_no_scan_past_the_guard(write_doc, capsys):

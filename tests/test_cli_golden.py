@@ -38,12 +38,20 @@ _BRIDGE_EDGES = [
 ]
 
 
-def _bridge(directed):
+# parallel edges A-T, a series path A-B-T and an S-T edge: undirected and
+# series-parallel, so auto and verify take the signed distribution route
+_SERIES_PARALLEL_EDGES = [
+    [1, "S", "T", 1], [2, "S", "A", 2], [3, "A", "T", 1], [4, "A", "B", 1],
+    [5, "A", "T", 2], [6, "B", "T", 1],
+]
+
+
+def _network(nodes, edges, directed):
     return {
         "kind": "network",
-        "nodes": ["S", "A", "B", "C", "T"],
+        "nodes": list(nodes),
         "edges": [{"id": i, "from": u, "to": v, "directed": directed, "max_capacity": c}
-                  for i, u, v, c in _BRIDGE_EDGES],
+                  for i, u, v, c in edges],
         "source": "S",
         "sink": "T",
     }
@@ -65,8 +73,10 @@ _SYSTEMS = {
         "2": [[1, 1, 0, 0], [0, 2, 0, 1], [1, 0, 1, 1], [0, 1, 1, 2]],
         "3": [[1, 2, 1, 2]],
     }}, [1, 2]),
-    "bridge": ([2, 2, 1, 2, 1, 2, 2], _bridge(False), [3]),
-    "bridge_directed": ([2, 2, 1, 2, 1, 2, 2], _bridge(True), [3]),
+    "bridge": ([2, 2, 1, 2, 1, 2, 2], _network("SABCT", _BRIDGE_EDGES, False), [3]),
+    "bridge_directed": ([2, 2, 1, 2, 1, 2, 2], _network("SABCT", _BRIDGE_EDGES, True), [3]),
+    "series_parallel": ([1, 2, 1, 1, 2, 1], _network("SABT", _SERIES_PARALLEL_EDGES, False),
+                        [2, 3]),
 }
 
 # malformed path_vectors documents: parse errors, exit 2

@@ -147,6 +147,24 @@ def test_evaluate_outside_space_rejected():
         assert system.evaluate(ms) >= system.evaluate((0,) * len(ms)) >= 0
 
 
+def test_evaluate_refuses_non_integer_states():
+    """A state of 1/2 is in no space, float or Fraction: every kind
+    refuses it with the range check's message, where a sum answered 0.5,
+    a table raised KeyError and a path_vectors system TypeError."""
+    for system in lane_kinds() + bare_systems():
+        ms = system.space.max_states
+        for i, half in product(range(len(ms)), (0.5, Fraction(1, 2))):
+            x = (0,) * i + (half,) + (0,) * (len(ms) - i - 1)
+            with pytest.raises(DomainError) as err:
+                system.evaluate(x)
+            assert str(err.value) == f"state vector {x} outside space {ms}"
+    for system in (sum_system([1, 1]), table_system([1, 1], [0, 1, 1, 1]),
+                   path_vector_system([1, 1], {1: [(1, 0), (0, 1)]})):
+        for x in ((0.5, 0), (Fraction(1, 2), 0)):
+            with pytest.raises(DomainError):
+                system.evaluate(x)
+
+
 def test_path_vector_system_round_trip():
     s = path_vector_system((2, 2, 2, 2), {1: FOUR_GENS})
     ls = s.level(1)
