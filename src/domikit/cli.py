@@ -69,7 +69,9 @@ def _closed_form(doc: SystemDocument, level: int) -> int | None:
     to two-terminal connectivity and hit the acyclic/cyclic sign rule;
     undirected series-parallel networks take the distribution route.
     A distribution route gives None past its work bound (see signed),
-    and so does a document no closed form takes.
+    and so does a document no closed form takes.  The sign rule reads
+    the cut sets, so past their guard it raises ComplexityGuardError:
+    `verify` reports it as a refusal and `auto` goes on to binary.
     """
     ms = doc.max_states
     if doc.structure_kind == "sum":
@@ -118,7 +120,10 @@ class _Routes:
         function is not refused too."""
         if method != "auto":
             return self.methods[method](), method
-        value = _closed_form(self.doc, self.level)
+        try:
+            value = _closed_form(self.doc, self.level)
+        except ComplexityGuardError:
+            value = None  # the sign rule past the cut guard: binary names the refusals
         if value is not None:
             return value, "closed_form"
         try:
@@ -188,7 +193,8 @@ def cmd_reliability(doc: SystemDocument, args) -> tuple[int, str]:
 def cmd_verify(doc: SystemDocument, args) -> tuple[int, str]:
     """Run every applicable method; disagreement exits 4, and no method
     run at all, every one refused by a guard, exits 3.  A route's seconds
-    count the work it adds: the shared scan is billed to the first that needs it."""
+    count the work it adds: the shared scan is billed to the first that needs it.
+    The closed form has a line when one applies or its guard refuses."""
     results: list[tuple[str, int | None, float, str | None]] = []
 
     def run(name: str, fn):
@@ -198,14 +204,12 @@ def cmd_verify(doc: SystemDocument, args) -> tuple[int, str]:
         except ComplexityGuardError as e:
             results.append((name, None, time.perf_counter() - started, str(e)))
             return
-        results.append((name, value, time.perf_counter() - started, None))
+        if value is not None:  # None: no closed form applies
+            results.append((name, value, time.perf_counter() - started, None))
 
     for method, fn in _Routes(doc, args.level, args.guard).methods.items():
         run(method, fn)
-    started = time.perf_counter()
-    value = _closed_form(doc, args.level)
-    if value is not None:
-        results.append(("closed_form", value, time.perf_counter() - started, None))
+    run("closed_form", lambda: _closed_form(doc, args.level))
 
     values = [v for _, v, _, _ in results if v is not None]
     agree = len(set(values)) == 1 and bool(values)

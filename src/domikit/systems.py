@@ -19,6 +19,10 @@ arithmetic: no state is evaluated one by one.  A system built from a
 bare structure function is tabulated by evaluating every state once.
 Minimal path vectors are then found by bitset shifts of the level-k
 indicator; a path_vectors system already holds them.
+
+Reliability on exact input is computed in integers: every pmf row is
+scaled by the lcm of its denominators, the routes add and multiply ints,
+and one Fraction is made of the total at the end.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from itertools import chain, compress, cycle, product, repeat
+from functools import cached_property, reduce
+from itertools import accumulate, chain, compress, cycle, product, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -397,7 +401,10 @@ class ComponentDistribution:
 
     pmfs[i][r] is P(component i in state r).  All-Fraction input switches
     the object into exact mode; otherwise probabilities are floats and
-    each pmf must sum to 1 within 1e-12.
+    each pmf must sum to 1 within 1e-12.  Exact reliability runs on
+    integers: row i is scaled by D_i, the lcm of its denominators (see
+    _weights), so the reliability routes add and multiply ints and make
+    one Fraction per call.
     """
 
     def __init__(self, pmfs: Sequence[Sequence[float | Fraction]]):
@@ -427,6 +434,25 @@ class ComponentDistribution:
             for row in rows
         )
 
+    @cached_property
+    def _weights(self) -> tuple[tuple[tuple, ...], tuple[tuple, ...], Fraction | None]:
+        """(pmf rows, survival rows, scale) for the reliability routes.
+
+        For exact input, row i becomes the ints a_i(r) = p_i(r) * D_i and
+        their tails A_i(s) = sum of a_i(r) over r >= s, and the scale is
+        1 / prod D_i: a product over components of one entry per row
+        times the scale is the product of the Fractions.  Float input is
+        its pmfs and survival as they are, with no scale.  Built on first
+        use, so parsing a document does not pay for it.
+        """
+        if not self.exact:
+            return self.pmfs, self.survival, None
+        commons = [math.lcm(*(p.denominator for p in row)) for row in self.pmfs]  # an int's is 1
+        rows = tuple(tuple(p.numerator * (common // p.denominator) for p in row)
+                     for row, common in zip(self.pmfs, commons))
+        tails = tuple(tuple(accumulate(reversed(row)))[::-1] for row in rows)
+        return rows, tails, Fraction(1, math.prod(commons))
+
     @property
     def n(self) -> int:
         return len(self.pmfs)
@@ -451,20 +477,22 @@ def reliability_from_domination(
 
     The domination expansion of the level indicator gives
     P = sum over table of delta(x) * prod_i P(Y_i >= x_i).
-    Exact when the distribution is exact.
+    Exact when the distribution is exact: each term is then an int,
+    delta(x) times the integer tails A_i(x_i) of ComponentDistribution,
+    and the total becomes one Fraction by the common scale.
     """
     dist._check_space(tuple(max_states))
-    total: float | Fraction = Fraction(0) if dist.exact else 0.0
+    _, survival, scale = dist._weights
+    total: float | int = 0.0 if scale is None else 0
     for x, d in table.items():
         if d == 0:
             continue
         if len(x) != dist.n:
             raise DimensionError(f"table vector {x} for {dist.n} components")
-        term: float | Fraction = Fraction(d) if dist.exact else float(d)
-        for i, s in enumerate(x):
-            term *= dist.survival[i][s]
-        total += term
-    return total
+        # left to right from delta(x), as the float digits depend on the order
+        total += reduce(operator.mul, map(operator.getitem, survival, x),
+                        float(d) if scale is None else d)
+    return total if scale is None else total * scale
 
 
 def reliability_enumerate(ls: LevelSystem, dist: ComponentDistribution) -> float | Fraction:
@@ -474,6 +502,8 @@ def reliability_enumerate(ls: LevelSystem, dist: ComponentDistribution) -> float
     taken left to right from 1; those of the states in the level table
     are added in lexicographic order.  The products are generated
     lazily, a prefix's product once per state of the next component.
+    Exact input runs over the integer pmf rows of ComponentDistribution
+    and makes one Fraction of the total by the common scale.
     """
     space = ls.system.space
     dist._check_space(space.max_states)
@@ -481,10 +511,12 @@ def reliability_enumerate(ls: LevelSystem, dist: ComponentDistribution) -> float
         raise ComplexityGuardError(
             f"enumeration over {space.size()} states exceeds guard ({10**7})"
         )
-    one, zero = (Fraction(1), Fraction(0)) if dist.exact else (1.0, 0.0)
+    rows, _, scale = dist._weights
+    zero, one = (0.0, 1.0) if scale is None else (0, 1)
     probs = iter((one,))
-    for row in dist.pmfs:
+    for row in rows:
         prefixes = chain.from_iterable(map(repeat, probs, repeat(len(row))))
         probs = map(operator.mul, prefixes, cycle(row))
     # a left fold, as builtin sum compensates float rounding from 3.12 on
-    return reduce(operator.add, compress(probs, _level_table(ls)), zero)
+    total = reduce(operator.add, compress(probs, _level_table(ls)), zero)
+    return total if scale is None else total * scale

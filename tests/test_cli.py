@@ -391,13 +391,14 @@ def test_auto_past_the_distribution_bound_refuses_as_before(write_doc, capsys):
                    "--method pivotal runs without the guard but visits as many states\n")
 
 
-def network_past_the_cut_guard() -> dict:
+def network_past_the_cut_guard(directed=False) -> dict:
     """The bridge with S-A split into 20 parallel edges, all of capacity 1:
     26 edges, one past the cut guard, which --guard does not reach, and
-    not series-parallel, so no closed form takes it."""
+    not series-parallel, so no closed form takes it.  Directed, the sign
+    rule applies but needs the cut sets, so its guard refuses it too."""
     ends = [("S", "A")] * 20 + [("S", "B"), ("A", "B"), ("A", "C"), ("B", "C"),
                                 ("C", "T"), ("B", "T")]
-    edges = [{"id": i, "from": u, "to": v, "directed": False, "max_capacity": 1}
+    edges = [{"id": i, "from": u, "to": v, "directed": directed, "max_capacity": 1}
              for i, (u, v) in enumerate(ends, 1)]
     return {"format_version": 1,
             "structure": {"kind": "network", "nodes": ["S", "A", "B", "C", "T"],
@@ -445,6 +446,41 @@ def test_verify_with_every_method_refused_exits_3(write_doc, capsys):
     assert payload["agree"] is False
     assert "value" not in payload
     assert all("skipped" in rec for rec in payload["results"])
+
+
+def test_verify_reports_the_sign_rule_past_the_cut_guard_as_a_refusal(write_doc, capsys):
+    """On the directed twin the sign rule applies, but its cut guard
+    refuses: one more skipped line after the undirected twin's four."""
+    undirected = write_doc(network_past_the_cut_guard(), "undirected.json")
+    directed = write_doc(network_past_the_cut_guard(directed=True), "directed.json")
+    verify = ["--level", "1", "--no-timing"]
+    code, twin, err = run(capsys, ["verify", undirected, *verify])
+    assert (code, err) == (3, "")
+    code, out, err = run(capsys, ["verify", directed, *verify])
+    assert (code, err) == (3, "")
+    lines = twin.splitlines()
+    assert out.splitlines() == lines[:-1] + [
+        "closed_form  skipped (26 edges exceed the cut enumeration guard (25))", lines[-1]]
+    assert lines[-1] == "agreement: none (every method was refused)"
+    code, out, err = run(capsys, ["verify", directed, *verify, "--json"])
+    assert (code, err) == (3, "")
+    payload = json.loads(out)
+    assert payload["agree"] is False and "value" not in payload
+    assert payload["results"][-1] == {
+        "method": "closed_form", "skipped": "26 edges exceed the cut enumeration guard (25)"}
+    assert [rec["method"] for rec in payload["results"]] == [
+        "formations", "mobius", "pivotal", "binary", "closed_form"]
+
+
+def test_auto_past_the_sign_rule_cut_guard_refuses_as_on_the_undirected_twin(write_doc, capsys):
+    """auto goes on from the refused sign rule to binary, and names the
+    same two guards on both networks."""
+    for directed in (False, True):
+        f = write_doc(network_past_the_cut_guard(directed))
+        code, out, err = run(capsys, ["domination", f, "--level", "1", "--no-timing"])
+        assert (code, out) == (3, "")
+        assert err == ("error: 26 binary components exceed the subset guard (25); "
+                       "26 edges exceed the cut enumeration guard (25)\n")
 
 
 def test_series_parallel_network_past_the_cut_guard_by_closed_form(write_doc, capsys):

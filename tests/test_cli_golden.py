@@ -79,6 +79,17 @@ _SYSTEMS = {
                         [2, 3]),
 }
 
+# exact pmf rows with pairwise different denominators (prime, near 10^4,
+# and a row of plain ints), so the common-denominator scaling of exact
+# reliability is pinned past rows of 4 and 6: (system, rows) by name
+_MIXED_DENOMINATORS = {
+    "sum": ("weighted_sum", [["1/11", "10/11"], ["1/7", "2/7", "4/7"], [0, 1],
+                             ["1/9973", "4986/9973", "4986/9973"]]),
+    "bridge": ("bridge", [["1/7", "2/7", "4/7"], ["1/13", "5/13", "7/13"], ["1/11", "10/11"],
+                          ["17/9973", "956/9973", "9000/9973"], [0, 1],
+                          ["1/3", "1/3", "1/3"], ["1/2", "0", "1/2"]]),
+}
+
 # malformed path_vectors documents: parse errors, exit 2
 _MALFORMED = {
     "comparable_pair": {"1": [[1, 0, 0, 0], [0, 1, 0, 1], [1, 1, 0, 0]]},
@@ -98,6 +109,8 @@ def documents():
             base["max_states"] = ms
         docs[name] = dict(base, distribution=_exact(ms))
         docs[name + ".float"] = dict(base, distribution=_float(ms))
+    for name, (system, rows) in _MIXED_DENOMINATORS.items():
+        docs["mixed_denominators." + name] = dict(docs[system], distribution=rows)
     for name, levels in _MALFORMED.items():
         docs["malformed." + name] = {
             "format_version": 1, "max_states": [1, 2, 1, 2],
@@ -129,6 +142,14 @@ def cases():
             ]
             for doc, argvs in ((name, runs + reliability), (name + ".float", reliability)):
                 out += [(f"{doc} {' '.join(argv)}", doc, argv) for argv in argvs]
+    for name, (system, _) in _MIXED_DENOMINATORS.items():
+        doc = "mixed_denominators." + name
+        for k in map(str, _SYSTEMS[system][2]):
+            out += [(f"{doc} {' '.join(argv)}", doc, argv) for argv in (
+                ["reliability", "--level", k],
+                ["reliability", "--level", k, "--verify"],
+                ["reliability", "--level", k, "--json", "--verify"],
+            )]
     for name in _MALFORMED:
         doc = "malformed." + name
         out.append((f"{doc} paths --level 1", doc, ["paths", "--level", "1"]))

@@ -1,6 +1,7 @@
 """System constructors, level cuts, path vectors, relevance, reliability."""
 
 import importlib
+import math
 import operator
 import random
 import tracemalloc
@@ -493,12 +494,17 @@ def test_reliability_expansion_matches_enumeration():
 
 
 def test_reliability_deterministic_components():
+    """Exact input gives a Fraction, at 0 and 1 and from an empty table too."""
     ls = sum_system([1, 1]).level(2)
     table = domination_by_formations(minimal_path_vectors(ls))
-    at_top = ComponentDistribution([[0, 1], [0, 1]])
-    at_bottom = ComponentDistribution([[1, 0], [1, 0]])
-    assert reliability_from_domination(table, at_top, (1, 1)) == 1
-    assert reliability_from_domination(table, at_bottom, (1, 1)) == 0
+    for rows, value in (([[0, 1], [0, 1]], 1), ([[1, 0], [1, 0]], 0),
+                        ([[Fraction(1, 3), Fraction(2, 3)], [1, 0]], 0)):
+        dist = ComponentDistribution(rows)
+        for got in (reliability_from_domination(table, dist, (1, 1)),
+                    reliability_enumerate(ls, dist)):
+            assert type(got) is Fraction and got == value, rows
+        empty = reliability_from_domination({}, dist, (1, 1))
+        assert type(empty) is Fraction and empty == 0
 
 
 def test_reliability_space_mismatch():
@@ -606,22 +612,135 @@ def enumerate_by_loop(ls, dist):
     return total
 
 
-def test_reliability_enumerate_is_bit_identical_to_the_per_state_loop():
+def from_domination_by_loop(table, dist):
+    """Reference: the domination expansion term by term, one Fraction (or
+    float) product per non-zero entry, added up in table order."""
+    total = Fraction(0) if dist.exact else 0.0
+    for x, d in table.items():
+        if d == 0:
+            continue
+        term = Fraction(d) if dist.exact else float(d)
+        for i, s in enumerate(x):
+            term *= dist.survival[i][s]
+        total += term
+    return total
+
+
+# 1 and primes up to 61, then one near 10^4: pairwise different row denominators
+DENOMINATORS = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 9973]
+
+
+def mixed_denominator_pmfs(rng, max_states):
+    """Exact pmf rows whose denominators differ pairwise: a row of plain
+    ints (a point mass) for denominator 1, else q split into m + 1 parts,
+    at least two of them non-zero, so that the row's lcm is q."""
+    rows = []
+    for m, q in zip(max_states, rng.sample(DENOMINATORS, len(max_states))):
+        if q == 1:
+            row = [0] * (m + 1)
+            row[rng.randint(0, m)] = 1
+        else:
+            while True:
+                cuts = sorted(rng.randint(0, q) for _ in range(m))
+                parts = [b - a for a, b in zip([0] + cuts, cuts + [q])]
+                if sum(1 for a in parts if a) >= 2:
+                    break
+            row = [Fraction(a, q) for a in parts]
+        rows.append(row)
+    return rows
+
+
+def domination_tables(system):
+    """(level system, domination table) at every level."""
+    for k in range(1, system.space.system_max + 1):
+        ls = system.level(k)
+        yield ls, domination_by_closure_mobius(join_closure(minimal_path_vectors(ls)))
+
+
+def test_exact_reliability_on_integers_equals_the_fraction_loops():
+    """Over a common denominator per row, both routes give the values of
+    the per-state and per-term Fraction loops, as a Fraction, on every
+    kind and level."""
+    rng = random.Random(17)
+    denominators = set()
+    for system in lane_kinds():
+        ms = system.space.max_states
+        if not ms:
+            continue
+        rows = mixed_denominator_pmfs(rng, ms)
+        denominators.update(math.lcm(*(Fraction(p).denominator for p in row)) for row in rows)
+        dist = ComponentDistribution(rows)
+        assert dist.exact
+        for ls, table in domination_tables(system):
+            got = reliability_from_domination(table, dist, ms)
+            assert type(got) is Fraction and got == from_domination_by_loop(table, dist), (system, ls)
+            got = reliability_enumerate(ls, dist)
+            assert type(got) is Fraction and got == enumerate_by_loop(ls, dist), (system, ls)
+    assert denominators == set(DENOMINATORS)
+
+
+def test_float_reliability_is_bit_identical_to_the_loops():
+    """Both routes make the loops' float operations in the loops' order,
+    on every kind and level and with plain ints in float rows."""
     rng = random.Random(12)
     for system in lane_kinds():
-        if not system.space.n:
+        ms = system.space.max_states
+        if not ms:
             continue
-        floats = [[rng.random() for _ in range(m + 1)] for m in system.space.max_states]
-        floats = [[p / sum(row) for p in row] for row in floats]
-        _, exacts = random_pmfs(rng, system.space.max_states)
-        dists = [ComponentDistribution(floats)]
-        if system.space.size() <= 300:  # Fraction arithmetic is slow; every kind still has one
-            dists.append(ComponentDistribution(exacts))
-        for dist in dists:
-            for k in range(1, system.space.system_max + 1):
-                ls = system.level(k)
-                got, want = reliability_enumerate(ls, dist), enumerate_by_loop(ls, dist)
-                assert type(got) is type(want) and got == want, (system, k)
+        floats = [[rng.random() for _ in range(m + 1)] for m in ms]
+        dist = ComponentDistribution([[p / sum(row) for p in row] for row in floats])
+        for ls, table in domination_tables(system):
+            for got, want in ((reliability_enumerate(ls, dist), enumerate_by_loop(ls, dist)),
+                              (reliability_from_domination(table, dist, ms),
+                               from_domination_by_loop(table, dist))):
+                assert type(got) is float and got == want, (system, ls)
+    ls = sum_system([1, 1]).level(2)
+    table = domination_by_formations(minimal_path_vectors(ls))
+    for rows in ([[0, 1.0], [0.25, 0.75]], [[1.0, 0], [0.5, 0.5]], [[0, 1.0], [0, 1.0]]):
+        dist = ComponentDistribution(rows)
+        for got, want in ((reliability_from_domination(table, dist, (1, 1)),
+                           from_domination_by_loop(table, dist)),
+                          (reliability_enumerate(ls, dist), enumerate_by_loop(ls, dist))):
+            assert type(got) is float and got == want, rows
+
+
+def test_integer_weights_are_built_on_first_use():
+    dist = ComponentDistribution([[Fraction(1, 7), Fraction(6, 7)], [0, 1]])
+    assert "_weights" not in vars(dist)
+    reliability_from_domination({(1, 1): 1}, dist, (1, 1))
+    rows, survival, scale = vars(dist)["_weights"]
+    assert (rows, survival, scale) == (((1, 6), (0, 1)), ((7, 6), (1, 1)), Fraction(1, 7))
+    floats = ComponentDistribution([[0.25, 0.75]])
+    assert floats._weights == (floats.pmfs, floats.survival, None)
+
+
+_FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                        "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                        "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__abs__")
+
+
+def test_exact_reliability_makes_one_fraction_per_call(monkeypatch):
+    """On the 972-state exact bridge both routes add and multiply ints:
+    two Fraction operations in all, where a Fraction per state makes
+    thousands."""
+    system = network_system(bridge_network())
+    assert system.space.size() == 972
+    _, exacts = random_pmfs(random.Random(3), system.space.max_states)
+    dist = ComponentDistribution(exacts)
+    ls = system.level(3)
+    table = domination_by_closure_mobius(join_closure(minimal_path_vectors(ls)))
+    want = (from_domination_by_loop(table, dist), enumerate_by_loop(ls, dist))
+    calls = []
+    for name in _FRACTION_ARITHMETIC:
+        def counted(*args, _op=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    got = (reliability_from_domination(table, dist, system.space.max_states),
+           reliability_enumerate(ls, dist))
+    assert len(calls) <= 2, len(calls)
+    monkeypatch.undo()
+    assert got == want and all(type(v) is Fraction for v in got)
 
 
 # fixed bound on the lanes alive while one network level is tabulated,
