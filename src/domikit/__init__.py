@@ -57,7 +57,6 @@ from .domination import (
     delta_at,
     domination_via_binary,
     pivotal_domination,
-    signed_domination,
 )
 from .matroid import (
     CircuitValidation,
@@ -88,7 +87,6 @@ from .network import (
     network_system,
     reduces_to_connectivity,
     relevant_edges,
-    simple_path_sets,
 )
 from .documents import (
     SystemDocument,

@@ -87,8 +87,9 @@ def delta_at(ls: LevelSystem, y: Vector) -> int:
     phi_k(x(B)) * (-1)^(|A(y)| - |B|), where x(B) keeps y on B, lowers y
     by one on A(y) \\ B and zeroes the rest.  The all-zero vector is
     outside the domain (its value is fixed by the support convention,
-    not computed).  Supports of more than 25 components are refused
-    before anything is evaluated.
+    not computed).  At the top vector it is the signed domination of the
+    whole level function.  Supports of more than 25 components are
+    refused before anything is evaluated.
     """
     ms = ls.max_states
     y = tuple(y)
@@ -107,28 +108,15 @@ def delta_at(ls: LevelSystem, y: Vector) -> int:
     return _alternating_sum(ls, y)
 
 
-def signed_domination(ls: LevelSystem) -> int:
-    """Signed domination of the whole level function, delta at the top vector.
-
-    Specialises delta_at to y = (m_1, ..., m_n), where the support is all
-    of the component set.  Systems with no components evaluate to their
-    constant structure value.
-    """
-    ms = ls.max_states
-    if not ms:
-        return ls(())
-    return delta_at(ls, ms)
-
-
-def pivotal_domination(ls: LevelSystem, pivot: int | None = None) -> int:
+def pivotal_domination(ls: LevelSystem) -> int:
     """Signed domination by pivotal decomposition on the box of top corners.
 
     Only the corners where every component sits at m_i - 1 or m_i enter
     the signed domination, and each split of that box is
     d = d(pivot frozen at its top state) - d(pivot frozen one below top).
     Expanded down to single corners, the splits give each corner its
-    sign (-1)^(number of components one below top), whatever the pivot
-    and the split order, so the expanded sum is taken directly.
+    sign (-1)^(number of components one below top), whatever the split
+    order, so the expanded sum is taken directly.
 
     The box is tabulated by the system's own lane arithmetic, with no
     evaluate call, in chunks of at most 2^9 corners: the leading
@@ -137,11 +125,9 @@ def pivotal_domination(ls: LevelSystem, pivot: int | None = None) -> int:
     components - popcount(j)), so a chunk sums to two popcounts of its
     level indicator, one of all its lanes and one of the lanes of odd j.
     Memory stays flat in the number of components and, unlike
-    signed_domination, this runs past the subset guard.
+    delta_at, this runs past the subset guard.
     """
     ms = ls.max_states
-    if pivot is not None and not 0 <= pivot < len(ms):
-        raise DomainError(f"pivot {pivot} outside 0..{len(ms) - 1}")
     n = len(ms)
     fixed = max(0, n - _CHUNK_AXES)
     # the chunk's bounds, changed in place; the fixed components start below top

@@ -3,10 +3,12 @@
 Each edge is a component whose state is its current capacity, and the
 structure value of a state vector is the max flow it admits from source
 to sink.  Undirected edges carry flow either way within one shared
-capacity.  A network system evaluates that value in min-cut form, from
-minimal cut sets it enumerates once; max_flow, by augmenting paths, gives
-its top level and is the independent reference for the cut form.  The
-level-k cuts of such a system reduce, through the associated binary
+capacity.  The minimal cut sets are the one graph fact enumerated, once
+per network, on first use: a network system evaluates its value in
+min-cut form from them, the connectivity test reads their thresholds,
+and the relevant edges are their union.  max_flow, by augmenting paths,
+gives the top level and is the independent reference for the cut form.
+The level-k cuts of such a system reduce, through the associated binary
 structure, to plain two-terminal connectivity exactly when every minimal
 cut set is tight at full capacity, which is what makes the directed
 closed forms below applicable.
@@ -23,7 +25,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 
 from .errors import ComplexityGuardError, DomainError, GraphError
@@ -81,6 +83,12 @@ class FlowNetwork:
     @property
     def edge_ids(self) -> tuple[int, ...]:
         return tuple(e.id for e in self.edges)
+
+    @cached_property
+    def _cuts(self) -> tuple[tuple[int, ...], ...]:
+        """The minimal cut sets as 0-based edge indices, enumerated on
+        first read; past the cut guard every read raises again."""
+        return tuple(tuple(i - 1 for i in c) for c in minimal_cut_sets(self))
 
 
 def network(
@@ -208,12 +216,13 @@ def network_system(net: FlowNetwork) -> MultistateSystem:
     state by state, and tabulated over a box of the space in the same
     form: each cut's summed capacity in lanes (one per state of the box,
     see lanes.Lanes), then their lane-wise minimum.  The cut sets are
-    enumerated once per system, on the first evaluation or tabulation,
-    so building the system does no cut enumeration and evaluating a
-    network past the cut guard raises ComplexityGuardError.  No state's
-    value is memoised.  The top system level is the max flow at full
-    capacity; a network whose terminals cannot be connected at all
-    yields the degenerate constant-0 system, flagged with a warning.
+    enumerated once per network (FlowNetwork._cuts), on the first
+    evaluation or tabulation, so building the system does no cut
+    enumeration and evaluating a network past the cut guard raises
+    ComplexityGuardError.  No state's value is memoised.  The top system
+    level is the max flow at full capacity; a network whose terminals
+    cannot be connected at all yields the degenerate constant-0 system,
+    flagged with a warning.
     """
     ms = net.max_states
     system_max = max_flow(net, ms)
@@ -222,18 +231,11 @@ def network_system(net: FlowNetwork) -> MultistateSystem:
             "terminals are disconnected at full capacity; the system is constant 0",
             stacklevel=2,
         )
-    cuts: list[tuple[int, ...]] = []
-
-    def cut_sets() -> list[tuple[int, ...]]:
-        if not cuts:
-            cuts.extend(tuple(i - 1 for i in c) for c in minimal_cut_sets(net))
-        return cuts
-
     def phi(x: Vector) -> int:
         # every cut is a subset of the edges, so sum(x) bounds the minimum;
         # disconnected terminals have the one cut set (), which gives 0
         best = sum(x)
-        for c in cut_sets():
+        for c in net._cuts:
             flow = 0
             for i in c:
                 flow += x[i]
@@ -243,7 +245,7 @@ def network_system(net: FlowNetwork) -> MultistateSystem:
 
     def lanes(lo, hi, k) -> tuple[Lanes, int]:
         lanes = Lanes(lo, hi, sum(ms))  # bounds every cut's summed capacity
-        flows = (lanes.weighted([int(i in c) for i in range(len(ms))]) for c in cut_sets())
+        flows = (lanes.weighted([int(i in c) for i in range(len(ms))]) for c in net._cuts)
         return lanes, reduce(lanes.minimum, flows)
 
     space = StateSpace(max_states=ms, system_max=system_max)
@@ -267,9 +269,8 @@ def connectivity_thresholds(net: FlowNetwork, k: int) -> dict[tuple[int, ...], i
     The level-k associated binary structure is plain two-terminal
     connectivity iff t(K) = 1 for every minimal cut set.
     """
-    cuts = minimal_cut_sets(net)
     ms = net.max_states
-    return {cut: k - sum(ms[i - 1] - 1 for i in cut) for cut in cuts}
+    return {tuple(i + 1 for i in cut): k - sum(ms[i] - 1 for i in cut) for cut in net._cuts}
 
 
 def reduces_to_connectivity(net: FlowNetwork, k: int) -> bool:
@@ -277,47 +278,11 @@ def reduces_to_connectivity(net: FlowNetwork, k: int) -> bool:
     return all(t == 1 for t in connectivity_thresholds(net, k).values())
 
 
-def simple_path_sets(net: FlowNetwork) -> tuple[frozenset[int], ...]:
-    """Edge sets of simple source-to-sink paths (the minimal path sets
-    of the two-terminal connectivity structure)."""
-    if len(net.edges) > 25:
-        raise ComplexityGuardError(f"{len(net.edges)} edges exceed the path guard (25)")
-    idx = {v: i for i, v in enumerate(net.nodes)}
-    out_arcs: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
-    for e in net.edges:
-        u, v = idx[e.tail], idx[e.head]
-        out_arcs[u].append((v, e.id))
-        if not e.directed:
-            out_arcs[v].append((u, e.id))
-    s, t = idx[net.source], idx[net.sink]
-    found: set[frozenset[int]] = set()
-    path_nodes = [s]
-    path_edges: list[int] = []
-
-    def walk(u: int):
-        if u == t:
-            found.add(frozenset(path_edges))
-            return
-        for v, eid in out_arcs[u]:
-            if v in path_nodes:
-                continue
-            path_nodes.append(v)
-            path_edges.append(eid)
-            walk(v)
-            path_nodes.pop()
-            path_edges.pop()
-
-    walk(s)
-    return tuple(sorted(found, key=sorted))
-
-
 def relevant_edges(net: FlowNetwork) -> frozenset[int]:
-    """Edges lying on at least one simple source-to-sink path."""
-    paths = simple_path_sets(net)
-    rel: set[int] = set()
-    for p in paths:
-        rel |= p
-    return frozenset(rel)
+    """Edges lying on at least one simple source-to-sink path: those of
+    some minimal cut set, as minimal paths and minimal cuts are blockers
+    of each other (Edmonds and Fulkerson 1970)."""
+    return frozenset(i + 1 for cut in net._cuts for i in cut)
 
 
 def find_directed_cycle(net: FlowNetwork) -> tuple[int, ...] | None:

@@ -131,6 +131,12 @@ class LevelSystem:
     def __call__(self, x: Vector) -> int:
         return 1 if self.system.evaluate(x) >= self.level else 0
 
+    @cached_property
+    def _table(self) -> bytes:
+        """The level table (see _level_table), tabulated on first read, so
+        the path vector scan and enumeration share one tabulation."""
+        return _level_table(self)
+
 
 def _integer(v, what: str) -> int:
     """v as an int, refusing floats and other non-integral values."""
@@ -332,7 +338,7 @@ def minimal_path_vectors(ls: LevelSystem) -> tuple[Vector, ...]:
             f"path vector scan over {size} states exceeds guard ({10**7})"
         )
     # one byte per vector, read backwards as the binary digits of I
-    holds = int(_level_table(ls)[::-1].translate(_DIGITS), 2)
+    holds = int(ls._table[::-1].translate(_DIGITS), 2)
     lowered = 0
     stride = 1
     digits = []  # (stride, radix) of each coordinate, last coordinate first
@@ -427,11 +433,18 @@ class ComponentDistribution:
                 raise DistributionError(f"component {i}: pmf sums to {total!r}")
         self.pmfs = rows
         self.exact = exact
-        # survival[i][r] = P(component i >= r), survival[i][0] = 1; left folds
-        # like the pmf total, as builtin sum compensates float rounding from 3.12 on
-        self.survival = tuple(
+
+    @cached_property
+    def survival(self) -> tuple[tuple, ...]:
+        """survival[i][r] = P(component i >= r), survival[i][0] = 1.
+
+        Left folds like the pmf total, as builtin sum compensates float
+        rounding from 3.12 on.  Built on first read: exact input never
+        reads it (see _weights).
+        """
+        return tuple(
             tuple(reduce(operator.add, row[r:], 0) for r in range(len(row)))
-            for row in rows
+            for row in self.pmfs
         )
 
     @cached_property
@@ -518,5 +531,5 @@ def reliability_enumerate(ls: LevelSystem, dist: ComponentDistribution) -> float
         prefixes = chain.from_iterable(map(repeat, probs, repeat(len(row))))
         probs = map(operator.mul, prefixes, cycle(row))
     # a left fold, as builtin sum compensates float rounding from 3.12 on
-    total = reduce(operator.add, compress(probs, _level_table(ls)), zero)
+    total = reduce(operator.add, compress(probs, ls._table), zero)
     return total if scale is None else total * scale

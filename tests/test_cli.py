@@ -1,5 +1,6 @@
 """End-to-end command line behaviour: outputs, flags and exit codes."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -215,18 +216,25 @@ def test_exit_2_on_a_path_vector_far_outside_the_space(write_doc, capsys, comman
     assert err == f"error: structure.levels: path vector (0, {10**30}) outside space (2, 2)\n"
 
 
+def tallied(monkeypatch, module, names):
+    """Count the calls of each named function of a domikit module."""
+    module = importlib.import_module(module)
+    tally = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            tally[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return tally
+
+
 @pytest.mark.parametrize("command", [
     ["verify", "--no-timing"],
     ["domination", "--method", "mobius", "--table", "--no-timing"],
     ["reliability", "--verify"],
 ])
 def test_one_scan_and_closure_per_invocation(write_doc, capsys, monkeypatch, command):
-    calls = {"minimal_path_vectors": 0, "join_closure": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counted)
+    calls = tallied(monkeypatch, "domikit.cli", ["minimal_path_vectors", "join_closure"])
     ms = [1, 1, 2, 2, 1, 1, 2]
     dist = [["1/2", "1/2"] if m == 1 else ["1/4", "1/4", "1/2"] for m in ms]
     f = write_doc({"format_version": 1, "max_states": ms, "structure": {"kind": "sum"},
@@ -235,6 +243,29 @@ def test_one_scan_and_closure_per_invocation(write_doc, capsys, monkeypatch, com
     assert code == 0
     assert calls["minimal_path_vectors"] == 1
     assert calls["join_closure"] <= 1
+
+
+def test_one_cut_enumeration_per_directed_verify(write_doc, capsys, monkeypatch):
+    """At a level where the directed bridge reduces to connectivity, the
+    cut form of phi, the tightness test and the relevant edges of the
+    sign rule all read the network's one family of minimal cut sets."""
+    tally = tallied(monkeypatch, "domikit.network", ["minimal_cut_sets", "relevant_edges"])
+    f = write_doc(bridge_doc(directed=True))
+    code, out, _ = run(capsys, ["verify", f, "--level", "3", "--no-timing"])
+    assert code == 0 and "closed_form  -1" in out.splitlines()
+    assert tally == {"minimal_cut_sets": 1, "relevant_edges": 1}
+
+
+def test_one_level_table_per_reliability_verify(write_doc, capsys, monkeypatch):
+    """The path vector scan and the enumeration read one tabulation of
+    the level function."""
+    tally = tallied(monkeypatch, "domikit.systems", ["_phi_lanes"])
+    ms = [2, 2, 1, 2, 1, 2, 2]
+    doc = bridge_doc()
+    doc["distribution"] = [["1/5", "1/5", "3/5"] if m == 2 else ["1/3", "2/3"] for m in ms]
+    code, out, _ = run(capsys, ["reliability", write_doc(doc), "--level", "3", "--verify"])
+    assert code == 0 and out.splitlines()[-1] == "|diff| = 0"
+    assert tally == {"_phi_lanes": 1}
 
 
 def test_verify_guard_skips_method(write_doc, capsys):

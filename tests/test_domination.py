@@ -29,7 +29,6 @@ from domikit import (
     network_system,
     path_vector_system,
     pivotal_domination,
-    signed_domination,
     sum_system,
     table_system,
     threshold_domination,
@@ -127,42 +126,46 @@ def test_delta_at_matches_independent_oracle_on_random_systems():
                 assert delta_at(ls, y) == oracle_subset_delta(ls, y)
 
 
-def test_signed_domination_worked_values():
-    assert signed_domination(sum_system([2, 2, 2, 2]).level(4)) == 0
+def top_delta(ls):
+    """The signed domination of the whole level function: delta at the top."""
+    return delta_at(ls, ls.max_states)
+
+
+def test_top_delta_worked_values():
+    assert top_delta(sum_system([2, 2, 2, 2]).level(4)) == 0
     series = path_vector_system((1, 1, 1), {1: [(1, 1, 1)]})
-    assert signed_domination(series.level(1)) == 1
-    assert signed_domination(sum_system([1, 1, 1]).level(2)) == -2
+    assert top_delta(series.level(1)) == 1
+    assert top_delta(sum_system([1, 1, 1]).level(2)) == -2
 
 
-def test_signed_domination_empty_system():
+def test_domination_via_binary_empty_system():
+    """With no components left the level function is a constant, and the
+    binary route returns it."""
     ls = sum_system([2]).level(1)
     reduced = frozen_level(ls, {0: 2})
     assert reduced.max_states == ()
-    assert signed_domination(reduced) == 1
+    assert domination_via_binary(reduced) == 1
 
 
-def test_pivotal_explicit_pivot_level_four():
+def test_pivotal_level_four():
     ls = sum_system([2, 2, 2, 2]).level(4)
-    assert pivotal_domination(ls, 3) == 0
-    # the two branch values behind the difference
-    assert signed_domination(frozen_level(ls, {3: 2})) == 0
-    assert signed_domination(frozen_level(ls, {3: 1})) == 0
+    assert pivotal_domination(ls) == 0
+    # the two branch values behind a split on the last component
+    assert top_delta(frozen_level(ls, {3: 2})) == 0
+    assert top_delta(frozen_level(ls, {3: 1})) == 0
 
 
-def test_pivotal_every_pivot_and_deep_recursion():
+def test_pivotal_level_five():
     ls = sum_system([2, 2, 2, 2]).level(5)
-    want = signed_domination(ls)
-    for e in range(4):
-        assert pivotal_domination(ls, e) == want
-    assert pivotal_domination(ls) == want
+    assert pivotal_domination(ls) == top_delta(ls)
 
 
 def test_pivotal_binary_case_is_state_split():
-    """On binary components the recursion is the plain 0/1 split."""
+    """On binary components a split is the plain 0/1 split."""
     ls = sum_system([1, 1, 1]).level(2)
-    d1 = signed_domination(frozen_level(ls, {0: 1}))
-    d0 = signed_domination(frozen_level(ls, {0: 0}))
-    assert pivotal_domination(ls, 0) == d1 - d0 == -2
+    d1 = top_delta(frozen_level(ls, {0: 1}))
+    d0 = top_delta(frozen_level(ls, {0: 0}))
+    assert pivotal_domination(ls) == d1 - d0 == -2
 
 
 def test_evaluate_called_once_per_structure_evaluation(monkeypatch):
@@ -183,17 +186,16 @@ def test_evaluate_called_once_per_structure_evaluation(monkeypatch):
     calls.clear()
     assert pivotal_domination(ls) == threshold_domination(12, 1, 6)
     assert calls == []
-    # a pivot changes neither the value nor the calls
+    # on mixed state ranges too: binary visits the box of top corners
     ls = sum_system([2, 1, 3, 2, 2]).level(7)
     ms = ls.max_states
-    want = signed_domination(ls)
+    want = top_delta(ls)
     calls.clear()
     assert domination_via_binary(ls) == want
     assert sorted(calls) == sorted(product(*((m - 1, m) for m in ms)))
-    for e in range(5):
-        calls.clear()
-        assert pivotal_domination(ls, e) == want
-        assert calls == []
+    calls.clear()
+    assert pivotal_domination(ls) == want
+    assert calls == []
 
 
 def test_pivotal_holds_no_table_of_the_box():
@@ -213,34 +215,22 @@ def test_pivotal_holds_no_table_of_the_box():
         assert peak < 2**14 // 2, (n, peak)
 
 
-def test_pivotal_bad_pivot():
-    with pytest.raises(DomainError):
-        pivotal_domination(sum_system([1, 1]).level(1), 2)
-
-
 def test_pivotal_matches_subset_formula_on_random_systems():
     for seed in range(15):
         system = make_random_system(seed)
         for k in range(1, system.space.system_max + 1):
             ls = system.level(k)
-            want = signed_domination(ls)
-            for e in range(len(ls.max_states)):
-                assert pivotal_domination(ls, e) == want
-            assert pivotal_domination(ls) == want
+            assert pivotal_domination(ls) == top_delta(ls)
 
 
 def test_pivotal_lanes_agree_with_binary_on_every_kind():
     """Pivotal reads the box of top corners from the system's lanes and
     binary evaluates each corner through evaluate: equal at every level
-    of every kind, bare structure functions and n = 0 included, under
-    every pivot."""
+    of every kind, bare structure functions and n = 0 included."""
     for system in lane_kinds() + bare_systems():
         for k in range(1, system.space.system_max + 1):
             ls = system.level(k)
-            want = domination_via_binary(ls)
-            assert pivotal_domination(ls) == want, (system, k)
-            for e in range(system.space.n):
-                assert pivotal_domination(ls, e) == want
+            assert pivotal_domination(ls) == domination_via_binary(ls), (system, k)
 
 
 def chunk_edge_systems(n):
@@ -361,7 +351,7 @@ def test_domination_via_binary_equals_subset_formula():
         system = make_random_system(seed)
         for k in range(1, system.space.system_max + 1):
             ls = system.level(k)
-            assert domination_via_binary(ls) == signed_domination(ls)
+            assert domination_via_binary(ls) == top_delta(ls)
 
 
 def test_permutation_invariance_of_delta():

@@ -29,7 +29,6 @@ from domikit import (
     network_system,
     reduces_to_connectivity,
     relevant_edges,
-    simple_path_sets,
 )
 
 
@@ -137,6 +136,29 @@ def test_network_system_disconnected_warns():
         sys_.level(1)
 
 
+def simple_path_sets(net):
+    """Edge id sets of the simple source-to-sink paths, by a depth-first
+    walk over every simple path: the reference for relevant_edges, which
+    reads the minimal cut sets instead."""
+    out_arcs = {v: [] for v in net.nodes}
+    for e in net.edges:
+        out_arcs[e.tail].append((e.head, e.id))
+        if not e.directed:
+            out_arcs[e.head].append((e.tail, e.id))
+    found = set()
+
+    def walk(u, nodes, edges):
+        if u == net.sink:
+            found.add(frozenset(edges))
+            return
+        for v, eid in out_arcs[u]:
+            if v not in nodes:
+                walk(v, nodes | {v}, edges + [eid])
+
+    walk(net.source, {net.source}, [])
+    return found
+
+
 def test_associated_binary_network_is_connectivity_at_reducing_level():
     net = bridge_network()
     bs = associated_binary_network(net, 3)
@@ -188,6 +210,15 @@ def test_relevant_edges():
     for directed, cyclic in [(False, False), (True, False), (True, True)]:
         net = bridge_network(directed=directed, cyclic=cyclic)
         assert relevant_edges(net) == frozenset(range(1, 8))
+
+
+def test_relevant_edges_are_the_edges_of_the_simple_paths():
+    """An edge is in some minimal cut set exactly when it lies on some
+    simple source-sink path (paths and cuts are blockers of each other),
+    in digraphs too: loops, edges against the flow, dangling edges and
+    disconnected terminals included."""
+    for net in cut_form_networks():
+        assert relevant_edges(net) == frozenset().union(*simple_path_sets(net)), net
 
 
 def test_find_directed_cycle():

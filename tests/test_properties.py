@@ -20,7 +20,6 @@ from domikit import (
     minimal_path_vectors,
     path_vector_system,
     pivotal_domination,
-    signed_domination,
     sum_system,
     table_system,
     threshold_domination,
@@ -100,7 +99,6 @@ def test_cross_method_on_random_tables(max_states, data):
         reference = signed_formation_dp(paths, top)
         assert domination_by_formations(paths).get(top, 0) == reference
         assert domination_by_closure_mobius(join_closure(paths)).get(top, 0) == reference
-        assert signed_domination(ls) == reference
         assert pivotal_domination(ls) == reference
         assert domination_via_binary(ls) == reference
         assert delta_at(ls, top) == reference

@@ -704,6 +704,15 @@ def test_float_reliability_is_bit_identical_to_the_loops():
             assert type(got) is float and got == want, rows
 
 
+def test_survival_is_built_on_first_read():
+    """Exact input never reads the survival rows, so parsing does not
+    fold them."""
+    dist = ComponentDistribution([[0.25, 0.75], [0.5, 0.25, 0.25]])
+    assert "survival" not in vars(dist)
+    assert dist.survival == ((1.0, 0.75), (1.0, 0.5, 0.25))
+    assert "survival" in vars(dist)
+
+
 def test_integer_weights_are_built_on_first_use():
     dist = ComponentDistribution([[Fraction(1, 7), Fraction(6, 7)], [0, 1]])
     assert "_weights" not in vars(dist)
