@@ -98,7 +98,10 @@ def _get(obj: dict, key: str, path: str) -> Any:
 
 
 def _int_list(value: Any, path: str) -> list[int]:
-    return [_expect_int(v, f"{path}[{i}]") for i, v in enumerate(_expect_list(value, path))]
+    for i, v in enumerate(_expect_list(value, path)):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ParseError(f"{path}[{i}]", f"expected an integer, got {v!r}")
+    return list(value)
 
 
 def _parse_structure(obj: dict, max_states: tuple[int, ...] | None):

@@ -6,8 +6,11 @@ to sink.  Undirected edges carry flow either way within one shared
 capacity.  The minimal cut sets are the one graph fact enumerated, once
 per network, on first use: a network system evaluates its value in
 min-cut form from them, the connectivity test reads their thresholds,
-and the relevant edges are their union.  max_flow, by augmenting paths,
-gives the top level and is the independent reference for the cut form.
+and the relevant edges are their union.  They are listed by source
+sides (Provan and Shier 1996), one bitmask reach check per subset of the
+inner nodes that lie between the terminals, not one search per edge
+subset.  max_flow, by augmenting paths, gives the top level and is the
+independent reference for the cut form.
 The level-k cuts of such a system reduce, through the associated binary
 structure, to plain two-terminal connectivity exactly when every minimal
 cut set is tight at full capacity, which is what makes the directed
@@ -26,7 +29,6 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
 
 from .errors import ComplexityGuardError, DomainError, GraphError
 from .domination import BinaryStructure, associated_binary
@@ -165,46 +167,61 @@ def max_flow(net: FlowNetwork, x: Vector) -> int:
 
 
 def minimal_cut_sets(net: FlowNetwork) -> tuple[tuple[int, ...], ...]:
-    """Minimal edge sets whose removal disconnects sink from source.
+    """Minimal edge sets whose removal disconnects sink from source,
+    listed in lexicographic order of sorted id tuples.
 
-    Enumerated by ascending size, skipping supersets of cuts already
-    found, so the result is exactly the minimal ones; listed in
-    lexicographic order of sorted id tuples.  An edge set is a bitmask,
-    bit i for edge i + 1, and the arcs are built once: a subset is tested
-    by a search that skips the arcs of its edges.
+    Enumerated by source sides (Provan and Shier, "A paradigm for listing
+    (s,t)-cuts in graphs", Algorithmica 1996), with node sets as
+    bitmasks.  Only the inner nodes W that the source reaches without
+    passing the sink, and that reach the sink without passing the source,
+    can change a cut, so each subset S' of W is visited once: S = {s} | S'
+    is kept when it is exactly what s reaches inside S, H is what reaches
+    t inside the rest, and the cut C(S) is the edges with an arc from S
+    into H.  Every C(S) is a minimal cut (s
+    reaches its tail, its head reaches t, and no other edge of C(S) lies
+    on that path), and every minimal cut is C(S) for S the part of W
+    that s reaches once it is removed; two sides may give one cut, so
+    the cuts are collected in a set.  That is 2^|W| reach checks, with
+    |W| <= |E| - 1, under the same edge guard.
     """
     n = len(net.edges)
     if n > 25:
         raise ComplexityGuardError(f"{n} edges exceed the cut enumeration guard (25)")
     idx = {v: i for i, v in enumerate(net.nodes)}
-    arcs: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
+    succ = [0] * len(net.nodes)  # bit v of succ[u] and bit u of pred[v]: an arc u -> v
+    pred = [0] * len(net.nodes)
+    arcs: list[tuple[int, int, int]] = []  # (tail bit, head bit, edge bit)
     for bit, e in enumerate(net.edges):  # edges are sorted by id, 1..n
-        arcs[idx[e.tail]].append((idx[e.head], 1 << bit))
-        if not e.directed:
-            arcs[idx[e.head]].append((idx[e.tail], 1 << bit))
-    s, t = idx[net.source], idx[net.sink]
+        u, v = idx[e.tail], idx[e.head]
+        for a, b in ((u, v),) if e.directed else ((u, v), (v, u)):
+            succ[a] |= 1 << b
+            pred[b] |= 1 << a
+            arcs.append((1 << a, 1 << b, 1 << bit))
 
-    def connects(removed: int) -> bool:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            if u == t:
-                return True
-            for v, bit in arcs[u]:
-                if not removed & bit and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return False
+    def reach(start: int, adj: list[int], inside: int) -> int:
+        seen = frontier = start
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & inside & ~seen
+            seen |= new
+            frontier |= new
+        return seen
 
-    found: list[int] = []
-    for size in range(0, n + 1):
-        for combo in combinations([1 << i for i in range(n)], size):
-            k = sum(combo)
-            if any(c & k == c for c in found):
-                continue
-            if not connects(k):
-                found.append(k)
+    everything = (1 << len(net.nodes)) - 1
+    s, t = 1 << idx[net.source], 1 << idx[net.sink]
+    inner = reach(s, succ, everything & ~t) & reach(t, pred, everything & ~s) & ~(s | t)
+    found = set()
+    side = inner
+    while True:  # every submask of inner, inner itself first
+        S = s | side
+        if reach(s, succ, S) == S:
+            H = reach(t, pred, everything & ~S)
+            # an edge has at most one arc from S into H, so the sum is their union
+            found.add(sum(e for a, b, e in arcs if a & S and b & H))
+        if not side:
+            break
+        side = (side - 1) & inner
     return tuple(sorted(tuple(i + 1 for i in range(n) if k >> i & 1) for k in found))
 
 

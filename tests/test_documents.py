@@ -149,6 +149,7 @@ def test_max_states_errors():
         "format_version": 1, "max_states": [1, "2"],
         "structure": {"kind": "sum"},
     }) == "max_states[1]"
+    assert path_of(two_of_three_doc(max_states=[1, 1, True])) == "max_states[2]"
 
 
 def test_structure_errors():
@@ -195,6 +196,14 @@ def test_path_vector_errors():
     bad_entry = two_of_three_doc()
     bad_entry["structure"]["levels"] = {"1": [[1, 1, 0.5]]}
     assert path_of(bad_entry) == "structure.levels.1[0][2]"
+    deep = two_of_three_doc()
+    deep["max_states"] = [1, 2, 1]
+    deep["structure"]["levels"] = {"1": [[1, 1, 0], [0, 1, 1]], "2": [[0, 2, 1], [1, 2, False]]}
+    with pytest.raises(ParseError) as err:
+        parse_system_dict(deep)
+    assert str(err.value) == "structure.levels.2[1][2]: expected an integer, got False"
+    deep["structure"]["levels"]["2"][1] = {"0": 1}
+    assert path_of(deep) == "structure.levels.2[1]"
 
 
 def test_distribution_errors():
@@ -211,6 +220,14 @@ def test_distribution_errors():
     assert path_of(two_of_three_doc(
         distribution=[["1/0", "1/2"], ["1/2", "1/2"], ["1/2", "1/2"]],
     )) == "distribution[0][0]"
+    with pytest.raises(ParseError) as err:
+        parse_system_dict(two_of_three_doc(
+            distribution=[["1/2", "1/2"], ["1/4", "3/4"], ["1", "1/x"]],
+        ))
+    assert str(err.value).startswith("distribution[2][1]: bad rational '1/x': ")
+    assert path_of(two_of_three_doc(
+        distribution=[[0.5, 0.5], [0.25, 0.75], [1.0, float("nan")]],
+    )) == "distribution[2][1]"
     assert path_of(two_of_three_doc(
         distribution=[[0.5, 0.6], [0.5, 0.5], [0.5, 0.5]],
     )) == "distribution"  # does not sum to 1

@@ -1,6 +1,8 @@
 """Flow networks: max flow, cut sets, the derived multistate system and
 the closed form for directed two-terminal connectivity."""
 
+import random
+import sys
 import warnings
 from itertools import combinations, product
 
@@ -314,3 +316,102 @@ def subset_search_cuts(net):
 def test_cut_enumeration_matches_the_subset_search_reference():
     for net in cut_form_networks():
         assert minimal_cut_sets(net) == subset_search_cuts(net), net
+
+
+def side_pruning_networks():
+    """120 seeded networks of 8-10 nodes and at most 12 edges, built so
+    that every kind of node the cut enumeration leaves out occurs: nodes
+    the source cannot reach, dead ends (a directed arc in, none out) and
+    isolated nodes; with edges into the source or out of the sink,
+    antiparallel arcs and self-loops on a terminal among them."""
+    rng = random.Random(20261019)
+    nets = []
+    for _ in range(120):
+        inner = [f"v{i}" for i in range(rng.randint(6, 8))]
+        core = ["S", "T"] + inner[:rng.randint(2, 4)]
+        unreachable, dead_end = inner[-3], inner[-2]  # inner[-1] stays isolated
+        arcs = [(unreachable, rng.choice(core), True), (rng.choice(core), dead_end, True)]
+        if rng.random() < 0.85:  # a source-sink path through the core, most of the time
+            route = ["S"] + rng.sample(core[2:], len(core) - 2) + ["T"]
+            arcs += [(a, b, rng.random() < 0.5) for a, b in zip(route, route[1:])]
+        u, v = rng.sample(core, 2)
+        extras = [[(rng.choice(core), "S", True)], [("T", rng.choice(core), True)],
+                  [(u, v, True), (v, u, True)], [(rng.choice(("S", "T")),) * 2 + (False,)]]
+        for extra in rng.sample(extras, rng.randint(1, 4)):
+            arcs += extra
+        for _ in range(rng.randint(len(arcs), 12) - len(arcs)):
+            arcs.append((rng.choice(core), rng.choice(core), rng.random() < 0.5))
+        ids = rng.sample(range(1, len(arcs) + 1), len(arcs))
+        nets.append(network(["S", "T"] + inner,
+                            [(i, a, b, d, 1) for i, (a, b, d) in zip(ids, arcs)], "S", "T"))
+    return nets
+
+
+def grid_network(rows, cols, extra_nodes=(), extra_edges=()):
+    """The undirected rows x cols grid of unit edges, corner to corner."""
+    def name(i, j):
+        return f"g{i}_{j}"
+    pairs = [(name(i, j), name(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    pairs += [(name(i, j), name(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    edges = [(k, u, v, False, 1) for k, (u, v) in enumerate(pairs, start=1)]
+    edges += [(len(edges) + k, u, v, True, 1) for k, (u, v) in enumerate(extra_edges, start=1)]
+    nodes = [name(i, j) for i in range(rows) for j in range(cols)] + list(extra_nodes)
+    return network(nodes, edges, name(0, 0), name(rows - 1, cols - 1))
+
+
+def reach_checks(net, limit):
+    """minimal_cut_sets(net) and the number of bitmask reach checks it
+    made (calls of its inner function `reach`), stopped past `limit`."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "reach":
+            calls += 1
+            if calls > limit:
+                raise AssertionError(f"more than {limit} reach checks")
+
+    sys.setprofile(count)
+    try:
+        cuts = minimal_cut_sets(net)
+    finally:
+        sys.setprofile(None)
+    return cuts, calls
+
+
+def test_cut_enumeration_prunes_to_the_nodes_between_the_terminals():
+    for net in side_pruning_networks():
+        assert minimal_cut_sets(net) == subset_search_cuts(net), net
+    grid = grid_network(3, 4)
+    cuts, checks = reach_checks(grid, 2**11)
+    assert len(grid.edges) == 17 and len(cuts) == 81
+    assert cuts == subset_search_cuts(grid)
+    # three dead ends, a node hanging off each terminal (reached from the
+    # source, or reaching the sink, only through the other terminal) and
+    # twenty isolated nodes change neither the cuts nor the work
+    padded = grid_network(3, 4, [f"d{i}" for i in range(3)] + ["p", "q"] + [f"i{i}" for i in range(20)],
+                          [("g1_1", "d0"), ("g0_3", "d1"), ("g2_0", "d2"),
+                           ("g2_3", "p"), ("p", "g2_3"), ("q", "g0_0"), ("g0_0", "q")])
+    assert reach_checks(padded, checks) == (cuts, checks)
+
+
+def test_cut_enumeration_work_bound_on_the_four_by_four_grid():
+    """348 minimal cuts of 24 edges: each disconnects the terminals and
+    any one of its edges put back reconnects them.  The 14 inner nodes
+    give 2^14 sides, each one forward reach check, plus a backward one
+    per kept side.  Twenty isolated nodes and a dead end (the 25th edge,
+    at the guard) change neither the cuts nor the count: an enumeration
+    over every node set would try 2^21 times as many sides."""
+    grid = grid_network(4, 4)
+    cuts, checks = reach_checks(grid, 3 * 2**14)
+    assert len(grid.edges) == 24 and len(cuts) == 348
+    assert 2**14 < checks < 2 * 2**14
+    for cut in cuts:
+        x = [0 if i in cut else 1 for i in grid.edge_ids]
+        assert max_flow(grid, x) == 0, cut
+        for i in cut:
+            x[i - 1] = 1
+            assert max_flow(grid, x) > 0, (cut, i)
+            x[i - 1] = 0
+    padded = grid_network(4, 4, ["dead"] + [f"i{i}" for i in range(20)], [("g1_2", "dead")])
+    assert reach_checks(padded, checks) == (cuts, checks)
