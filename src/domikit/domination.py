@@ -11,13 +11,14 @@ subsets:
   whose signed domination at (1, ..., 1) equals the multistate one.
 
 At the top vector all three come down to the same signed sum over the
-2^n top corners.  The subset formula and the binary route take it one
-evaluate call per corner and are the per-state reference; the signs and
-the sum run in C, 2^9 terms at a time (see _signed_sum).  The pivotal
-route reads the corners from the system's own lane tabulator (see
-systems._phi_lanes) and runs past the subset guard, so pivotal agreeing
-with binary checks that tabulator against the structure function.  All
-arithmetic is exact integer arithmetic.
+2^n top corners, and all three take its signs from one loop, which
+sums in C, 2^9 terms at a time (see _signed_chunks).  The subset formula
+and the binary route take the corners one evaluate call each and are
+the per-state reference.  The pivotal route reads their level tables
+from the system's own lane tabulator (see systems._level_table) and
+runs past the subset guard, so pivotal agreeing with binary checks that
+tabulator against the structure function.  All arithmetic is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, islice, product, repeat
 from operator import ge
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import ComplexityGuardError, DimensionError, DomainError
 from .poset import Vector
-from .systems import LevelSystem, _phi_lanes
+from .systems import LevelSystem, _level_table
 
 # free components per chunk of the box of top corners: 2^9 corners, so a
 # chunk's lanes stay a few hundred bytes whatever the number of components
@@ -56,8 +57,15 @@ def _alternating_sum(ls: LevelSystem, y: Vector) -> int:
 
 
 def _signed_sum(values: Iterable[int], k: int) -> int:
+    """_signed_chunks of a stream of values, cut into chunks of 2^9."""
+    values = iter(values)
+    return _signed_chunks(iter(lambda: list(islice(values, len(_EVEN))), []), k)
+
+
+def _signed_chunks(chunks: Iterable[Sequence[int]], k: int) -> int:
     """Sum of (-1)^(k - popcount(i)) * values[i] over the 2^k values of a
-    function on {0,1}^k in product order: every signed domination and
+    function on {0,1}^k in product order, chunk c holding values[c * 2^9
+    + j] at j (a last chunk may be shorter): every signed domination and
     Crapo's beta come down to this sum.
 
     Reading each of the k support slots of y as down (y_i - 1, bit 0) or
@@ -67,17 +75,21 @@ def _signed_sum(values: Iterable[int], k: int) -> int:
     0 further down (Rota 1964).  This is the one place the package
     evaluates mu.
 
-    The values are summed in chunks of 2^9, each by two C-level sums
-    through the Thue-Morse parity masks: popcount(c * 2^9 + j) =
-    popcount(c) + popcount(j), so chunk c is its even-j sum minus its
-    odd-j sum, signed by (-1)^(k - popcount(c)).
+    Each chunk is summed by two C-level sums through the Thue-Morse
+    parity masks: popcount(c * 2^9 + j) = popcount(c) + popcount(j), so
+    chunk c is its even-j sum minus its odd-j sum, signed by
+    (-1)^(k - popcount(c)).
     """
-    values = iter(values)
     total = 0
-    for c, chunk in enumerate(iter(lambda: list(islice(values, len(_EVEN))), [])):
-        value = sum(compress(chunk, _EVEN)) - sum(compress(chunk, _ODD))
+    for c, value in enumerate(map(_even_minus_odd, chunks)):
         total += -value if (k - c.bit_count()) % 2 else value
     return total
+
+
+def _even_minus_odd(chunk: Sequence[int]) -> int:
+    """A chunk's terms at even j summed, minus those at odd j.  Mapped over
+    the chunks, so each chunk is freed before the next one is made."""
+    return sum(compress(chunk, _EVEN)) - sum(compress(chunk, _ODD))
 
 
 def delta_at(ls: LevelSystem, y: Vector) -> int:
@@ -119,42 +131,17 @@ def pivotal_domination(ls: LevelSystem) -> int:
     order, so the expanded sum is taken directly.
 
     The box is tabulated by the system's own lane arithmetic, with no
-    evaluate call, in chunks of at most 2^9 corners: the leading
-    components are fixed at m_i - 1 or m_i and the last ones are free.
-    Corner j of a chunk has sign (-1)^(fixed components below top + free
-    components - popcount(j)), so a chunk sums to two popcounts of its
-    level indicator, one of all its lanes and one of the lanes of odd j.
-    Memory stays flat in the number of components and, unlike
-    delta_at, this runs past the subset guard.
+    evaluate call, in chunks of at most 2^9 corners in product order:
+    the leading components are fixed at m_i - 1 or m_i and the last ones
+    are free.  Each chunk's level table goes as it is to the signed sum
+    (see _signed_chunks), so memory stays flat in the number of
+    components and, unlike delta_at, this runs past the subset guard.
     """
     ms = ls.max_states
-    n = len(ms)
-    fixed = max(0, n - _CHUNK_AXES)
-    # the chunk's bounds, changed in place; the fixed components start below top
-    lo = [m - 1 for m in ms]
-    hi = lo[:fixed] + list(ms[fixed:])
-    odd: dict[int, int] = {}  # top bits of the lanes of odd j, by lane width
-    total = 0
-    for c in range(1 << fixed):
-        if c:  # Gray code: chunk c moves one fixed component of chunk c - 1
-            i = (c & -c).bit_length() - 1
-            lo[i] = hi[i] = 2 * ms[i] - 1 - lo[i]
-        value = _chunk_sum(ls, lo, hi, odd)
-        # the fixed components below top number fixed at c = 0 and one more or
-        # one fewer at each step, so their parity is that of fixed + c
-        total += -value if (n + c) % 2 else value
-    return total
-
-
-def _chunk_sum(ls: LevelSystem, lo: list[int], hi: list[int], odd: dict[int, int]) -> int:
-    """Sum of (-1)^popcount(j) * phi_k over the corners j of a box of
-    extents 0 or 1, read from the system's lanes; its own function, so a
-    chunk's lanes are freed before the next chunk is tabulated."""
-    lanes, phi = _phi_lanes(ls.system, lo, hi, ls.level)
-    holds = lanes.at_least(phi, ls.level * lanes.ones)
-    if lanes.width not in odd:
-        odd[lanes.width] = lanes.odd()
-    return holds.bit_count() - 2 * (holds & odd[lanes.width]).bit_count()
+    fixed = max(0, len(ms) - _CHUNK_AXES)
+    lo, hi = [m - 1 for m in ms[fixed:]], ms[fixed:]
+    tops = product(*([m - 1, m] for m in ms[:fixed]))  # the fixed components
+    return _signed_chunks((_level_table(ls, [*top, *lo], [*top, *hi]) for top in tops), len(ms))
 
 
 @dataclass(frozen=True)

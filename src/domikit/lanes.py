@@ -3,9 +3,8 @@
 They are the tabulated form of a structure function.  Over the whole
 space they feed the level tables, the monotonicity check and
 reliability by enumeration; over the box of top corners (each x_i at
-m_i - 1 or m_i) they feed pivotal decomposition, whose signed sum is
-two popcounts against the lanes of odd parity (see systems._phi_lanes
-and domination.pivotal_domination).
+m_i - 1 or m_i) they feed pivotal decomposition, 2^9 corners at a time
+(see systems._phi_lanes and domination.pivotal_domination).
 """
 
 from __future__ import annotations
@@ -150,20 +149,6 @@ class Lanes:
                 below = self.up(closed, i, positive)
                 closed += below - self.minimum(closed, below)  # the lane-wise max
         return closed
-
-    def odd(self) -> int:
-        """Top bits of the lanes j whose popcount(j) is odd.  On a box whose
-        extents are 0 or 1, popcount(j) counts the axes at hi_i.
-
-        Built by doubling, as the Thue-Morse sequence: the next `length`
-        lanes are the first `length` with every top bit flipped.
-        """
-        odd, tops, length = 0, 1 << (self.bits - 1), 1
-        while length < self.size:
-            odd |= (odd ^ tops) << (length * self.bits)
-            tops |= tops << (length * self.bits)
-            length *= 2
-        return odd & self.top
 
     def table(self, lanes: int, k: int) -> bytes:
         """[lane >= k], one byte 0 or 1 per state in lexicographic order."""

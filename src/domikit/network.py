@@ -315,32 +315,29 @@ def find_directed_cycle(net: FlowNetwork) -> tuple[int, ...] | None:
         if not e.directed:
             raise DomainError(f"edge {e.id} is undirected; cycle search needs a digraph")
         arcs[idx[e.tail]].append((idx[e.head], e.id))
-    color = [0] * len(net.nodes)  # 0 fresh, 1 on stack, 2 done
-    stack_nodes: list[int] = []
-    stack_edges: list[int] = []
-
-    def visit(u: int) -> tuple[int, ...] | None:
-        color[u] = 1
-        stack_nodes.append(u)
-        for v, eid in arcs[u]:
-            if color[v] == 1:
-                at = stack_nodes.index(v)
-                return tuple(stack_edges[at:] + [eid])
-            if color[v] == 0:
-                stack_edges.append(eid)
-                cyc = visit(v)
-                if cyc is not None:
-                    return cyc
-                stack_edges.pop()
-        color[u] = 2
-        stack_nodes.pop()
-        return None
-
-    for u in range(len(net.nodes)):
-        if color[u] == 0:
-            cyc = visit(u)
-            if cyc is not None:
-                return cyc
+    color = [0] * len(net.nodes)  # 0 fresh, 1 on the path, 2 done
+    for root in range(len(net.nodes)):
+        if color[root]:
+            continue
+        # an explicit stack, so a long path does not recurse: path[i] is left
+        # by path_edges[i], and arcs_left[i] is path[i]'s arcs not yet tried
+        color[root] = 1
+        path, path_edges, arcs_left = [root], [], [iter(arcs[root])]
+        while path:
+            for v, eid in arcs_left[-1]:
+                if color[v] == 1:
+                    return tuple(path_edges[path.index(v):] + [eid])
+                if color[v] == 0:
+                    color[v] = 1
+                    path.append(v)
+                    path_edges.append(eid)
+                    arcs_left.append(iter(arcs[v]))
+                    break
+            else:
+                color[path.pop()] = 2
+                arcs_left.pop()
+                if path_edges:  # the edge into the node left
+                    path_edges.pop()
     return None
 
 

@@ -62,7 +62,8 @@ class _Packing:
     sum(w_i) atoms with joins and order kept (Birkhoff's representation).
     Coordinate 0 owns the most significant field, so codes sort as their
     vectors sort lexicographically.  A negative state raises and one above
-    its width spills into the next field: callers check both first.
+    its width spills into the next field: callers check both first.  A
+    code wider than 10^7 bits is refused before any field is built.
     """
 
     def __init__(self, widths: Sequence[int]):
@@ -70,6 +71,8 @@ class _Packing:
         for w in reversed(widths):
             shifts.append(total)
             total += w
+        if total > 10**7:
+            raise ComplexityGuardError(f"thermometer code of {total} bits exceeds guard ({10**7})")
         self.shifts = shifts[::-1]
         self.fields = [((1 << w) - 1) << s for w, s in zip(widths, self.shifts)]
         self.base = sum(1 << s for s in self.shifts)

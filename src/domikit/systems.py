@@ -241,9 +241,11 @@ def path_vector_system(
             if len(v) != len(ms):
                 raise ValidationError(f"path vector {v} outside space {ms}")
         families[k] = fam
-    # thermometer codes of width m_i: every path vector was checked to lie in
-    # the space above, and evaluate range-checks x before phi encodes it
-    packing = _Packing(ms)
+    # thermometer codes as wide as the largest state of each component in the
+    # families: phi clips x to them, as a state above every family state
+    # compares the same, and evaluate range-checks x before phi encodes it
+    widths = [max(column) for column in zip(*chain(*families.values()))]
+    packing = _Packing(widths)
     codes = {k: packing.codes(fam) for k, fam in families.items()}
     for k in range(2, system_max + 1):
         for v, c in zip(families[k], codes[k]):
@@ -255,7 +257,7 @@ def path_vector_system(
     def phi(x: Vector) -> int:
         """Bisect the levels: every level-k vector dominates a level-(k-1)
         one, so "x lies above some F_k vector" is monotone in k."""
-        c = packing.code(x)
+        c = packing.code(map(min, x, widths))
         lo, hi = 0, system_max
         while lo < hi:
             k = (lo + hi + 1) // 2
@@ -288,11 +290,11 @@ def _phi_lanes(system: MultistateSystem, lo: Sequence[int], hi: Sequence[int],
     return lanes, lanes.pack(values)
 
 
-def _level_table(ls: LevelSystem) -> bytes:
-    """phi_k over the whole space, one byte 0 or 1 per state in
-    lexicographic order."""
+def _level_table(ls: LevelSystem, lo: Sequence[int] = (), hi: Sequence[int] = ()) -> bytes:
+    """phi_k over the box lo <= x <= hi, by default (empty bounds) the
+    whole space, one byte 0 or 1 per state in lexicographic order."""
     ms = ls.max_states
-    lanes, phi = _phi_lanes(ls.system, (0,) * len(ms), ms, ls.level)
+    lanes, phi = _phi_lanes(ls.system, lo or (0,) * len(ms), hi or ms, ls.level)
     return lanes.table(phi, ls.level)
 
 

@@ -216,6 +216,29 @@ def test_exit_2_on_a_path_vector_far_outside_the_space(write_doc, capsys, comman
     assert err == f"error: structure.levels: path vector (0, {10**30}) outside space (2, 2)\n"
 
 
+@pytest.mark.parametrize("command, answer", [
+    ("paths", "minimal path vectors at level 1: 1\n1 0\n"),
+    ("domination", "d(phi_1) = 0  [method: binary]\n"),
+    ("verify", "signed domination at level 1\n" + "".join(
+        f"{method:<12} 0\n" for method in ("formations", "mobius", "pivotal", "binary"))
+     + "agreement: yes\n"),
+])
+def test_a_huge_max_state_sizes_no_thermometer_code(write_doc, capsys, command, answer):
+    """The path_vectors code is as wide as the largest state the families
+    hold, so a max state of 10^30 that no family vector reaches is
+    answered; a family vector holding 10^30 is refused by the code's size
+    guard with the field's path."""
+    doc = {"format_version": 1, "max_states": [1, 10**30],
+           "structure": {"kind": "path_vectors", "levels": {"1": [[1, 0]]}}}
+    code, out, err = run(capsys, [command, write_doc(doc), "--level", "1", "--no-timing"])
+    assert (code, out, err) == (0, answer, "")
+    doc["structure"]["levels"]["1"].append([0, 10**30])
+    code, out, err = run(capsys, [command, write_doc(doc), "--level", "1"])
+    assert (code, out) == (2, "")
+    assert err == (f"error: structure.levels: thermometer code of {10**30 + 1} bits "
+                   "exceeds guard (10000000)\n")
+
+
 def tallied(monkeypatch, module, names):
     """Count the calls of each named function of a domikit module."""
     module = importlib.import_module(module)

@@ -33,7 +33,7 @@ from domikit import (
     table_system,
     threshold_domination,
 )
-from domikit.domination import _signed_sum
+from domikit.domination import _EVEN, _ODD, _signed_sum
 
 FOUR_GENS = [(2, 1, 1, 0), (1, 2, 0, 1), (1, 0, 2, 1), (0, 1, 1, 2)]
 
@@ -271,6 +271,22 @@ def test_pivotal_on_four_million_corners():
     """22 components: 8 192 chunks, a few hundred ms, where one evaluate
     call per corner takes tens of seconds."""
     assert pivotal_domination(sum_system([1] * 22).level(11)) == threshold_domination(22, 1, 11)
+
+
+def test_every_route_takes_its_signs_from_the_one_sign_loop(monkeypatch):
+    """With the parity masks of the sign loop swapped, every route over
+    the 2^12 top corners of a 12-component sum returns the negated value:
+    pivotal, the binary route, the subset formula and the binary
+    structure's own sum keep no signs of their own."""
+    ls = sum_system([1] * 12).level(6)
+    routes = [pivotal_domination, domination_via_binary,
+              lambda ls: delta_at(ls, ls.max_states),
+              lambda ls: binary_signed_domination(associated_binary(ls))]
+    want = threshold_domination(12, 1, 6)
+    assert want and [route(ls) for route in routes] == [want] * 4
+    monkeypatch.setattr("domikit.domination._EVEN", _ODD)
+    monkeypatch.setattr("domikit.domination._ODD", _EVEN)
+    assert [route(ls) for route in routes] == [-want] * 4
 
 
 def test_associated_binary_threshold_shift():

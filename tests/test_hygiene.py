@@ -1,8 +1,8 @@
 """Source hygiene: every top-level import in the package and in the
-test modules is used, and every keyword-only option of the package is
-set by some caller.
+test modules is used, every definition of the package is read, and
+every keyword-only option of the package is set by some caller.
 
-A deletion that leaves an import behind, or an option nothing sets,
+A deletion that leaves an import, a definition or an option behind
 passes every behavioural test, so these checks read the modules
 themselves.  The package's __init__.py is skipped by the import check:
 its imports are the public namespace.
@@ -73,6 +73,34 @@ def test_every_keyword_option_is_set_by_a_caller():
              for arg in fn.args.kwonlyargs
              if not passed.get(fn.name, set()) & {arg.arg, None}]
     assert not unset, f"keyword options no caller sets: {unset}"
+
+
+def test_every_definition_is_read():
+    """A top-level function or class of the package that nothing reads,
+    as a name, an attribute or an imported name, in the package, the
+    tests or the benchmark, is dead code; so is a method (dunders aside)
+    that is never read as an attribute.  A definition's own name is not
+    a read of it."""
+    names, attributes = set(), set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    names |= attributes
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in names:
+                unread.append(f"{path.name} {node.name}")
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if (isinstance(method, ast.FunctionDef) and not method.name.startswith("__")
+                        and method.name not in attributes):
+                    unread.append(f"{path.name} {node.name}.{method.name}")
+    assert not unread, f"definitions nothing reads: {unread}"
 
 
 def test_int_byte_conversions_name_length_and_byteorder():

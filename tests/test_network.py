@@ -231,6 +231,19 @@ def test_find_directed_cycle():
         find_directed_cycle(bridge_network())
 
 
+def test_find_directed_cycle_on_a_long_chain():
+    """The search keeps its own stack, so a path longer than the
+    interpreter's recursion limit is walked: a chain of 1 200 nodes has
+    no cycle, and one arc back from its end to its start closes a cycle
+    through every edge."""
+    nodes = [f"v{i}" for i in range(1200)]
+    arcs = [(i + 1, u, v, True, 1) for i, (u, v) in enumerate(zip(nodes, nodes[1:]))]
+    assert find_directed_cycle(network(nodes, arcs, nodes[0], nodes[-1])) is None
+    back = (len(arcs) + 1, nodes[-1], nodes[0], True, 1)
+    cyclic = network(nodes, arcs + [back], nodes[0], nodes[-1])
+    assert find_directed_cycle(cyclic) == tuple(range(1, len(nodes) + 1))
+
+
 def test_directed_domination_closed_form():
     assert directed_network_domination(bridge_network(directed=True)) == -1
     assert directed_network_domination(bridge_network(directed=True, cyclic=True)) == 0

@@ -541,7 +541,8 @@ def test_level_tables_match_the_per_state_loop():
 def test_box_lanes_match_the_structure_function():
     """Over random boxes lo <= x <= hi, phi in lanes equals _func at each
     state of the box, lane j holding the j-th state in lexicographic
-    order; given a level k, the lanes are >= k exactly where phi is."""
+    order; given a level k, the lanes are >= k exactly where phi is, and
+    the level table of the box holds their indicator."""
     rng = random.Random(14)
     kinds = set()
     for system in lane_kinds() + bare_systems():
@@ -558,6 +559,7 @@ def test_box_lanes_match_the_structure_function():
             for k in range(1, system.space.system_max + 1):
                 lanes, phi = _phi_lanes(system, lo, hi, k)
                 assert lanes.table(phi, k) == bytes(v >= k for v in values), (system, lo, hi, k)
+                assert _level_table(system.level(k), lo, hi) == lanes.table(phi, k)
             kinds.add((system.kind, system._lanes is None, len(ms) > 0))
     assert {kind for kind, _, _ in kinds} == {"table", "sum", "network", "path_vectors"}
     assert {(bare, n) for _, bare, n in kinds} == {(False, False), (False, True),
