@@ -13,7 +13,6 @@ matroid systems and two-terminal flow networks.
 
 from .errors import (
     ComplexityGuardError,
-    DegenerateSystemError,
     DimensionError,
     DistributionError,
     DomainError,
@@ -59,25 +58,20 @@ from .domination import (
     pivotal_domination,
 )
 from .matroid import (
-    CircuitValidation,
     Matroid,
     MatroidSystemLink,
     beta_number,
     crapo_beta,
-    cycle_circuits,
     domination_from_beta,
     domination_invariant_recursion,
     graphic_matroid,
     link_structure,
-    matroid_system_paths,
     threshold_domination,
     uniform_matroid,
-    validate_circuits,
 )
 from .network import (
     Edge,
     FlowNetwork,
-    associated_binary_network,
     connectivity_thresholds,
     directed_network_domination,
     find_directed_cycle,

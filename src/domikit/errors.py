@@ -27,7 +27,7 @@ class ComplexityGuardError(DomikitError):
 
 
 class ValidationError(DomikitError):
-    """A structure violates its defining axioms (monotonicity, circuits, ...)."""
+    """A structure violates its defining axioms (monotonicity, distinct labels, ...)."""
 
 
 class DistributionError(DomikitError):
@@ -36,10 +36,6 @@ class DistributionError(DomikitError):
 
 class GraphError(DomikitError):
     """A flow network is malformed."""
-
-
-class DegenerateSystemError(DomikitError):
-    """The derived system would be trivial (no working state, empty path sets)."""
 
 
 class ParseError(DomikitError):

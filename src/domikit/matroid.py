@@ -1,87 +1,42 @@
 """Matroids by rank oracle, Crapo's beta invariant and matroid systems.
 
 A matroid on a finite ground set is held through its rank function on
-bitmasks over the ground set.  A uniform matroid ranks by min(|A|, r), a
-graphic one by union-find over the edge ends, and a matroid presented by
-its circuit family by the greedy independent set build-up; the first two
-build their circuit family only when it is read.  Beta is the
-alternating rank sum, and a distinguished ground element x turns the
-matroid into a binary monotone structure on C = F \\ x whose minimal
-path sets are the circuits through x with x removed.  The signed
-domination of that structure is beta(F) up to a sign fixed by the
-corank, which the recursion over one-element minors reproduces from one
-truth table of the structure: each minor is a slice of that table, so
-the structure is evaluated once per vector.
+bitmasks over the ground set: a uniform matroid ranks by min(|A|, r), a
+graphic one by union-find over the edge ends.  Beta, the link structure
+and the recursion read ranks only.  Beta is the alternating rank sum,
+and a distinguished ground element x turns the matroid into a binary
+monotone structure on C = F \\ x, phi(A) = 1 + r(A) - r(A + x), whose
+minimal path sets are the circuits through x with x removed.  The
+signed domination of that structure is beta(F) up to a sign fixed by
+the corank, which the recursion over one-element minors reproduces from
+one truth table of the structure: each minor is a slice of that table,
+so the structure is evaluated once per vector.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .errors import (
-    ComplexityGuardError,
-    DegenerateSystemError,
-    DomainError,
-    ValidationError,
-)
+from .errors import ComplexityGuardError, DomainError, ValidationError
 from .domination import BinaryStructure, _signed_sum
 from .poset import Vector
 
 
 class Matroid:
-    """A matroid held through its rank function.
+    """A matroid held through its rank function on bitmasks.
 
     Ground elements may be any hashable labels; order of first appearance
-    fixes the bit layout.  Matroid(ground, circuits) presents it by its
-    circuit family and ranks greedily.  That constructor only normalises,
-    it does not check the circuit axioms: validate_circuits does, so that
-    deliberately broken families can be built and then rejected.
-    uniform_matroid and graphic_matroid rank directly and build their
-    circuit family the first time it is read.
+    fixes the bit layout, bit i for ground[i].  `rank` maps the bitmask of
+    a subset to its rank.
     """
 
-    def __init__(self, ground: Iterable[Hashable], circuits: Iterable[Iterable[Hashable]]):
-        self._set_ground(ground)
-        self.circuit_masks: tuple[int, ...] = self._circuit_family(circuits)
-        self._rank_memo: dict[int, int] = {}
-        self._rank: Callable[[int], int] = self._greedy_rank
-
-    @classmethod
-    def _by_rank(cls, ground: Iterable[Hashable], rank: Callable[[int], int],
-                 circuits: Callable[[], Iterable[Iterable[Hashable]]]) -> Matroid:
-        """The matroid with rank function `rank` on bitmasks, whose circuit
-        family circuits() is built when circuit_masks is first read."""
-        m = cls.__new__(cls)
-        m._set_ground(ground)
-        m._rank, m._circuits = rank, circuits
-        return m
-
-    def _set_ground(self, ground: Iterable[Hashable]) -> None:
+    def __init__(self, ground: Iterable[Hashable], rank: Callable[[int], int]):
         self.ground: tuple[Hashable, ...] = tuple(dict.fromkeys(ground))
         self.index = {e: i for i, e in enumerate(self.ground)}
-
-    def _circuit_family(self, circuits: Iterable[Iterable[Hashable]]) -> tuple[int, ...]:
-        """Circuit bitmasks without repeats, by size and then by mask."""
-        masks = set()
-        for circuit in circuits:
-            mask = 0
-            for e in circuit:
-                if e not in self.index:
-                    raise ValidationError(f"circuit element {e!r} not in ground set")
-                mask |= 1 << self.index[e]
-            if mask == 0:
-                raise ValidationError("empty circuit")
-            masks.add(mask)
-        return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
-
-    @cached_property
-    def circuit_masks(self) -> tuple[int, ...]:
-        return self._circuit_family(self._circuits())
+        self._rank = rank
 
     def to_mask(self, subset: Iterable[Hashable]) -> int:
         mask = 0
@@ -91,99 +46,13 @@ class Matroid:
             mask |= 1 << self.index[e]
         return mask
 
-    def from_mask(self, mask: int) -> frozenset:
-        return frozenset(e for e, i in self.index.items() if mask >> i & 1)
-
-    def circuits(self) -> tuple[frozenset, ...]:
-        return tuple(self.from_mask(m) for m in self.circuit_masks)
-
-    def _independent(self, mask: int) -> bool:
-        return all(c & mask != c for c in self.circuit_masks)
-
     def rank_mask(self, mask: int) -> int:
-        """Rank of the subset with bitmask `mask`; every rank, whatever
-        the presentation, is taken here."""
+        """Rank of the subset with bitmask `mask`; every rank is taken here."""
         return self._rank(mask)
 
-    def _greedy_rank(self, mask: int) -> int:
-        """Greedy rank: grow an independent subset element by element.
-
-        Correct whenever the circuit family satisfies the axioms; for
-        unvalidated families use rank(..., exhaustive=True).
-        """
-        cached = self._rank_memo.get(mask)
-        if cached is not None:
-            return cached
-        picked = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if self._independent(picked | low):
-                picked |= low
-        r = picked.bit_count()
-        self._rank_memo[mask] = r
-        return r
-
-    def rank(self, subset: Iterable[Hashable], *, exhaustive: bool = False) -> int:
-        """Rank of a subset: size of its largest circuit-free part."""
-        mask = self.to_mask(subset)
-        if not exhaustive:
-            return self.rank_mask(mask)
-        size = mask.bit_count()
-        bits = [1 << i for i in range(len(self.ground)) if mask >> i & 1]
-        for r in range(size, -1, -1):
-            for combo in combinations(bits, r):
-                sub = 0
-                for b in combo:
-                    sub |= b
-                if self._independent(sub):
-                    return r  # r = 0 tries the empty set, always independent
-
-
-@dataclass(frozen=True)
-class CircuitValidation:
-    status: str  # "valid" | "invalid" | "skipped"
-    violation: tuple | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "valid"
-
-
-def validate_circuits(m: Matroid) -> CircuitValidation:
-    """Check the circuit axioms: incomparability and circuit elimination.
-
-    Returns the first violation found, as ("comparable", C1, C2) or
-    ("elimination", C1, C2, e).  Ground sets of more than 20 elements are
-    skipped with a warning rather than refused, since validity is a
-    soundness question, not a liveness one.
-    """
-    if len(m.ground) > 20:
-        warnings.warn(
-            f"circuit validation skipped: {len(m.ground)} ground elements exceed guard (20)",
-            stacklevel=2,
-        )
-        return CircuitValidation(status="skipped")
-    masks = m.circuit_masks
-    for a, b in combinations(masks, 2):
-        if a & b == a or a & b == b:
-            return CircuitValidation(
-                status="invalid", violation=("comparable", m.from_mask(a), m.from_mask(b))
-            )
-    for a, b in combinations(masks, 2):
-        common = a & b
-        while common:
-            low = common & -common
-            common ^= low
-            union = (a | b) & ~low
-            if not any(c & union == c for c in masks):
-                e = m.ground[low.bit_length() - 1]
-                return CircuitValidation(
-                    status="invalid",
-                    violation=("elimination", m.from_mask(a), m.from_mask(b), e),
-                )
-    return CircuitValidation(status="valid")
+    def rank(self, subset: Iterable[Hashable]) -> int:
+        """Rank of a subset: size of its largest independent part."""
+        return self.rank_mask(self.to_mask(subset))
 
 
 def crapo_beta(m: Matroid, subset: Iterable[Hashable]) -> int:
@@ -236,24 +105,6 @@ class MatroidSystemLink:
     @property
     def terminal_bit(self) -> int:
         return 1 << self.matroid.index[self.terminal]
-
-
-def matroid_system_paths(link: MatroidSystemLink) -> tuple[frozenset, ...]:
-    """Minimal path sets M \\ x over circuits M containing x.
-
-    A circuit equal to {x} alone would make the structure constant 1;
-    that degenerate case is refused.
-    """
-    m, xbit = link.matroid, link.terminal_bit
-    paths = []
-    for c in m.circuit_masks:
-        if c & xbit:
-            if c == xbit:
-                raise DegenerateSystemError(
-                    f"{{{link.terminal!r}}} is a circuit; the induced system is constant"
-                )
-            paths.append(m.from_mask(c & ~xbit))
-    return tuple(sorted(paths, key=lambda s: sorted(map(str, s))))
 
 
 def link_structure(link: MatroidSystemLink) -> BinaryStructure:
@@ -359,20 +210,11 @@ def threshold_domination(n: int, m: int, k: int) -> int:
 
 
 def uniform_matroid(ground: Iterable[Hashable], rank: int) -> Matroid:
-    """Uniform matroid U_{rank, |ground|}: rank min(|A|, rank), circuits
-    all (rank+1)-subsets."""
+    """Uniform matroid U_{rank, |ground|}: rank min(|A|, rank)."""
     elems = tuple(dict.fromkeys(ground))
     if not 0 <= rank <= len(elems):
         raise DomainError(f"rank {rank} outside 0..{len(elems)}")
-    return Matroid._by_rank(elems, lambda mask: min(mask.bit_count(), rank),
-                            lambda: combinations(elems, rank + 1))
-
-
-def _edge_labels(edges: Sequence[tuple[Hashable, Hashable, Hashable]]) -> list[Hashable]:
-    labels = [e[0] for e in edges]
-    if len(set(labels)) != len(labels):
-        raise ValidationError("duplicate edge labels")
-    return labels
+    return Matroid(elems, lambda mask: min(mask.bit_count(), rank))
 
 
 def _forest_rank(ends: Iterable[tuple[Hashable, Hashable]]) -> int:
@@ -396,51 +238,11 @@ def _forest_rank(ends: Iterable[tuple[Hashable, Hashable]]) -> int:
     return rank
 
 
-def cycle_circuits(edges: Sequence[tuple[Hashable, Hashable, Hashable]]) -> tuple[frozenset, ...]:
-    """Circuits of the graphic matroid of an undirected multigraph.
-
-    `edges` lists (label, u, v); loops and parallel edges are fine.  An
-    edge subset is a circuit iff it forms a single connected subgraph in
-    which every touched vertex has degree exactly 2.  Found by subset
-    enumeration, hence the guard.
-    """
-    if len(edges) > 16:
-        raise ComplexityGuardError(f"{len(edges)} edges exceed the cycle guard (16)")
-    _edge_labels(edges)
-    out = []
-    for mask in range(1, 1 << len(edges)):
-        chosen = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-        degree: dict[Hashable, int] = {}
-        for _, u, v in chosen:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        if any(d != 2 for d in degree.values()):
-            continue
-        # connectivity of the chosen subgraph
-        adj: dict[Hashable, list[Hashable]] = {}
-        for _, u, v in chosen:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        start = chosen[0][1]
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) == len(degree):
-            out.append(frozenset(lbl for lbl, _, _ in chosen))
-    return tuple(sorted(out, key=lambda s: sorted(map(str, s))))
-
-
 def graphic_matroid(edges: Sequence[tuple[Hashable, Hashable, Hashable]]) -> Matroid:
     """Graphic matroid of an undirected multigraph given as (label, u, v)
-    edges; its circuits come from cycle_circuits when first read."""
-    edges = tuple(edges)
+    edges; loops and parallel edges are fine, repeated labels are not."""
+    labels = [label for label, _, _ in edges]
+    if len(set(labels)) != len(labels):
+        raise ValidationError("duplicate edge labels")
     ends = [(u, v) for _, u, v in edges]
-    return Matroid._by_rank(
-        _edge_labels(edges),
-        lambda mask: _forest_rank(e for i, e in enumerate(ends) if mask >> i & 1),
-        lambda: cycle_circuits(edges),
-    )
+    return Matroid(labels, lambda mask: _forest_rank(e for i, e in enumerate(ends) if mask >> i & 1))

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .errors import ComplexityGuardError, DomainError, GraphError
-from .domination import BinaryStructure, associated_binary
 from .lanes import Lanes
 from .matroid import _forest_rank
 from .poset import Vector
@@ -267,17 +266,6 @@ def network_system(net: FlowNetwork) -> MultistateSystem:
 
     space = StateSpace(max_states=ms, system_max=system_max)
     return MultistateSystem(space=space, kind="network", _func=phi, _lanes=lanes)
-
-
-def associated_binary_network(net: FlowNetwork, k: int) -> BinaryStructure:
-    """Associated binary structure of the level-k flow system.
-
-    Slot i up means edge i+1 at full capacity, down means one unit below.
-    When every minimal cut set is tight at level k (see
-    reduces_to_connectivity) this structure is plain two-terminal
-    connectivity of the graph.
-    """
-    return associated_binary(network_system(net).level(k))
 
 
 def connectivity_thresholds(net: FlowNetwork, k: int) -> dict[tuple[int, ...], int]:

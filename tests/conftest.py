@@ -2,8 +2,9 @@
 
 The oracles here deliberately re-derive results from definitions with
 their own code (plain itertools loops, a signed subset recursion, a
-min-over-cut-sums structure function) so that library outputs are
-checked against something that shares no implementation.
+min-over-cut-sums structure function, matroid ranks from circuit
+families) so that library outputs are checked against something that
+shares no implementation.
 """
 
 import random
@@ -14,6 +15,7 @@ from itertools import combinations, product
 from domikit import (
     MultistateSystem,
     StateSpace,
+    link_structure,
     minimal_path_vectors,
     network,
     network_system,
@@ -248,3 +250,83 @@ def bare_systems():
     each state: random tables with component 0 frozen (n = 0 included)."""
     return [frozen_level(make_random_system(seed).level(1), {0: 1}).system
             for seed in range(12)]
+
+
+# --- matroid references: circuit families and the ranks they fix ---------
+
+def cycle_circuits(edges):
+    """Circuits of the graphic matroid of (label, u, v) edges, loops and
+    parallel edges included: the edge subsets that form one connected
+    subgraph in which every touched vertex has degree exactly 2.  Found
+    by subset search, so keep the edge lists small."""
+    out = []
+    for mask in range(1, 1 << len(edges)):
+        chosen = [edges[i] for i in range(len(edges)) if mask >> i & 1]
+        degree = {}
+        for _, u, v in chosen:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        if any(d != 2 for d in degree.values()):
+            continue
+        adj = {}
+        for _, u, v in chosen:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        start = chosen[0][1]
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) == len(degree):
+            out.append(frozenset(label for label, _, _ in chosen))
+    return out
+
+
+def circuit_masks(ground, circuits):
+    """A circuit family as bitmasks over `ground`, bit i for ground[i]."""
+    index = {e: i for i, e in enumerate(ground)}
+    return [sum(1 << index[e] for e in c) for c in circuits]
+
+
+def greedy_rank(circuits, mask):
+    """Rank from circuit bitmasks: grow an independent subset of `mask`
+    element by element, keeping each element that closes no circuit."""
+    picked = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if all(c & (picked | low) != c for c in circuits):
+            picked |= low
+    return picked.bit_count()
+
+
+def exhaustive_rank(circuits, mask):
+    """Rank from circuit bitmasks as the size of the largest subset of
+    `mask` that contains no circuit, trying every subset, largest first."""
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    for r in range(len(bits), -1, -1):
+        for combo in combinations(bits, r):
+            sub = sum(combo)
+            if all(c & sub != c for c in circuits):
+                return r  # r = 0 tries the empty set, which contains no circuit
+
+
+def circuit_paths(circuits, terminal):
+    """Minimal path sets of the link structure with terminal x: C \\ x over
+    the circuits C through x.  A loop x gives the empty set alone, a
+    coloop no set at all."""
+    return {frozenset(c) - {terminal} for c in circuits if terminal in c}
+
+
+def link_paths(link):
+    """Minimal true sets of link_structure(link), as sets of component
+    labels; the structure is monotone, so a true set is minimal when no
+    one-element removal is true."""
+    phi = link_structure(link)
+    true = {frozenset(c for c, zi in zip(link.components, z) if zi)
+            for z in product((0, 1), repeat=len(link.components)) if phi(z)}
+    return {a for a in true if not any(a - {e} in true for e in a)}

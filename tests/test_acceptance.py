@@ -19,6 +19,9 @@ from conftest import (
     BRIDGE_CUTS_CYCLIC,
     BRIDGE_CUTS_UNDIRECTED,
     bridge_network,
+    circuit_masks,
+    cycle_circuits,
+    exhaustive_rank,
     frozen_level,
     make_random_system,
     naive_formation_delta,
@@ -29,7 +32,7 @@ from conftest import (
 from domikit import (
     ComponentDistribution,
     MatroidSystemLink,
-    associated_binary_network,
+    associated_binary,
     beta_number,
     binary_signed_domination,
     crapo_beta,
@@ -141,7 +144,7 @@ def test_criterion_05_bridge_network_level_three():
     ls = network_system(net).level(3)
     assert delta_at(ls, net.max_states) == -3
     assert pivotal_domination(ls) == -3
-    assert domination_invariant_recursion(associated_binary_network(net, 3)) == 3
+    assert domination_invariant_recursion(associated_binary(network_system(net).level(3))) == 3
     edges = [(e.id, e.tail, e.head) for e in net.edges] + [("x", "S", "T")]
     assert beta_number(graphic_matroid(edges)) == 3
     assert time.perf_counter() - started < 10.0
@@ -255,22 +258,23 @@ def test_criterion_11_reliability_consistency(random_suite):
 
 def test_criterion_12_matroid_suite():
     bridge_edges = [(e.id, e.tail, e.head) for e in bridge_network().edges] + [("x", "S", "T")]
-    suite = [
-        (graphic_matroid([(1, "a", "b"), (2, "b", "c"), ("x", "c", "a")]), "x"),
-        (graphic_matroid([(1, "a", "b"), (2, "a", "b"), (3, "b", "c"),
-                          (4, "b", "c"), ("x", "a", "c")]), "x"),
-        (graphic_matroid(bridge_edges), "x"),
-        (uniform_matroid(range(5), 1), 0),
-        (uniform_matroid(range(6), 3), 0),
-        (uniform_matroid(range(10), 5), 0),
+    graphs = [
+        [(1, "a", "b"), (2, "b", "c"), ("x", "c", "a")],
+        [(1, "a", "b"), (2, "a", "b"), (3, "b", "c"), (4, "b", "c"), ("x", "a", "c")],
+        bridge_edges,
     ]
-    for matroid, terminal in suite:
+    # (matroid, its circuit family, terminal)
+    suite = [(graphic_matroid(edges), cycle_circuits(edges), "x") for edges in graphs]
+    suite += [(uniform_matroid(range(n), r), combinations(range(n), r + 1), 0)
+              for n, r in [(5, 1), (6, 3), (10, 5)]]
+    for matroid, circuits, terminal in suite:
         ground = list(matroid.ground)
         assert len(ground) <= 10
+        masks = circuit_masks(ground, circuits)
         for r in range(len(ground) + 1):
             for subset in combinations(ground, r):
                 assert crapo_beta(matroid, subset) >= 0
-                assert matroid.rank(subset) == matroid.rank(subset, exhaustive=True)
+                assert matroid.rank(subset) == exhaustive_rank(masks, matroid.to_mask(subset))
         link = MatroidSystemLink(matroid, terminal)
         components = link.components
         d = domination_from_beta(link, components)

@@ -118,3 +118,18 @@ def test_int_byte_conversions_name_length_and_byteorder():
                 if not passed >= set(names):
                     short.append(f"{path.name}:{call.lineno} {call.func.attr}")
     assert not short, f"byte conversions without length or byteorder: {short}"
+
+
+def test_every_error_class_is_raised():
+    """An error class that no raise in the package names is a promise of
+    a failure mode the package no longer has."""
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in errors.body
+               if isinstance(node, ast.ClassDef) and node.name != "DomikitError"]
+    assert classes and not set(classes) - raised, f"never raised: {sorted(set(classes) - raised)}"

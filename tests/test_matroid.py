@@ -1,4 +1,4 @@
-"""Circuit matroids, beta, matroid systems and the splitting recursion."""
+"""Matroids by rank, beta, matroid systems and the splitting recursion."""
 
 import math
 import random
@@ -6,75 +6,36 @@ from itertools import combinations
 
 import pytest
 
-from conftest import BRIDGE_EDGES
+from conftest import (
+    BRIDGE_EDGES,
+    circuit_masks,
+    circuit_paths,
+    cycle_circuits,
+    exhaustive_rank,
+    link_paths,
+)
 from domikit import (
     BinaryStructure,
     ComplexityGuardError,
-    DegenerateSystemError,
     DomainError,
-    Matroid,
     MatroidSystemLink,
-    ValidationError,
     beta_number,
     binary_signed_domination,
     crapo_beta,
-    cycle_circuits,
     domination_from_beta,
     domination_invariant_recursion,
     graphic_matroid,
     link_structure,
-    matroid_system_paths,
     threshold_domination,
     uniform_matroid,
-    validate_circuits,
 )
+
+# the seven-edge example graph plus a terminal link x between the two terminals
+BRIDGE_GRAPH = [(eid, u, v) for eid, u, v, _ in BRIDGE_EDGES] + [("x", "S", "T")]
 
 
 def bridge_matroid():
-    """Graphic matroid of the seven-edge example graph plus a terminal
-    link x between the two terminals."""
-    edges = [(eid, u, v) for eid, u, v, _ in BRIDGE_EDGES] + [("x", "S", "T")]
-    return graphic_matroid(edges)
-
-
-def test_matroid_construction_checks():
-    with pytest.raises(ValidationError):
-        Matroid([1, 2], [[1, 3]])
-    with pytest.raises(ValidationError):
-        Matroid([1, 2], [[]])
-    m = Matroid([1, 2, 3], [[1, 2, 3], [1, 2]])
-    assert m.circuits()[0] == frozenset({1, 2})  # sorted by size
-
-
-def test_validate_circuits_uniform_valid():
-    assert validate_circuits(uniform_matroid(range(6), 3)).ok
-
-
-def test_validate_circuits_comparable_pair():
-    result = validate_circuits(Matroid([1, 2, 3], [[1, 2], [1, 2, 3]]))
-    assert not result.ok
-    assert result.violation == ("comparable", frozenset({1, 2}), frozenset({1, 2, 3}))
-
-
-def test_validate_circuits_elimination_failure():
-    result = validate_circuits(Matroid([1, 2, 3], [[1, 2], [2, 3]]))
-    assert result.status == "invalid"
-    kind, c1, c2, e = result.violation
-    assert kind == "elimination"
-    assert e == 2
-
-
-def test_validate_circuits_graphic_families():
-    assert validate_circuits(bridge_matroid()).ok
-    square = graphic_matroid([(1, "a", "b"), (2, "b", "c"), (3, "c", "d"), (4, "d", "a"), (5, "a", "c")])
-    assert validate_circuits(square).ok
-
-
-def test_validate_circuits_skip_warns():
-    m = uniform_matroid(range(21), 2)
-    with pytest.warns(UserWarning, match=r"^circuit validation skipped: 21 ground elements exceed guard \(20\)$"):
-        result = validate_circuits(m)
-    assert result.status == "skipped"
+    return graphic_matroid(BRIDGE_GRAPH)
 
 
 def test_rank_basics():
@@ -86,31 +47,33 @@ def test_rank_basics():
     assert gm.rank(gm.ground) == 4  # five nodes, connected
 
 
-def test_rank_greedy_equals_exhaustive():
+def test_rank_equals_exhaustive():
     rng = random.Random(1)
-    matroids = [uniform_matroid(range(6), 3), bridge_matroid(),
-                graphic_matroid([(1, "a", "b"), (2, "a", "b"), (3, "b", "c"), (4, "c", "a")])]
-    for m in matroids:
+    parallel = [(1, "a", "b"), (2, "a", "b"), (3, "b", "c"), (4, "c", "a")]
+    matroids = [(uniform_matroid(range(6), 3), combinations(range(6), 4)),
+                (bridge_matroid(), cycle_circuits(BRIDGE_GRAPH)),
+                (graphic_matroid(parallel), cycle_circuits(parallel))]
+    for m, circuits in matroids:
+        masks = circuit_masks(m.ground, circuits)
         ground = list(m.ground)
         for _ in range(40):
             subset = [e for e in ground if rng.random() < 0.5]
-            assert m.rank(subset) == m.rank(subset, exhaustive=True)
+            assert m.rank(subset) == exhaustive_rank(masks, m.to_mask(subset))
 
 
-def test_matroid_system_paths_uniform_is_k_out_of_n():
+def test_link_paths_uniform_is_k_out_of_n():
     n, k = 5, 3
     m = uniform_matroid(list(range(1, n + 1)) + ["x"], k)
     link = MatroidSystemLink(m, "x")
-    paths = matroid_system_paths(link)
-    assert set(paths) == {frozenset(c) for c in combinations(range(1, n + 1), k)}
+    assert link_paths(link) == {frozenset(c) for c in combinations(range(1, n + 1), k)}
 
 
-def test_matroid_system_paths_triangle():
+def test_link_paths_triangle():
     m = graphic_matroid([(1, "a", "b"), (2, "b", "c"), ("x", "c", "a")])
-    assert matroid_system_paths(MatroidSystemLink(m, "x")) == (frozenset({1, 2}),)
+    assert link_paths(MatroidSystemLink(m, "x")) == {frozenset({1, 2})}
 
 
-def test_matroid_system_paths_bridge_graph():
+def test_link_paths_bridge_graph():
     """Path sets through the terminal link are the source-sink path sets
     of the graph, worked out by hand."""
     link = MatroidSystemLink(bridge_matroid(), "x")
@@ -119,13 +82,7 @@ def test_matroid_system_paths_bridge_graph():
         frozenset({2, 5, 6}), frozenset({1, 3, 5, 6}), frozenset({1, 4, 5, 7}),
         frozenset({2, 3, 4, 6}),
     }
-    assert set(matroid_system_paths(link)) == expected
-
-
-def test_matroid_system_degenerate():
-    m = Matroid([1, "x"], [["x"]])
-    with pytest.raises(DegenerateSystemError):
-        matroid_system_paths(MatroidSystemLink(m, "x"))
+    assert link_paths(link) == expected
 
 
 def test_link_terminal_must_exist():
@@ -151,7 +108,7 @@ def test_structure_from_rank_uniform_threshold():
 def test_structure_from_rank_path_indicator():
     link = MatroidSystemLink(bridge_matroid(), "x")
     phi = link_structure(link)
-    paths = matroid_system_paths(link)
+    paths = circuit_paths(cycle_circuits(BRIDGE_GRAPH), "x")
     components = link.components
     assert phi(indicator(link, components)) == 1
     assert phi(indicator(link, [])) == 0
@@ -165,9 +122,9 @@ def test_crapo_beta_small_values():
     m = uniform_matroid(range(4), 2)
     assert crapo_beta(m, []) == 0
     assert beta_number(m) == 2
-    loop = Matroid(["e"], [["e"]])
+    loop = graphic_matroid([("e", "a", "a")])
     assert beta_number(loop) == 0
-    coloop = Matroid(["e"], [])
+    coloop = graphic_matroid([("e", "a", "b")])
     assert beta_number(coloop) == 1
 
 
@@ -212,7 +169,7 @@ def test_domination_from_beta_k_out_of_n():
 
 
 def test_domination_from_beta_terminal_in_no_circuit():
-    m = Matroid([1, 2, "x"], [[1, 2]])
+    m = graphic_matroid([(1, "a", "b"), (2, "a", "b"), ("x", "b", "c")])
     link = MatroidSystemLink(m, "x")
     assert domination_from_beta(link, [1, 2]) == 0
 
@@ -267,10 +224,8 @@ def test_invariant_recursion_equals_absolute_domination():
                  for i in range(1, rng.randint(4, 7))]
         edges.append(("x", 0, nodes - 1))
         link = MatroidSystemLink(graphic_matroid(edges), "x")
-        try:
-            matroid_system_paths(link)
-        except DegenerateSystemError:
-            continue
+        if link.matroid.rank_mask(link.terminal_bit) == 0:
+            continue  # x is a loop: the structure is constant 1
         links.append(link)
     for link in links:
         bs = link_structure(link)
@@ -282,7 +237,7 @@ def test_invariant_recursion_equals_absolute_domination():
 
 def test_invariant_recursion_irrelevant_pivot():
     # two disjoint circuits: components 1 and 2 never matter
-    m = Matroid([1, 2, 3, "x"], [[1, 2], [3, "x"]])
+    m = graphic_matroid([(1, "a", "b"), (2, "a", "b"), (3, "c", "d"), ("x", "c", "d")])
     bs = link_structure(MatroidSystemLink(m, "x"))
     assert binary_signed_domination(bs) == 0
     for e in range(bs.size):
@@ -317,20 +272,7 @@ def test_threshold_domination_domain():
 
 def test_uniform_matroid_edge_cases():
     free = uniform_matroid(range(4), 4)
-    assert free.circuit_masks == ()
+    assert all(free.rank_mask(mask) == mask.bit_count() for mask in range(16))
     assert free.rank(range(4)) == 4
     with pytest.raises(DomainError):
         uniform_matroid(range(3), 4)
-
-
-def test_cycle_circuits_shapes():
-    triangle = cycle_circuits([(1, "a", "b"), (2, "b", "c"), (3, "c", "a")])
-    assert triangle == (frozenset({1, 2, 3}),)
-    with_loop = cycle_circuits([(1, "a", "b"), (2, "a", "a")])
-    assert with_loop == (frozenset({2}),)
-    parallel = cycle_circuits([(1, "a", "b"), (2, "a", "b")])
-    assert parallel == (frozenset({1, 2}),)
-    with pytest.raises(ComplexityGuardError):
-        cycle_circuits([(i, i, i + 1) for i in range(20)])
-    with pytest.raises(ValidationError):
-        cycle_circuits([(1, "a", "b"), (1, "b", "c")])

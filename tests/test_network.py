@@ -20,7 +20,7 @@ from domikit import (
     ComplexityGuardError,
     DomainError,
     GraphError,
-    associated_binary_network,
+    associated_binary,
     connectivity_thresholds,
     directed_network_domination,
     find_directed_cycle,
@@ -163,7 +163,7 @@ def simple_path_sets(net):
 
 def test_associated_binary_network_is_connectivity_at_reducing_level():
     net = bridge_network()
-    bs = associated_binary_network(net, 3)
+    bs = associated_binary(network_system(net).level(3))
     paths = simple_path_sets(net)
     for z in product((0, 1), repeat=7):
         # at level 3 every cut is tight, so slot pattern z works iff the
@@ -175,9 +175,9 @@ def test_associated_binary_network_is_connectivity_at_reducing_level():
 
 def test_associated_binary_network_level_range():
     with pytest.raises(DomainError):
-        associated_binary_network(bridge_network(), 5)
+        associated_binary(network_system(bridge_network()).level(5))
     with pytest.raises(DomainError):
-        associated_binary_network(bridge_network(), 0)
+        associated_binary(network_system(bridge_network()).level(0))
 
 
 def test_connectivity_thresholds_bridge():

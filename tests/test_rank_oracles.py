@@ -1,10 +1,10 @@
-"""Rank oracles of uniform and graphic matroids against the circuit scan.
+"""Rank oracles of uniform and graphic matroids against circuit families.
 
 uniform_matroid ranks by min(|A|, r) and graphic_matroid by union-find;
-both build their circuit family only when it is read.  The reference is
-the matroid built eagerly from the same family, Matroid(ground,
-circuits), which ranks by the greedy circuit scan, and the exhaustive
-rank over every subset.
+neither reads a circuit.  The references are the circuit families worked
+out independently, every (r+1)-subset and the cycles found by subset
+search, with the ranks they fix: the greedy circuit scan and the largest
+circuit-free subset.
 """
 
 import random
@@ -12,22 +12,25 @@ from itertools import combinations
 
 import pytest
 
+from conftest import (
+    circuit_masks,
+    circuit_paths,
+    cycle_circuits,
+    exhaustive_rank,
+    greedy_rank,
+    link_paths,
+)
 from domikit import (
-    ComplexityGuardError,
-    DegenerateSystemError,
     Matroid,
     MatroidSystemLink,
     ValidationError,
     beta_number,
     binary_signed_domination,
-    cycle_circuits,
     domination_from_beta,
     domination_invariant_recursion,
     graphic_matroid,
     link_structure,
-    matroid_system_paths,
     uniform_matroid,
-    validate_circuits,
 )
 
 
@@ -65,14 +68,14 @@ assert any(len({frozenset((u, v)) for _, u, v in edges if u != v})
            < sum(u != v for _, u, v in edges) for edges in GRAPHS)
 assert any(components(edges) > 1 for edges in GRAPHS)
 
-# (lazy, eager) builders, so that each test starts from unread circuits
+# (matroid, its ground set, its circuit family) builders
 CASES = [
-    *[pytest.param(lambda n=n, r=r: (uniform_matroid(range(n), r),
-                                     Matroid(range(n), combinations(range(n), r + 1))),
+    *[pytest.param(lambda n=n, r=r: (uniform_matroid(range(n), r), tuple(range(n)),
+                                     list(combinations(range(n), r + 1))),
                    id=f"U_{r},{n}")
       for n in range(8) for r in range(n + 1)],
-    *[pytest.param(lambda edges=edges: (graphic_matroid(edges),
-                                        Matroid([e[0] for e in edges], cycle_circuits(edges))),
+    *[pytest.param(lambda edges=edges: (graphic_matroid(edges), tuple(e[0] for e in edges),
+                                        cycle_circuits(edges)),
                    id=f"graph{i}")
       for i, edges in enumerate(GRAPHS)],
 ]
@@ -80,55 +83,44 @@ CASES = [
 
 @pytest.mark.parametrize("build", CASES)
 def test_rank_oracle_matches_circuit_scan_on_every_subset(build):
-    m, eager = build()
-    assert m.ground == eager.ground
-    ranks = [m.rank_mask(mask) for mask in range(1 << len(m.ground))]
-    assert "circuit_masks" not in vars(m)  # ranking read no circuit
-    assert ranks == [eager.rank_mask(mask) for mask in range(1 << len(m.ground))]
-    assert ranks == [m.rank(m.from_mask(mask), exhaustive=True)
-                     for mask in range(1 << len(m.ground))]
+    m, ground, circuits = build()
+    assert m.ground == ground
+    masks = circuit_masks(ground, circuits)
+    ranks = [m.rank_mask(mask) for mask in range(1 << len(ground))]
+    assert ranks == [greedy_rank(masks, mask) for mask in range(1 << len(ground))]
+    assert ranks == [exhaustive_rank(masks, mask) for mask in range(1 << len(ground))]
 
 
 @pytest.mark.parametrize("build", CASES)
-def test_lazy_circuits_equal_the_eager_family_in_order(build):
-    m, eager = build()
-    assert m.circuit_masks == eager.circuit_masks
-    assert m.circuits() == eager.circuits()
-    assert validate_circuits(m) == validate_circuits(eager)
+def test_link_paths_are_the_circuits_through_the_terminal(build):
+    m, _, circuits = build()
     for terminal in m.ground:
-        try:
-            want = matroid_system_paths(MatroidSystemLink(eager, terminal))
-        except DegenerateSystemError:
-            with pytest.raises(DegenerateSystemError):
-                matroid_system_paths(MatroidSystemLink(m, terminal))
-        else:
-            assert matroid_system_paths(MatroidSystemLink(m, terminal)) == want
+        assert link_paths(MatroidSystemLink(m, terminal)) == circuit_paths(circuits, terminal)
 
 
 # a link needs a component besides its terminal
-@pytest.mark.parametrize("build", [c for c in CASES if len(c.values[0]()[0].ground) >= 2])
-def test_beta_routes_read_no_circuit(build):
-    m, eager = build()
-    link = MatroidSystemLink(m, m.ground[-1])
-    eager_link = MatroidSystemLink(eager, eager.ground[-1])
-    bs, eager_bs = link_structure(link), link_structure(eager_link)
-    assert beta_number(m) == beta_number(eager)
+@pytest.mark.parametrize("build", [c for c in CASES if len(c.values[0]()[1]) >= 2])
+def test_beta_routes_match_the_circuit_scan_rank(build):
+    m, ground, circuits = build()
+    masks = circuit_masks(ground, circuits)
+    scan = Matroid(ground, lambda mask: greedy_rank(masks, mask))
+    link, scan_link = MatroidSystemLink(m, ground[-1]), MatroidSystemLink(scan, ground[-1])
+    bs, scan_bs = link_structure(link), link_structure(scan_link)
+    assert beta_number(m) == beta_number(scan)
     assert (domination_from_beta(link, link.components)
-            == domination_from_beta(eager_link, eager_link.components))
-    assert domination_invariant_recursion(bs) == domination_invariant_recursion(eager_bs)
-    assert binary_signed_domination(bs) == binary_signed_domination(eager_bs)
-    assert "circuit_masks" not in vars(m)
+            == domination_from_beta(scan_link, scan_link.components))
+    assert domination_invariant_recursion(bs) == domination_invariant_recursion(scan_bs)
+    assert binary_signed_domination(bs) == binary_signed_domination(scan_bs)
 
 
 def test_graphic_matroid_refuses_duplicate_labels_at_construction():
     with pytest.raises(ValidationError, match="^duplicate edge labels$"):
         graphic_matroid([(1, "a", "b"), (1, "b", "c")])
-    # past the cycle guard too: the labels are checked before any circuit
     with pytest.raises(ValidationError, match="^duplicate edge labels$"):
         graphic_matroid([(i % 19, i, i + 1) for i in range(20)])
 
 
-def test_graphic_matroid_on_twenty_edges_ranks_but_guards_its_circuits():
+def test_graphic_matroid_on_twenty_edges_ranks():
     edges = [(i, i % 12, (i * 5 + 1) % 12) for i in range(20)]
     m = graphic_matroid(edges)
     full = (1 << 20) - 1
@@ -136,9 +128,6 @@ def test_graphic_matroid_on_twenty_edges_ranks_but_guards_its_circuits():
     assert m.rank_mask(0b111) == 3
     bs = link_structure(MatroidSystemLink(m, 19))
     assert bs((1,) * 19) == 1
-    for read in (lambda: m.circuit_masks, m.circuits, lambda: validate_circuits(m)):
-        with pytest.raises(ComplexityGuardError, match=r"^20 edges exceed the cycle guard \(16\)$"):
-            read()
 
 
 def test_pendant_terminal_edge_gives_zero():
@@ -147,7 +136,6 @@ def test_pendant_terminal_edge_gives_zero():
     assert domination_from_beta(link, link.components) == 0
     assert domination_from_beta(link, [1, 2]) == 0
     assert binary_signed_domination(link_structure(link)) == 0
-    assert "circuit_masks" not in vars(m)
     # the coloop answers before the alternating rank sum, whose guard of 25
     # elements this 26-edge graph would trip
     big = graphic_matroid([(i, "a", "b") for i in range(25)] + [("x", "b", "c")])

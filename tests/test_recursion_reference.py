@@ -19,13 +19,11 @@ import pytest
 
 from domikit import (
     BinaryStructure,
-    DegenerateSystemError,
     MatroidSystemLink,
     binary_signed_domination,
     domination_invariant_recursion,
     graphic_matroid,
     link_structure,
-    matroid_system_paths,
     uniform_matroid,
 )
 
@@ -125,10 +123,8 @@ def matroid_structures(rng: random.Random):
         edges = [(i, rng.randrange(nodes), rng.randrange(nodes))
                  for i in range(rng.randint(1, 9))]
         link = MatroidSystemLink(graphic_matroid(edges + [("x", 0, nodes - 1)]), "x")
-        try:
-            matroid_system_paths(link)
-        except DegenerateSystemError:
-            continue
+        if link.matroid.rank_mask(link.terminal_bit) == 0:
+            continue  # x is a loop: the structure is constant 1
         yield link_structure(link)
 
 
