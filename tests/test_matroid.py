@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from domikit import (
     BinaryStructure,
     ComplexityGuardError,
     DomainError,
+    Matroid,
     MatroidSystemLink,
     beta_number,
     binary_signed_domination,
@@ -36,6 +37,20 @@ BRIDGE_GRAPH = [(eid, u, v) for eid, u, v, _ in BRIDGE_EDGES] + [("x", "S", "T")
 
 def bridge_matroid():
     return graphic_matroid(BRIDGE_GRAPH)
+
+
+def test_matroid_construction_checks():
+    """Order of first appearance fixes the bit layout, repeats dropped;
+    a subset that leaves the ground set is refused."""
+    m = Matroid(["b", "a", "b", "c"], lambda mask: min(mask.bit_count(), 2))
+    assert m.ground == ("b", "a", "c")
+    assert m.index == {"b": 0, "a": 1, "c": 2}
+    assert m.to_mask(["c", "b"]) == 0b101
+    assert m.rank(["a", "b", "c"]) == 2
+    with pytest.raises(DomainError):
+        m.to_mask(["d"])
+    with pytest.raises(DomainError):
+        m.rank(["a", "d"])
 
 
 def test_rank_basics():
@@ -83,6 +98,20 @@ def test_link_paths_bridge_graph():
         frozenset({2, 3, 4, 6}),
     }
     assert link_paths(link) == expected
+
+
+def test_matroid_system_degenerate():
+    """A loop terminal x is a circuit on its own, so the empty set is a
+    path set: the structure is constant 1 and every route gives 0."""
+    m = graphic_matroid([(1, "a", "b"), (2, "a", "b"), (3, "b", "c"), ("x", "c", "c")])
+    link = MatroidSystemLink(m, "x")
+    bs = link_structure(link)
+    assert link_paths(link) == {frozenset()}
+    assert all(bs(z) == 1 for z in product((0, 1), repeat=3))
+    assert binary_signed_domination(bs) == 0
+    assert domination_invariant_recursion(bs) == 0
+    assert domination_from_beta(link, link.components) == 0
+    assert beta_number(m) == 0
 
 
 def test_link_terminal_must_exist():
@@ -276,3 +305,17 @@ def test_uniform_matroid_edge_cases():
     assert free.rank(range(4)) == 4
     with pytest.raises(DomainError):
         uniform_matroid(range(3), 4)
+
+
+def test_cycle_circuits_shapes():
+    """The reference cycle search on shapes worked out by hand."""
+    triangle = cycle_circuits([(1, "a", "b"), (2, "b", "c"), (3, "c", "a")])
+    assert triangle == [frozenset({1, 2, 3})]
+    with_loop = cycle_circuits([(1, "a", "b"), (2, "a", "a")])
+    assert with_loop == [frozenset({2})]
+    parallel = cycle_circuits([(1, "a", "b"), (2, "a", "b")])
+    assert parallel == [frozenset({1, 2})]
+    assert cycle_circuits([(1, "a", "b"), (2, "b", "c")]) == []
+    square = [(1, "a", "b"), (2, "b", "c"), (3, "c", "d"), (4, "d", "a"), (5, "a", "c")]
+    assert set(cycle_circuits(square)) == {
+        frozenset({1, 2, 5}), frozenset({3, 4, 5}), frozenset({1, 2, 3, 4})}

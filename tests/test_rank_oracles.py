@@ -4,7 +4,7 @@ uniform_matroid ranks by min(|A|, r) and graphic_matroid by union-find;
 neither reads a circuit.  The references are the circuit families worked
 out independently, every (r+1)-subset and the cycles found by subset
 search, with the ranks they fix: the greedy circuit scan and the largest
-circuit-free subset.
+circuit-free subset.  The rank axioms are checked on the oracles alone.
 """
 
 import random
@@ -89,6 +89,23 @@ def test_rank_oracle_matches_circuit_scan_on_every_subset(build):
     ranks = [m.rank_mask(mask) for mask in range(1 << len(ground))]
     assert ranks == [greedy_rank(masks, mask) for mask in range(1 << len(ground))]
     assert ranks == [exhaustive_rank(masks, mask) for mask in range(1 << len(ground))]
+
+
+@pytest.mark.parametrize("build", CASES)
+def test_rank_oracle_satisfies_the_rank_axioms(build):
+    """r(empty) = 0, one more element raises the rank by 0 or 1, and
+    r(A + e) + r(A + f) >= r(A + e + f) + r(A): the rank axioms in local
+    form, checked on the oracle alone, without the circuit references."""
+    m, ground, _ = build()
+    n = len(ground)
+    r = [m.rank_mask(mask) for mask in range(1 << n)]
+    assert r[0] == 0
+    for mask in range(1 << n):
+        outside = [1 << i for i in range(n) if not mask >> i & 1]
+        for e in outside:
+            assert r[mask | e] - r[mask] in (0, 1)
+        for e, f in combinations(outside, 2):
+            assert r[mask | e] + r[mask | f] >= r[mask | e | f] + r[mask]
 
 
 @pytest.mark.parametrize("build", CASES)
