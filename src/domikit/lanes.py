@@ -4,7 +4,9 @@ They are the tabulated form of a structure function.  Over the whole
 space they feed the level tables, the monotonicity check and
 reliability by enumeration; over the box of top corners (each x_i at
 m_i - 1 or m_i) they feed pivotal decomposition, 2^9 corners at a time
-(see systems._phi_lanes and domination.pivotal_domination).
+(see systems._phi_lanes and domination.pivotal_domination).  Over the
+grid of a generator family's values they hold the order kernels of
+poset: up-sets, generator counts and Mobius tables.
 """
 
 from __future__ import annotations

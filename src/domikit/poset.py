@@ -11,24 +11,46 @@ computes it two independent ways:
 * by Mobius inversion of the constant-1 function on the closure.
 
 Both produce the same table.  The first counts all 2^s subsets of the s
-generators, 2^9 of them per C-level histogram update, the second is
-quadratic in the closure size.
+generators, 2^9 of them per C-level histogram update.
 
-The order loops run on a thermometer code (_Packing): each vector is one
-int in which coordinate i owns w_i bits and state v sets the low v of
-them, so a join is one `|` and x <= y is `x | y == y`.  Vectors are
-encoded on entry and decoded once on the way out.
+The order kernels run on the generators' grid: the product of the chains
+of values V_i that coordinate i takes in the family, in rank coordinates
+and lexicographic cell order, one cell per lane of a lanes.Lanes (lo = 0,
+hi = |V_i| - 1).  Every join of generators lies on the grid, and a sweep
+along an axis is a whole-int shift, so
+
+* the up-set of the generators is their cells closed upward along
+  each axis, and the family is an antichain iff no two cells coincide
+  and no generator cell lies in the strict up-set;
+* y is in the closure iff c(y) > c(y - e_i) along every axis where y's
+  rank is positive, c counting the generators at or below each cell (the zeta
+  transform, prefix sums along each axis);
+* the Mobius table is the n-fold backward difference of the up-set
+  indicator (the Mobius transform of a product of chains: Yates 1937;
+  Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007), read at the
+  closure's cells.
+
+The grid can be far larger than the work it saves (30 binary coordinates
+and 3 generators span 2^30 cells and at most 7 joins), so each function
+sizes the grid from the V_i before building any cell and runs its
+pairwise loop where the grid does not pay (_grid_steps).  The loops run on a
+thermometer code (_Packing): each vector is one int in which coordinate
+i owns w_i bits and state v sets the low v of them, so a join is one `|`
+and x <= y is `x | y == y`.  A check that fails is always reported by
+its loop, which names the first offending pair.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from operator import add
+from itertools import chain, compress, product, repeat
+from operator import add, itemgetter, lshift, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ComplexityGuardError, DimensionError, InvalidGeneratorError
+from .lanes import Lanes
 
 Vector = tuple[int, ...]
 
@@ -96,6 +118,94 @@ class _Packing:
         return tuple(map(int.bit_count, map(code.__and__, self.fields)))
 
 
+#: a sweep over this many cells of a grid costs about one step of a
+#: pairwise loop (a `|` and a compare on two codes, or one join), and a
+#: sweep's fixed cost is about that of _SWEEP_CELLS cells.  Fitted on the
+#: benchmark's lattice and network families and on random ones: the route
+#: chosen takes 1.0-1.25 times the faster route's total time there
+_CELLS_PER_STEP = 8
+_SWEEP_CELLS = 256
+#: no grid past this many cells, whatever the loop's work: a few ints of
+#: that many lanes are alive at once
+_MAX_CELLS = 1 << 22
+
+
+def _axes(vectors: Iterable[Vector]) -> list[list[int]]:
+    """The grid of a family: the sorted distinct values of each coordinate."""
+    return [sorted(set(column)) for column in zip(*vectors)]
+
+
+def _grid_steps(axes: list[list[int]]) -> float:
+    """What a kernel costs on the grid, in steps of a pairwise loop, from the
+    grid's size alone: about one sweep per rank of each axis.  No cell is
+    built here, and past _MAX_CELLS the grid never pays."""
+    cells = math.prod(map(len, axes))
+    if cells > _MAX_CELLS:
+        return math.inf
+    return (cells + _SWEEP_CELLS) * sum(map(len, axes)) / _CELLS_PER_STEP
+
+
+def _grid(axes: list[list[int]], bound: int) -> Lanes:
+    """Lanes over the grid's rank coordinates, wide enough for `bound`."""
+    return Lanes([0] * len(axes), [len(axis) - 1 for axis in axes], bound)
+
+
+def _cells(lanes: Lanes, axes: list[list[int]], vectors: Sequence[Vector]) -> list[int]:
+    """The lane of each vector, whose values lie on the axes, by columns."""
+    index = [0] * len(vectors)
+    for i, (axis, stride) in enumerate(zip(axes, lanes.strides)):
+        offset = {v: r * stride for r, v in enumerate(axis)}
+        index = list(map(add, index, map(offset.__getitem__, map(itemgetter(i), vectors))))
+    return index
+
+
+def _marks(lanes: Lanes, index: Iterable[int]) -> int:
+    """1 in the lanes of `index`, 0 elsewhere."""
+    marks = bytearray(lanes.size * lanes.width)
+    for j in index:
+        marks[j * lanes.width] = 1
+    return int.from_bytes(marks, "little")
+
+
+def _sweeps(lanes: Lanes) -> Iterator[tuple[int, int, int]]:
+    """(i, e_i, lanes.positive(i)) for each axis of more than one rank, the
+    mask built as the sweep reaches its axis."""
+    return ((i, e, lanes.positive(i)) for i, e in enumerate(lanes.extents) if e)
+
+
+def _nested_on_grid(families: Sequence[Sequence[Vector]], axes: list[list[int]]) -> bool:
+    """True iff every family is an antichain and each lies in the up-set of
+    the one before it, on one grid over all of them whose axes are given;
+    one family is the antichain check.  A family is an antichain iff no two
+    of its cells coincide and none lies in its strict up-set, the up-set
+    moved one step along some axis."""
+    lanes = _grid(axes, 1)
+    below = None
+    for fam in families:
+        up = marks = _marks(lanes, _cells(lanes, axes, fam))
+        for i, e, positive in _sweeps(lanes):  # axis i swept e_i times
+            for _ in range(e):
+                up |= lanes.up(up, i, positive)
+        above = 0
+        for i, _, positive in _sweeps(lanes):
+            above |= lanes.up(up, i, positive)
+        if marks.bit_count() < len(fam) or marks & above or (below is not None and marks & ~below):
+            return False
+        below = up
+    return True
+
+
+def _check_pairs(gens: Sequence[Vector], codes: Sequence[int]) -> None:
+    """Raise on the first comparable pair of a sorted family, in combinations order.
+
+    a precedes b lexicographically, so b <= a componentwise only if a == b.
+    """
+    for i, a in enumerate(codes):
+        for j, b in enumerate(codes[i + 1 :], i + 1):
+            if a | b == b:
+                raise InvalidGeneratorError(f"comparable generators {gens[i]} and {gens[j]}")
+
+
 def validate_generators(vectors: Iterable[Vector]) -> tuple[Vector, ...]:
     """Normalise a generator family: sorted, same length, pairwise incomparable.
 
@@ -105,8 +215,9 @@ def validate_generators(vectors: Iterable[Vector]) -> tuple[Vector, ...]:
     return _validated(vectors)[0]
 
 
-def _validated(vectors: Iterable[Vector]) -> tuple[tuple[Vector, ...], _Packing, list[int]]:
-    """validate_generators, with the family's packing and codes in its order."""
+def _checked(vectors: Iterable[Vector]) -> tuple[tuple[Vector, ...], _Packing]:
+    """A family sorted, refused when empty, ragged or negative, with its
+    packing: the checks of validate_generators short of the order."""
     gens = tuple(sorted(tuple(v) for v in vectors))
     if not gens:
         raise InvalidGeneratorError("generator family is empty")
@@ -115,17 +226,19 @@ def _validated(vectors: Iterable[Vector]) -> tuple[tuple[Vector, ...], _Packing,
     for g in gens:
         if len(g) != n:
             raise DimensionError(f"vectors of length {n} and {len(g)}")
-        if any(s < 0 for s in g):
+        if g and min(g) < 0:
             raise InvalidGeneratorError(f"negative state in generator {g}")
-    packing = _Packing.of(gens)
-    codes = packing.codes(gens)
-    # a precedes b lexicographically, so b <= a componentwise only if a == b;
-    # pairs are tried in combinations order, so the first comparable one is named
-    for i, a in enumerate(codes):
-        for j, b in enumerate(codes[i + 1 :], i + 1):
-            if a | b == b:
-                raise InvalidGeneratorError(f"comparable generators {gens[i]} and {gens[j]}")
-    return gens, packing, codes
+    return gens, _Packing.of(gens)
+
+
+def _validated(vectors: Iterable[Vector]) -> tuple[tuple[Vector, ...], _Packing]:
+    """validate_generators, with the family's packing: the antichain check
+    on the grid where it pays and passes, else by pairs, which name the fault."""
+    gens, packing = _checked(vectors)
+    axes = _axes(gens)
+    if not (_grid_steps(axes) < len(gens) ** 2 and _nested_on_grid([gens], axes)):
+        _check_pairs(gens, packing.codes(gens))
+    return gens, packing
 
 
 @dataclass(frozen=True)
@@ -148,24 +261,85 @@ class JoinClosure:
 
     @property
     def top(self) -> Vector:
-        """Join of all generators, the largest element of the closure."""
-        top = self.generators[0]
-        for g in self.generators[1:]:
-            top = join(top, g)
-        return top
+        """Join of all generators, the largest element of the closure and
+        so the lexicographically last."""
+        return self.elements[-1]
 
 
 def join_closure(generators: Iterable[Vector]) -> JoinClosure:
-    """Close a generator family under joins one generator at a time: each
-    generator adds itself and its join with every element closed so far,
-    so s generators take at most s * |closure| joins.  The joins are `|`
-    on thermometer codes; the codes sort in lex order and are decoded once."""
-    gens, packing, codes = _validated(generators)
+    """Close a generator family under joins, by a loop or on the grid.
+
+    The loop adds one generator at a time, itself and its join with every
+    element closed so far: s * |closure| joins at most.  |closure| is not
+    known in advance, so where the pairs check costs less than the grid
+    the loop runs, and hands over to the grid once its joins pass the
+    grid's cost.  On the grid, the generator count c at or below each
+    cell is summed along every axis, and a cell y with c(y) > 0 is a join
+    of generators iff, along every axis where y's rank is positive, some
+    generator below y shares y's value there: c(y) > c(y - e_i).  Either
+    way the elements come out in lex order.
+    """
+    gens, packing = _checked(generators)
+    s, axes = len(gens), _axes(gens)
+    grid = _grid_steps(axes)
+    elements = None
+    if grid < s * s:
+        elements = _closure_on_grid(gens, axes)
+    if elements is None:  # the loop, or a family that is no antichain
+        codes = packing.codes(gens)
+        _check_pairs(gens, codes)
+        # past the grid's cost, less the pairs check's, the loop hands over
+        elements = _closure_by_joins(packing, codes, grid - s * s) or _closure_on_grid(gens, axes)
+    return JoinClosure(generators=gens, elements=elements)
+
+
+def _counts(lanes: Lanes, marks: int) -> int:
+    """The zeta transform of the marks on the grid, prefix sums along each
+    axis: the number of generators at or below each cell."""
+    c = marks
+    for i, e, positive in _sweeps(lanes):
+        moved = c
+        for _ in range(e):
+            moved = lanes.up(moved, i, positive)
+            c += moved
+    return c
+
+
+def _joins(lanes: Lanes, counts: int) -> bytes:
+    """One byte per cell, 1 where the cell is a join of generators: along
+    every axis, the count drops one step down, or the axis is at rank 0."""
+    joins = lanes.top
+    for i, _, positive in _sweeps(lanes):
+        joins &= ~lanes.at_least(lanes.up(counts, i, positive), counts)
+    return (joins >> (lanes.bits - 1)).to_bytes(lanes.size * lanes.width, "little")[:: lanes.width]
+
+
+def _closure_on_grid(gens: Sequence[Vector], axes: list[list[int]]) -> tuple[Vector, ...] | None:
+    """The closure of a checked family, or None if it is no antichain: a
+    generator cell that counts a generator besides itself at or below it."""
+    lanes = _grid(axes, len(gens))  # counts <= s
+    marks = _marks(lanes, _cells(lanes, axes, gens))
+    if marks.bit_count() < len(gens):
+        return None
+    counts = _counts(lanes, marks)
+    if lanes.at_least(counts, 2 * lanes.ones) & (marks << (lanes.bits - 1)):
+        return None
+    return tuple(compress(product(*axes), _joins(lanes, counts)))  # cells in lex order
+
+
+def _closure_by_joins(packing: _Packing, codes: Sequence[int],
+                      budget: float = math.inf) -> tuple[Vector, ...] | None:
+    """The closure of an antichain's codes, one generator at a time, or None
+    once its joins pass the budget.  The joins are `|` on thermometer
+    codes, which sort in lex order."""
     elements: set[int] = set()
     for g in codes:
+        budget -= len(elements)
+        if budget < 0:
+            return None
         elements |= set(map(g.__or__, elements))
         elements.add(g)
-    return JoinClosure(generators=gens, elements=tuple(map(packing.vector, sorted(elements))))
+    return tuple(map(packing.vector, sorted(elements)))
 
 
 def formations(target: Vector, generators: Iterable[Vector]) -> list[tuple[Vector, ...]]:
@@ -221,16 +395,18 @@ def domination_by_formations(generators: Iterable[Vector], *, guard: int = 20) -
 
     Exponential in s; families larger than `guard` are refused (use the
     closure Mobius table, the pivotal decomposition or a closed form
-    instead).
+    instead), before the family is validated.
     """
-    gens, packing, codes = _validated(generators)
-    s = len(gens)
+    generators = tuple(generators)
+    s = len(generators)
     if s > guard:
         raise ComplexityGuardError(
             f"{s} generators exceed the formation guard ({guard}); "
             "domination_by_closure_mobius, pivotal_domination or a "
             "closed-form engine handles larger families"
         )
+    gens, packing = _validated(generators)
+    codes = packing.codes(gens)
     # the joins of the even and of the odd subsets of the first 9 generators
     first_even, first_odd = [0], []
     for g in codes[:9]:
@@ -252,12 +428,47 @@ def domination_by_formations(generators: Iterable[Vector], *, guard: int = 20) -
 def domination_by_closure_mobius(closure: JoinClosure) -> DominationTable:
     """Signed domination as the Mobius inverse of the constant 1 on the closure.
 
-    The deltas at or below each element sum to 1 and lex order is a linear
-    extension, so forward substitution gives delta(y) = 1 - sum of delta(x)
-    over x < y, where only the non-zero (code, delta) pairs so far are
-    tried, by `x | y == y` on thermometer codes.  Quadratic in the closure
-    size; agrees with domination_by_formations on every family.
+    On the generators' grid, where it pays: the backward difference of the
+    up-set indicator along every axis, in signed lanes biased by half their
+    range, read at the closure's cells.  It is exact on any product of
+    chains that holds the joins: its zeta transform is the up-set
+    indicator, and so is that of the formation count, which is zero off
+    the closure.  After j >= 1 differences a value is a sum of 2^(j-1)
+    indicator values less as many others, so |delta| <= 2^(n-1), and the
+    lanes also hold the generator counts (<= s) that find the closure's
+    cells, as join_closure does.
+
+    Else by forward substitution in the closure's lex order, a linear
+    extension: delta(y) = 1 - sum of delta(x) over x < y, where only the
+    non-zero (code, delta) pairs so far are tried, by `x | y == y` on
+    thermometer codes, quadratic in the closure size.  Both agree with
+    domination_by_formations on every family, zero entries included.
     """
+    axes = _axes(closure.generators)
+    if _grid_steps(axes) < len(closure) ** 2:
+        return _mobius_on_grid(closure, axes)
+    return _mobius_by_substitution(closure)
+
+
+def _mobius_on_grid(closure: JoinClosure, axes: list[list[int]]) -> DominationTable:
+    n, s = len(axes), len(closure.generators)
+    lanes = _grid(axes, max(s, (1 << n) - 1))  # generator counts and |delta|
+    counts = _counts(lanes, _marks(lanes, _cells(lanes, axes, closure.generators)))
+    top = lanes.top  # the bias: 2^(bits - 1) in every lane
+    delta = top | lanes.at_least(counts, lanes.ones) >> (lanes.bits - 1)  # the up-set
+    for i, _, positive in _sweeps(lanes):
+        # delta(x) - delta(x - e_i) where x_i > 0, with the bias kept
+        delta += top - (lanes.up(delta, i, positive) | (top & ~positive))
+    values, w, joins = delta.to_bytes(lanes.size * lanes.width, "little"), lanes.width, _joins(lanes, counts)
+    # a lane holds sum_k byte_k << 8k, less the bias; byte k of the closure's lanes:
+    planes = [compress(values[k::w], joins) for k in range(w)]
+    deltas = map(sub, planes[0], repeat(1 << (lanes.bits - 1)))
+    for k in range(1, w):
+        deltas = map(add, deltas, map(lshift, planes[k], repeat(8 * k)))
+    return dict(zip(closure.elements, deltas, strict=True))
+
+
+def _mobius_by_substitution(closure: JoinClosure) -> DominationTable:
     packing = _Packing.of(closure.elements)
     table: DominationTable = {}
     nonzero: list[tuple[int, int]] = []

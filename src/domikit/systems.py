@@ -41,10 +41,20 @@ from .errors import (
     DimensionError,
     DistributionError,
     DomainError,
+    DomikitError,
     ValidationError,
 )
 from .lanes import Lanes
-from .poset import DominationTable, Vector, _Packing, validate_generators
+from .poset import (
+    DominationTable,
+    Vector,
+    _axes,
+    _check_pairs,
+    _checked,
+    _grid_steps,
+    _nested_on_grid,
+    _Packing,
+)
 
 
 @dataclass(frozen=True)
@@ -221,7 +231,11 @@ def path_vector_system(
     Each family must be a non-empty antichain inside the space, and every
     level-k vector must dominate some level-(k-1) vector, so that the
     declared families really are the minimal path vectors of the resulting
-    structure.
+    structure.  Where it pays, both order checks run on one grid of all
+    the levels' values (see poset): F_k is an antichain iff none of its
+    cells lies in its strict up-set, and F_k lies in Up(F_(k-1)) iff its
+    cells AND NOT that up-set are empty.  Otherwise, and to name a fault,
+    the pairwise loops run, level by level.
     """
     ms = tuple(max_states)
     if not levels:
@@ -230,29 +244,44 @@ def path_vector_system(
     if sorted(levels) != list(range(1, system_max + 1)):
         raise ValidationError(f"levels must be exactly 1..{system_max}, got {sorted(levels)}")
     families: dict[int, tuple[Vector, ...]] = {}
-    for k in range(1, system_max + 1):
-        fam = tuple(sorted(map(tuple, levels[k])))
-        # bounded before validate_generators sizes a thermometer code from the largest state
-        for v in fam:
-            if any(a > m for a, m in zip(v, ms)):
-                raise ValidationError(f"path vector {v} outside space {ms}")
-        fam = validate_generators(fam)
-        for v in fam:
-            if len(v) != len(ms):
-                raise ValidationError(f"path vector {v} outside space {ms}")
-        families[k] = fam
+    try:
+        for k in range(1, system_max + 1):
+            fam = tuple(sorted(map(tuple, levels[k])))
+            # bounded before _checked sizes a thermometer code from the largest state
+            for v in fam:
+                if not all(map(operator.le, v, ms)):
+                    raise ValidationError(f"path vector {v} outside space {ms}")
+            families[k] = fam = _checked(fam)[0]
+            for v in fam:
+                if len(v) != len(ms):
+                    raise ValidationError(f"path vector {v} outside space {ms}")
+    except DomikitError:
+        # a family's antichain check comes before its length check and before
+        # the next level is read, so a fault found there is the one to report
+        for fam in families.values():
+            _check_pairs(fam, _Packing.of(fam).codes(fam))
+        raise
+    # the antichains and their nesting on one grid where it pays; a fault is
+    # named by the pairwise loops, in the order of the checks that read the
+    # levels one by one
+    axes = _axes(chain(*families.values()))
+    steps = sum(len(fam) * (len(fam) + len(families.get(k - 1, ()))) for k, fam in families.items())
+    nested = _grid_steps(axes) * system_max < steps and _nested_on_grid(list(families.values()), axes)
+    if not nested:
+        for fam in families.values():
+            _check_pairs(fam, _Packing.of(fam).codes(fam))
     # thermometer codes as wide as the largest state of each component in the
     # families: phi clips x to them, as a state above every family state
     # compares the same, and evaluate range-checks x before phi encodes it
     widths = [max(column) for column in zip(*chain(*families.values()))]
     packing = _Packing(widths)
     codes = {k: packing.codes(fam) for k, fam in families.items()}
-    for k in range(2, system_max + 1):
-        for v, c in zip(families[k], codes[k]):
-            if not any(u | c == c for u in codes[k - 1]):
-                raise ValidationError(
-                    f"level-{k} path vector {v} dominates no level-{k - 1} path vector"
-                )
+    if not nested:
+        for k in range(2, system_max + 1):
+            for v, c in zip(families[k], codes[k]):
+                if not any(u | c == c for u in codes[k - 1]):
+                    raise ValidationError(
+                        f"level-{k} path vector {v} dominates no level-{k - 1} path vector")
 
     def phi(x: Vector) -> int:
         """Bisect the levels: every level-k vector dominates a level-(k-1)

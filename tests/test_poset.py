@@ -1,25 +1,45 @@
 """Join closures, formations and the two closure-side domination routes."""
 
+import math
 import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import naive_formation_delta, vjoin, vleq
 from domikit import (
     ComplexityGuardError,
     DimensionError,
+    DomikitError,
     InvalidGeneratorError,
     domination_by_closure_mobius,
     domination_by_formations,
     formations,
     join,
     join_closure,
+    minimal_path_vectors,
+    path_vector_system,
+    pivotal_domination,
+    poset,
+    sum_system,
+    systems,
     validate_generators,
 )
-from domikit.poset import _Packing
+from domikit.poset import (
+    _axes,
+    _check_pairs,
+    _checked,
+    _closure_by_joins,
+    _closure_on_grid,
+    _mobius_by_substitution,
+    _mobius_on_grid,
+    _nested_on_grid,
+    _Packing,
+)
 
 FOUR_GENS = [(2, 1, 1, 0), (1, 2, 0, 1), (1, 0, 2, 1), (0, 1, 1, 2)]
 TWO_OF_THREE = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
@@ -119,6 +139,18 @@ def test_domination_four_generator_table():
         assert table[g] == 1
     assert table[(2, 2, 2, 2)] == -1
     assert table[vjoin(FOUR_GENS[0], FOUR_GENS[1])] == -1
+
+
+def test_formation_guard_comes_before_validation():
+    """An invalid family larger than the guard is refused by the guard,
+    before an O(s^2) validation; within the guard it is validated."""
+    gens = [(i, 0) for i in range(25)]  # a chain: every pair is comparable
+    with pytest.raises(ComplexityGuardError) as err:
+        domination_by_formations(iter(gens))
+    assert str(err.value).startswith("25 generators exceed the formation guard (20); ")
+    with pytest.raises(InvalidGeneratorError) as err:
+        domination_by_formations(gens, guard=25)
+    assert str(err.value) == "comparable generators (0, 0) and (1, 0)"
 
 
 def test_formation_guard_names_alternatives():
@@ -336,3 +368,182 @@ def test_formation_count_memory_stays_near_the_walk():
             tracemalloc.stop()
         assert len(table) == 687
     assert peaks[0] <= 1.25 * peaks[1], peaks
+
+
+# --- the grid kernels against the pairwise loops ------------------------------
+
+
+def _minimal(vectors):
+    """The minimal vectors of a set: an antichain."""
+    vectors = set(vectors)
+    return sorted(v for v in vectors if not any(u != v and vleq(u, v) for u in vectors))
+
+
+@st.composite
+def _grid_families(draw):
+    """Families over n = 0..8 coordinates, each taking at most three of the
+    states 0..9 (so the grid stays within 3^8 cells): an antichain, and
+    the same family with a duplicate or a comparable pair injected."""
+    n = draw(st.integers(0, 8))
+    axes = [draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True)) for _ in range(n)]
+    vector = st.tuples(*(st.sampled_from(axis) for axis in axes))
+    antichain = _minimal(draw(st.lists(vector, min_size=1, max_size=12)))
+    faulty = list(antichain)
+    fault = draw(st.sampled_from(["none", "duplicate", "comparable"]))
+    if fault == "duplicate":
+        faulty.append(draw(st.sampled_from(antichain)))
+    elif fault == "comparable":
+        v = list(draw(st.sampled_from(antichain)))
+        if n:
+            i = draw(st.integers(0, n - 1))
+            v[i] = draw(st.sampled_from([x for x in range(10) if x != v[i]]))
+        faulty.append(tuple(v))
+    return antichain, draw(st.permutations(faulty))
+
+
+def _outcome(call):
+    """A call's result, or its error's class and message."""
+    try:
+        return call()
+    except DomikitError as e:
+        return type(e).__name__, str(e)
+
+
+def _routes(grid: bool):
+    """Every size selection of poset and systems forced to the grid or the loops."""
+    steps = (lambda axes: 0.0) if grid else (lambda axes: math.inf)
+    return mock.patch.multiple(poset, _grid_steps=steps), mock.patch.multiple(systems, _grid_steps=steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_families())
+def test_grid_kernels_equal_the_pairwise_loops(families):
+    antichain, faulty = families
+    gens, packing = _checked(antichain)
+    axes, codes = _axes(gens), packing.codes(gens)
+    assert _nested_on_grid([gens], axes)
+    elements = _closure_on_grid(gens, axes)
+    assert elements == _closure_by_joins(packing, codes) == join_closure(antichain).elements
+    closure = join_closure(antichain)
+    assert closure.top == _subset_join_reference(gens)[-1] == closure.elements[-1]
+    table = _mobius_on_grid(closure, axes)
+    assert list(table.items()) == list(_mobius_by_substitution(closure).items())
+    assert list(table.items()) == list(domination_by_formations(gens).items())
+    # a faulty family: the grid says so, and the pairs name the fault either way
+    gens, packing = _checked(faulty)
+    reference = _first_comparable_reference(faulty)
+    expected = gens if reference is None else ("InvalidGeneratorError", reference)
+    assert _outcome(lambda: _check_pairs(gens, packing.codes(gens)) or gens) == expected
+    assert _nested_on_grid([gens], _axes(gens)) == (reference is None)
+    assert (_closure_on_grid(gens, _axes(gens)) is None) == (reference is not None)
+    for grid in (True, False):
+        on_poset, on_systems = _routes(grid)
+        with on_poset, on_systems:
+            assert _outcome(lambda: validate_generators(faulty)) == expected
+            assert _outcome(lambda: join_closure(faulty).generators) == expected
+
+
+@st.composite
+def _level_families(draw):
+    """Path-vector levels 1..M over n = 1..6 coordinates: each level the
+    minimal joins of pairs of the level below, with now and then a
+    duplicate, a comparable pair, a vector outside the space, or a level
+    replaced by an unrelated antichain, which the next or it may not nest in."""
+    n = draw(st.integers(1, 6))
+    vector = st.tuples(*(st.integers(0, 4) for _ in range(n)))
+    levels = [_minimal(draw(st.lists(vector, min_size=1, max_size=6)))]
+    for _ in range(draw(st.integers(0, 3))):
+        below = levels[-1]
+        pairs = draw(st.lists(st.tuples(st.sampled_from(below), st.sampled_from(below)),
+                              min_size=1, max_size=6))
+        levels.append(_minimal(tuple(map(max, a, b)) for a, b in pairs))
+    ms = [max(1, *(v[i] for level in levels for v in level)) for i in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(levels) - 1))
+        fault = draw(st.sampled_from(["duplicate", "comparable", "outside", "unrelated", "unrelated"]))
+        v = list(draw(st.sampled_from(levels[k])))
+        i = draw(st.integers(0, n - 1))
+        if fault == "unrelated":
+            within = st.tuples(*(st.integers(0, m) for m in ms))
+            levels[k] = _minimal(draw(st.lists(within, min_size=1, max_size=6)))
+            continue
+        if fault == "comparable":
+            v[i] += 1
+        elif fault == "outside":
+            v[i] = ms[i] + 1
+        levels[k] = levels[k] + [tuple(v)]
+    return ms, {k + 1: level for k, level in enumerate(levels)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_level_families())
+def test_path_vector_checks_on_the_grid_name_what_the_loops_name(case):
+    ms, levels = case
+    outcomes = []
+    for grid in (True, False):
+        on_poset, on_systems = _routes(grid)
+        with on_poset, on_systems:
+            outcomes.append(_outcome(lambda: path_vector_system(ms, levels)._paths))
+    outcomes.append(_outcome(lambda: path_vector_system(ms, levels)._paths))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@pytest.mark.parametrize("levels, message", [
+    ({1: [(1, 0, 0), (1, 1, 0)]}, "comparable generators (1, 0, 0) and (1, 1, 0)"),
+    ({1: [(1, 0), (0, 1)], 2: [(1, 0, 0), (1, 1, 0)]}, "comparable generators (1, 0, 0) and (1, 1, 0)"),
+    ({1: [(1, 0), (1, 1)], 2: [(1, 0, 0)]}, "comparable generators (1, 0) and (1, 1)"),
+    ({1: [(1, 0)], 2: [(1, 1, 1)]}, "path vector (1, 1, 1) outside space (1, 1)"),
+    ({1: [(1, 0), (1, 1)], 2: [(2, 0)]}, "comparable generators (1, 0) and (1, 1)"),
+    ({1: [(1, 0), (1, 1)], 2: [(1, 0), (0, 1, 1)]}, "comparable generators (1, 0) and (1, 1)"),
+    ({1: [(1, 0), (0, 1)], 2: [(1, 1), (1, -1)]}, "negative state in generator (1, -1)"),
+    ({1: [(1, 1)], 2: [(0, 1)], 3: [(1, 1), (1, 1)]}, "comparable generators (1, 1) and (1, 1)"),
+    ({1: [(1, 1)], 2: [(0, 1)], 3: [(1, 1)]}, "level-2 path vector (0, 1) dominates no level-1 path vector"),
+])
+def test_path_vector_faults_are_named_in_the_order_the_levels_are_read(levels, message):
+    """Level by level, a family's bounds, shape, antichain and length are
+    checked in that order, and the nesting of the levels after all of
+    them, as when every level was validated pairwise as it was read."""
+    with pytest.raises(DomikitError) as err:
+        path_vector_system((1, 1), levels)
+    assert str(err.value) == message
+
+
+def _sum_3_8_level_12():
+    ls = sum_system((3,) * 8).level(12)
+    return ls, minimal_path_vectors(ls)
+
+
+def test_closure_and_mobius_of_a_unit_sum_over_3_to_the_8():
+    """8 092 path vectors, 36 814 closure elements on a grid of 4^8 cells:
+    the loops take tens of seconds here, the grid well under one."""
+    ls, paths = _sum_3_8_level_12()
+    assert len(paths) == 8092
+    closure = join_closure(paths)
+    assert len(closure) == 36814 and closure.top == (3,) * 8
+    table = domination_by_closure_mobius(closure)
+    assert list(table) == list(closure.elements)
+    assert table[closure.top] == pivotal_domination(ls)
+
+
+def test_grid_kernels_hold_a_few_lanes_of_the_grid():
+    """On the 4^8-cell grid of the unit sum over [3]^8 at level 12, each
+    kernel's memory beyond the result it returns is a few lanes of the grid
+    and two lists of lane numbers of the generators: O(cells * width + s),
+    where a list or tuple per cell would take 2.4 MB or more."""
+    _, paths = _sum_3_8_level_12()
+    gens = validate_generators(paths)
+    closure, axes, s = join_closure(gens), _axes(gens), len(gens)
+    cells = math.prod(map(len, axes))
+    kernels = [(lambda: _nested_on_grid([gens], axes), 1),
+               (lambda: _closure_on_grid(gens, axes), poset._grid(axes, s).width),
+               (lambda: _mobius_on_grid(closure, axes), poset._grid(axes, max(s, 255)).width)]
+    for kernel, width in kernels:
+        kernel()  # one-time allocations stay out of the window
+        tracemalloc.start()
+        try:
+            result = kernel()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result
+        assert peak - retained <= 12 * cells * width + 96 * s, (peak - retained, width)
