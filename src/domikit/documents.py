@@ -181,6 +181,8 @@ def _parse_structure(obj: dict, max_states: tuple[int, ...] | None):
     for key, fam in levels_obj.items():
         if not (key.isascii() and key.isdigit()) or int(key) < 1:
             raise ParseError(f"structure.levels.{key}", "level keys must be positive integers")
+        if key.startswith("0"):  # "01" would name level 1 beside "1"
+            raise ParseError(f"structure.levels.{key}", f'level {int(key)} must be written "{int(key)}"')
         vecs = [tuple(_int_list(v, f"structure.levels.{key}[{i}]"))
                 for i, v in enumerate(_expect_list(fam, f"structure.levels.{key}"))]
         levels[int(key)] = vecs
@@ -221,7 +223,10 @@ def _parse_distribution(value: Any, max_states: tuple[int, ...]) -> ComponentDis
                 except (ValueError, ZeroDivisionError) as e:
                     raise ParseError(ppath, f"bad rational {p!r}: {e}") from e
             elif isinstance(p, int):
-                row.append(Fraction(p) if has_rational else float(p))
+                try:
+                    row.append(Fraction(p) if has_rational else float(p))
+                except OverflowError:
+                    raise ParseError(ppath, "integer probability too large for a float") from None
             elif isinstance(p, float):
                 if has_rational:
                     raise ParseError(ppath, "cannot mix decimal and rational probabilities")

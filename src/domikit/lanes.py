@@ -6,13 +6,15 @@ reliability by enumeration; over the box of top corners (each x_i at
 m_i - 1 or m_i) they feed pivotal decomposition, 2^9 corners at a time
 (see systems._phi_lanes and domination.pivotal_domination).  Over the
 grid of a generator family's values they hold the order kernels of
-poset: up-sets, generator counts and Mobius tables.
+poset: up-sets, generator counts and Mobius tables.  One OR sweep,
+Lanes.closed, closes the up-sets of poset's order checks and of the
+path_vectors tabulator: level k is k Up(F_k), phi the sum over k.
 """
 
 from __future__ import annotations
 
 from operator import sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 class Lanes:
@@ -126,31 +128,38 @@ class Lanes:
         lo_i; `positive` is self.positive(i)."""
         return (lanes << (self.bits * self.strides[i])) & positive
 
-    def highest_below(self, families: Mapping[int, Iterable[tuple[int, ...]]]) -> int:
-        """Lane x holds the highest k with a vector of families[k] below x,
-        or 0.  A vector v below some x of the box lies below hi, and is
-        below x exactly when max(0, v - lo) is below x - lo: that lane is
-        set to its k, then closed upwards by a lane-wise max along each
-        axis."""
-        levels = bytearray(self.size * self.width)
-        for k in sorted(families):  # ascending, so a vector in two families keeps the higher k
-            for v in families[k]:
-                j = 0
-                for a, low, e, s in zip(v, self.lo, self.extents, self.strides):
-                    if a > low:
-                        if a - low > e:
-                            break  # above hi
-                        j += (a - low) * s
-                else:
-                    j *= self.width
-                    levels[j : j + self.width] = k.to_bytes(self.width, "little")
-        closed = int.from_bytes(levels, "little")
+    def marks(self, index: Iterable[int]) -> int:
+        """1 in the lanes of `index`, 0 elsewhere."""
+        marks = bytearray(self.size * self.width)
+        for j in index:
+            marks[j * self.width] = 1
+        return int.from_bytes(marks, "little")
+
+    def upset(self, vectors: Iterable[Sequence[int]]) -> int:
+        """1 in lane x where some vector lies below x, else 0.  A vector
+        below some x of the box lies below hi, and is below x exactly when
+        max(0, v - lo) is below x - lo: that lane is marked, then closed."""
+        index = []
+        for v in vectors:
+            j = 0
+            for a, low, e, s in zip(v, self.lo, self.extents, self.strides):
+                if a > low:
+                    if a - low > e:
+                        break  # above hi
+                    j += (a - low) * s
+            else:
+                index.append(j)
+        return self.closed(self.marks(index))
+
+    def closed(self, marks: int) -> int:
+        """Lanes of 0 or 1 closed upwards: lane x is the OR of marks(y)
+        over y <= x, by e_i one-step sweeps along each axis i."""
         for i, e in enumerate(self.extents):
-            positive = self.positive(i)
-            for _ in range(e):
-                below = self.up(closed, i, positive)
-                closed += below - self.minimum(closed, below)  # the lane-wise max
-        return closed
+            if e:
+                positive = self.positive(i)
+                for _ in range(e):
+                    marks |= self.up(marks, i, positive)
+        return marks
 
     def table(self, lanes: int, k: int) -> bytes:
         """[lane >= k], one byte 0 or 1 per state in lexicographic order."""

@@ -88,13 +88,15 @@ class _Packing:
     code wider than 10^7 bits is refused before any field is built.
     """
 
+    guard = 10**7
+
     def __init__(self, widths: Sequence[int]):
         shifts, total = [], 0
         for w in reversed(widths):
             shifts.append(total)
             total += w
-        if total > 10**7:
-            raise ComplexityGuardError(f"thermometer code of {total} bits exceeds guard ({10**7})")
+        if total > self.guard:
+            raise ComplexityGuardError(f"thermometer code of {total} bits exceeds guard ({self.guard})")
         self.shifts = shifts[::-1]
         self.fields = [((1 << w) - 1) << s for w, s in zip(widths, self.shifts)]
         self.base = sum(1 << s for s in self.shifts)
@@ -159,14 +161,6 @@ def _cells(lanes: Lanes, axes: list[list[int]], vectors: Sequence[Vector]) -> li
     return index
 
 
-def _marks(lanes: Lanes, index: Iterable[int]) -> int:
-    """1 in the lanes of `index`, 0 elsewhere."""
-    marks = bytearray(lanes.size * lanes.width)
-    for j in index:
-        marks[j * lanes.width] = 1
-    return int.from_bytes(marks, "little")
-
-
 def _sweeps(lanes: Lanes) -> Iterator[tuple[int, int, int]]:
     """(i, e_i, lanes.positive(i)) for each axis of more than one rank, the
     mask built as the sweep reaches its axis."""
@@ -180,16 +174,14 @@ def _nested_on_grid(families: Sequence[Sequence[Vector]], axes: list[list[int]])
     of its cells coincide and none lies in its strict up-set, the up-set
     moved one step along some axis."""
     lanes = _grid(axes, 1)
-    below = None
+    below = -1  # every cell
     for fam in families:
-        up = marks = _marks(lanes, _cells(lanes, axes, fam))
-        for i, e, positive in _sweeps(lanes):  # axis i swept e_i times
-            for _ in range(e):
-                up |= lanes.up(up, i, positive)
+        marks = lanes.marks(_cells(lanes, axes, fam))
+        up = lanes.closed(marks)
         above = 0
         for i, _, positive in _sweeps(lanes):
             above |= lanes.up(up, i, positive)
-        if marks.bit_count() < len(fam) or marks & above or (below is not None and marks & ~below):
+        if marks.bit_count() < len(fam) or marks & (above | ~below):
             return False
         below = up
     return True
@@ -318,7 +310,7 @@ def _closure_on_grid(gens: Sequence[Vector], axes: list[list[int]]) -> tuple[Vec
     """The closure of a checked family, or None if it is no antichain: a
     generator cell that counts a generator besides itself at or below it."""
     lanes = _grid(axes, len(gens))  # counts <= s
-    marks = _marks(lanes, _cells(lanes, axes, gens))
+    marks = lanes.marks(_cells(lanes, axes, gens))
     if marks.bit_count() < len(gens):
         return None
     counts = _counts(lanes, marks)
@@ -453,7 +445,7 @@ def domination_by_closure_mobius(closure: JoinClosure) -> DominationTable:
 def _mobius_on_grid(closure: JoinClosure, axes: list[list[int]]) -> DominationTable:
     n, s = len(axes), len(closure.generators)
     lanes = _grid(axes, max(s, (1 << n) - 1))  # generator counts and |delta|
-    counts = _counts(lanes, _marks(lanes, _cells(lanes, axes, closure.generators)))
+    counts = _counts(lanes, lanes.marks(_cells(lanes, axes, closure.generators)))
     top = lanes.top  # the bias: 2^(bits - 1) in every lane
     delta = top | lanes.at_least(counts, lanes.ones) >> (lanes.bits - 1)  # the up-set
     for i, _, positive in _sweeps(lanes):

@@ -41,7 +41,6 @@ from .errors import (
     DimensionError,
     DistributionError,
     DomainError,
-    DomikitError,
     ValidationError,
 )
 from .lanes import Lanes
@@ -49,11 +48,10 @@ from .poset import (
     DominationTable,
     Vector,
     _axes,
-    _check_pairs,
-    _checked,
     _grid_steps,
     _nested_on_grid,
     _Packing,
+    _validated,
 )
 
 
@@ -231,11 +229,12 @@ def path_vector_system(
     Each family must be a non-empty antichain inside the space, and every
     level-k vector must dominate some level-(k-1) vector, so that the
     declared families really are the minimal path vectors of the resulting
-    structure.  Where it pays, both order checks run on one grid of all
-    the levels' values (see poset): F_k is an antichain iff none of its
-    cells lies in its strict up-set, and F_k lies in Up(F_(k-1)) iff its
-    cells AND NOT that up-set are empty.  Otherwise, and to name a fault,
-    the pairwise loops run, level by level.
+    structure.  Where the grid pays, one test decides it all: the families
+    are non-empty, their vectors of length n, each axis of their values
+    (see poset) inside 0..m_i at both ends, and on one grid of them all,
+    F_k is an antichain whose cells AND NOT Up(F_(k-1)) are empty.  Else,
+    and to name a fault, the checks run in the order the levels are read:
+    each level's bounds, generator checks and lengths, then the nesting.
     """
     ms = tuple(max_states)
     if not levels:
@@ -243,40 +242,32 @@ def path_vector_system(
     system_max = max(levels)
     if sorted(levels) != list(range(1, system_max + 1)):
         raise ValidationError(f"levels must be exactly 1..{system_max}, got {sorted(levels)}")
-    families: dict[int, tuple[Vector, ...]] = {}
-    try:
-        for k in range(1, system_max + 1):
-            fam = tuple(sorted(map(tuple, levels[k])))
-            # bounded before _checked sizes a thermometer code from the largest state
-            for v in fam:
-                if not all(map(operator.le, v, ms)):
-                    raise ValidationError(f"path vector {v} outside space {ms}")
-            families[k] = fam = _checked(fam)[0]
-            for v in fam:
-                if len(v) != len(ms):
-                    raise ValidationError(f"path vector {v} outside space {ms}")
-    except DomikitError:
-        # a family's antichain check comes before its length check and before
-        # the next level is read, so a fault found there is the one to report
-        for fam in families.values():
-            _check_pairs(fam, _Packing.of(fam).codes(fam))
-        raise
-    # the antichains and their nesting on one grid where it pays; a fault is
-    # named by the pairwise loops, in the order of the checks that read the
-    # levels one by one
-    axes = _axes(chain(*families.values()))
-    steps = sum(len(fam) * (len(fam) + len(families.get(k - 1, ()))) for k, fam in families.items())
-    nested = _grid_steps(axes) * system_max < steps and _nested_on_grid(list(families.values()), axes)
-    if not nested:
-        for fam in families.values():
-            _check_pairs(fam, _Packing.of(fam).codes(fam))
+    families = {k: tuple(sorted(map(tuple, levels[k]))) for k in range(1, system_max + 1)}
+    vectors = list(chain(*families.values()))
+    axes = _axes(vectors)
     # thermometer codes as wide as the largest state of each component in the
     # families: phi clips x to them, as a state above every family state
     # compares the same, and evaluate range-checks x before phi encodes it
-    widths = [max(column) for column in zip(*chain(*families.values()))]
+    widths = [axis[-1] for axis in axes]
+    steps = sum(len(fam) * (len(fam) + len(families.get(k - 1, ()))) for k, fam in families.items())
+    checked = (all(families.values()) and all(map(len(ms).__eq__, map(len, vectors)))
+               and all(axis[0] >= 0 and axis[-1] <= m for axis, m in zip(axes, ms))
+               and sum(widths) <= _Packing.guard  # else the loops name the first level too wide
+               and _grid_steps(axes) * system_max < steps
+               and _nested_on_grid(list(families.values()), axes))
+    if not checked:
+        for fam in families.values():
+            # bounded before _validated sizes a thermometer code from the largest state
+            for v in fam:
+                if not all(map(operator.le, v, ms)):
+                    raise ValidationError(f"path vector {v} outside space {ms}")
+            _validated(fam)
+            for v in fam:
+                if len(v) != len(ms):
+                    raise ValidationError(f"path vector {v} outside space {ms}")
     packing = _Packing(widths)
     codes = {k: packing.codes(fam) for k, fam in families.items()}
-    if not nested:
+    if not checked:
         for k in range(2, system_max + 1):
             for v, c in zip(families[k], codes[k]):
                 if not any(u | c == c for u in codes[k - 1]):
@@ -298,7 +289,9 @@ def path_vector_system(
 
     def lanes(lo, hi, k) -> tuple[Lanes, int]:
         lanes = Lanes(lo, hi, system_max)
-        return lanes, lanes.highest_below(families if k is None else {k: families[k]})
+        if k is None:  # the up-sets nest, so a lane's sum is the highest level below it
+            return lanes, sum(map(lanes.upset, families.values()))
+        return lanes, k * lanes.upset(families[k])
 
     space = StateSpace(max_states=ms, system_max=system_max)
     return MultistateSystem(space=space, kind="path_vectors", _func=phi, _paths=families,

@@ -234,6 +234,8 @@ def lane_kinds():
     systems += [table_system([m], [0] * m + [1]) for m in (128, 256)]
     systems += [path_vector_system((m,), {1: [(1,)]}) for m in (128, 300)]
     systems += [path_vector_system((130, 2), {1: [(3, 0), (0, 1)], 2: [(129, 0), (4, 1)]})]
+    # one vector at two levels: its up-set counts once for each
+    systems += [path_vector_system((2, 1), {1: [(1, 0)], 2: [(1, 0)], 3: [(2, 1)]})]
     systems += [sum_system([]), path_vector_system((), {1: [()], 2: [()]})]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)

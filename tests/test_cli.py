@@ -588,6 +588,28 @@ def test_exit_2_on_non_ascii_level_key(write_doc, capsys):
     assert "structure.levels.\u00b2" in err
 
 
+def test_exit_2_on_a_level_key_with_a_leading_zero(write_doc, capsys):
+    """"01" beside "1" would stand for level 1 twice, and one family would be
+    lost; either order of the keys is refused at "01"."""
+    for levels, key in (({"1": [[1, 0]], "01": [[0, 1]]}, "01"), ({"01": [[0, 1]], "1": [[1, 0]]}, "01"),
+                        ({"1": [[1, 0]], "002": [[1, 1]]}, "002")):
+        doc = {"format_version": 1, "max_states": [1, 1],
+               "structure": {"kind": "path_vectors", "levels": levels}}
+        code, out, err = run(capsys, ["paths", write_doc(doc), "--level", "1"])
+        assert code == 2
+        assert out == ""
+        level = int(key)
+        assert f'structure.levels.{key}: level {level} must be written "{level}"' in err
+
+
+def test_exit_2_on_a_probability_too_large_for_a_float(write_doc, capsys):
+    doc = two_of_three(distribution=[[10**400, 0], [0.5, 0.5], [0.5, 0.5]])
+    code, out, err = run(capsys, ["reliability", write_doc(doc), "--level", "1"])
+    assert code == 2
+    assert out == ""
+    assert "distribution[0][0]: integer probability too large for a float" in err
+
+
 def test_no_timing_output_is_byte_stable(write_doc, capsys):
     f = write_doc(bridge_doc(directed=True))
     outputs = []

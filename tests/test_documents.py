@@ -204,6 +204,12 @@ def test_path_vector_errors():
     assert str(err.value) == "structure.levels.2[1][2]: expected an integer, got False"
     deep["structure"]["levels"]["2"][1] = {"0": 1}
     assert path_of(deep) == "structure.levels.2[1]"
+    for key in ("0", "00"):  # no level, whatever its spelling
+        zero = two_of_three_doc()
+        zero["structure"]["levels"] = {key: [[1, 1, 1]]}
+        with pytest.raises(ParseError) as err:
+            parse_system_dict(zero)
+        assert str(err.value) == f"structure.levels.{key}: level keys must be positive integers"
 
 
 def test_distribution_errors():
@@ -231,6 +237,13 @@ def test_distribution_errors():
     assert path_of(two_of_three_doc(
         distribution=[[0.5, 0.6], [0.5, 0.5], [0.5, 0.5]],
     )) == "distribution"  # does not sum to 1
+    for big in (10**400, -10**400, 2**1024 - 2**970):  # the last rounds up past the largest float
+        assert path_of(two_of_three_doc(
+            distribution=[[big, 0], [0.5, 0.5], [0.5, 0.5]],
+        )) == "distribution[0][0]"
+    assert path_of(two_of_three_doc(  # exact input keeps the integer, whose pmf sums past 1
+        distribution=[[10**400, 0], ["1/2", "1/2"], ["1/2", "1/2"]],
+    )) == "distribution"
 
 
 def test_distribution_exact_and_float_modes():

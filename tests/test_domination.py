@@ -198,6 +198,7 @@ def test_evaluate_called_once_per_structure_evaluation(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.memory
 def test_pivotal_holds_no_table_of_the_box():
     """Past the subset guard pivotal is the only route, so it keeps no
     value per corner: its peak allocation over 2^14 corners stays below

@@ -352,6 +352,7 @@ def test_formation_count_matches_the_depth_first_walk():
     assert domination_by_formations([(0, 0)]) == {(0, 0): 1}
 
 
+@pytest.mark.memory
 def test_formation_count_memory_stays_near_the_walk():
     """At s = 20 the 2^11 subsets of the generators past the first 9 are
     walked depth first, not listed: the peak stays within 1.25x of the
@@ -447,8 +448,9 @@ def test_grid_kernels_equal_the_pairwise_loops(families):
 def _level_families(draw):
     """Path-vector levels 1..M over n = 1..6 coordinates: each level the
     minimal joins of pairs of the level below, with now and then a
-    duplicate, a comparable pair, a vector outside the space, or a level
-    replaced by an unrelated antichain, which the next or it may not nest in."""
+    duplicate, a comparable pair, a vector outside the space, a negative,
+    short or long vector, an empty level, or a level replaced by an
+    unrelated antichain, which the next or it may not nest in."""
     n = draw(st.integers(1, 6))
     vector = st.tuples(*(st.integers(0, 4) for _ in range(n)))
     levels = [_minimal(draw(st.lists(vector, min_size=1, max_size=6)))]
@@ -458,19 +460,30 @@ def _level_families(draw):
                               min_size=1, max_size=6))
         levels.append(_minimal(tuple(map(max, a, b)) for a, b in pairs))
     ms = [max(1, *(v[i] for level in levels for v in level)) for i in range(n)]
+    clean = list(levels)
     for _ in range(draw(st.integers(0, 2))):
         k = draw(st.integers(0, len(levels) - 1))
-        fault = draw(st.sampled_from(["duplicate", "comparable", "outside", "unrelated", "unrelated"]))
-        v = list(draw(st.sampled_from(levels[k])))
-        i = draw(st.integers(0, n - 1))
+        fault = draw(st.sampled_from(["duplicate", "comparable", "outside", "unrelated", "unrelated",
+                                      "negative", "short", "long", "empty"]))
+        if fault == "empty":
+            levels[k] = []
+            continue
         if fault == "unrelated":
             within = st.tuples(*(st.integers(0, m) for m in ms))
             levels[k] = _minimal(draw(st.lists(within, min_size=1, max_size=6)))
             continue
+        v = list(draw(st.sampled_from(clean[k])))
+        i = draw(st.integers(0, n - 1))
         if fault == "comparable":
             v[i] += 1
         elif fault == "outside":
             v[i] = ms[i] + 1
+        elif fault == "negative":
+            v[i] = -1
+        elif fault == "short":
+            v = v[:i]
+        elif fault == "long":
+            v.append(draw(st.integers(0, 2)))
         levels[k] = levels[k] + [tuple(v)]
     return ms, {k + 1: level for k, level in enumerate(levels)}
 
@@ -525,6 +538,7 @@ def test_closure_and_mobius_of_a_unit_sum_over_3_to_the_8():
     assert table[closure.top] == pivotal_domination(ls)
 
 
+@pytest.mark.memory
 def test_grid_kernels_hold_a_few_lanes_of_the_grid():
     """On the 4^8-cell grid of the unit sum over [3]^8 at level 12, each
     kernel's memory beyond the result it returns is a few lanes of the grid

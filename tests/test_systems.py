@@ -773,6 +773,7 @@ def ladder(rungs, capacity):
                    "S", "T")
 
 
+@pytest.mark.memory
 def test_network_level_table_keeps_a_fixed_number_of_lanes():
     ten_edge = network("SABCDET", [(i + 1, u, v, False, c) for i, (u, v, c) in enumerate([
         ("A", "T", 1), ("C", "T", 2), ("S", "E", 2), ("A", "D", 2), ("B", "D", 2),
