@@ -28,22 +28,16 @@ from .poset import (
     Vector,
     domination_by_closure_mobius,
     domination_by_formations,
-    formations,
-    join,
     join_closure,
-    leq,
-    validate_generators,
 )
 from .systems import (
     ComponentDistribution,
     LevelSystem,
     MultistateSystem,
-    RelevanceReport,
     StateSpace,
     check_monotone,
     minimal_path_vectors,
     path_vector_system,
-    relevance_report,
     reliability_enumerate,
     reliability_from_domination,
     sum_system,
@@ -77,17 +71,14 @@ from .network import (
     find_directed_cycle,
     max_flow,
     minimal_cut_sets,
-    network,
     network_system,
     reduces_to_connectivity,
     relevant_edges,
 )
 from .documents import (
     SystemDocument,
-    document_to_dict,
     parse_system,
     parse_system_dict,
-    serialize_system,
 )
 
 __version__ = "0.1.0"

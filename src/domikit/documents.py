@@ -5,8 +5,9 @@ component state bounds, a structure of one of four kinds (explicit
 table, weighted sum, two-terminal flow network, or minimal path vector
 families) and, optionally, independent component distributions.
 Parsing validates everything up front and reports the path of the first
-offending field; serialisation is canonical, so parse / serialise /
-parse is the identity.
+offending field, integers too long for int() or str() included.  A
+parsed document keeps its structure in canonical form (raw_structure):
+sorted path vector families and every edge field spelled out.
 
 Probabilities may be written as decimal numbers or as rational strings
 like "3/10"; any rational entry switches the whole distribution into
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -143,6 +145,7 @@ def _parse_structure(obj: dict, max_states: tuple[int, ...] | None):
                 "max_states", f"{list(max_states)} does not match edge capacities {list(net.max_states)}"
             )
         system = network_system(net)
+        _check_printable(system.space.system_max, "structure.edges")
         raw = {
             "kind": "network",
             "nodes": list(net.nodes),
@@ -174,11 +177,14 @@ def _parse_structure(obj: dict, max_states: tuple[int, ...] | None):
             system = sum_system(max_states, weights)
         except DomikitError as e:
             raise ParseError("structure.weights", str(e)) from e
+        _check_printable(system.space.system_max, "structure.weights")
         return system, {"kind": "sum", "weights": weights}, None
     # path_vectors
     levels_obj = _expect_dict(_get(obj, "levels", "structure"), "structure.levels")
     levels: dict[int, list[tuple[int, ...]]] = {}
     for key, fam in levels_obj.items():
+        if key.isascii() and key.isdigit() and 0 < _max_digits() < len(key):
+            raise ParseError("structure.levels", _too_long("a level key"))
         if not (key.isascii() and key.isdigit()) or int(key) < 1:
             raise ParseError(f"structure.levels.{key}", "level keys must be positive integers")
         if key.startswith("0"):  # "01" would name level 1 beside "1"
@@ -292,31 +298,54 @@ def parse_system_dict(obj: Any) -> SystemDocument:
 def parse_system(text: str) -> SystemDocument:
     """Parse a JSON document; all errors carry the offending field's path."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError("$", f"invalid JSON: {e}") from e
+        obj = _loads(text)
+    except ValueError:  # an integer int() refuses: read again, integers as text, to name it
+        path = _long_integer(_loads(text, parse_int=_Digits))
+        raise ParseError(path, _too_long("an integer")) from None
     return parse_system_dict(obj)
 
 
-def document_to_dict(doc: SystemDocument) -> dict:
-    """Canonical plain-dict form of a document."""
-    out: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "n": len(doc.max_states),
-        "max_states": list(doc.max_states),
-        "system_max": doc.system_max,
-        "structure": doc.raw_structure,
-    }
-    if doc.distribution is not None:
-        if doc.distribution.exact:
-            out["distribution"] = [
-                [str(Fraction(p)) for p in row] for row in doc.distribution.pmfs
-            ]
+def _loads(text: str, **hooks) -> Any:
+    try:
+        return json.loads(text, **hooks)
+    except json.JSONDecodeError as e:
+        raise ParseError("$", f"invalid JSON: {e}") from e
+
+
+def _max_digits() -> int:
+    """The most digits int() reads and str() writes; 0 where unlimited."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(what: str) -> str:
+    return f"{what} has more than {_max_digits()} digits"
+
+
+def _check_printable(value: int, path: str) -> None:
+    """Refuse a system max that str() cannot write: later messages print it."""
+    try:
+        str(value)
+    except ValueError:
+        raise ParseError(path, _too_long("the system max")) from None
+
+
+class _Digits(str):
+    """A JSON integer kept as its text."""
+
+
+def _long_integer(obj: Any) -> str:
+    """The path of the first integer longer than int() reads, in a
+    document read with its integers as _Digits."""
+    stack = [("$", obj)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, _Digits) and len(value.lstrip("-")) > _max_digits():
+            return path
+        if isinstance(value, dict):
+            items = [(k if path == "$" else f"{path}.{k}", v) for k, v in value.items()]
+        elif isinstance(value, list):
+            items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
         else:
-            out["distribution"] = [list(row) for row in doc.distribution.pmfs]
-    return out
-
-
-def serialize_system(doc: SystemDocument) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, newline at end."""
-    return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
+            continue
+        stack.extend(reversed(items))
+    return "$"

@@ -92,21 +92,6 @@ class FlowNetwork:
         return tuple(tuple(i - 1 for i in c) for c in minimal_cut_sets(self))
 
 
-def network(
-    nodes,
-    edges,
-    source,
-    sink,
-) -> FlowNetwork:
-    """Build a FlowNetwork from (id, tail, head, directed, capacity) tuples."""
-    return FlowNetwork(
-        nodes=tuple(nodes),
-        edges=tuple(Edge(*e) for e in edges),
-        source=source,
-        sink=sink,
-    )
-
-
 def max_flow(net: FlowNetwork, x: Vector) -> int:
     """Max source-to-sink flow under edge capacities x (integers).
 

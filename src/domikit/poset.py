@@ -59,23 +59,6 @@ Vector = tuple[int, ...]
 DominationTable = dict[Vector, int]
 
 
-def _check_dims(x: Vector, y: Vector) -> None:
-    if len(x) != len(y):
-        raise DimensionError(f"vectors of length {len(x)} and {len(y)}")
-
-
-def join(x: Vector, y: Vector) -> Vector:
-    """Componentwise maximum of two state vectors."""
-    _check_dims(x, y)
-    return tuple(map(max, x, y))
-
-
-def leq(x: Vector, y: Vector) -> bool:
-    """True iff x <= y componentwise."""
-    _check_dims(x, y)
-    return all(a <= b for a, b in zip(x, y))
-
-
 class _Packing:
     """Thermometer code of the state vectors of one family.
 
@@ -198,18 +181,9 @@ def _check_pairs(gens: Sequence[Vector], codes: Sequence[int]) -> None:
                 raise InvalidGeneratorError(f"comparable generators {gens[i]} and {gens[j]}")
 
 
-def validate_generators(vectors: Iterable[Vector]) -> tuple[Vector, ...]:
-    """Normalise a generator family: sorted, same length, pairwise incomparable.
-
-    Raises InvalidGeneratorError on an empty family or a comparable pair
-    (duplicates included), DimensionError on ragged input.
-    """
-    return _validated(vectors)[0]
-
-
 def _checked(vectors: Iterable[Vector]) -> tuple[tuple[Vector, ...], _Packing]:
     """A family sorted, refused when empty, ragged or negative, with its
-    packing: the checks of validate_generators short of the order."""
+    packing: the checks of _validated short of the order."""
     gens = tuple(sorted(tuple(v) for v in vectors))
     if not gens:
         raise InvalidGeneratorError("generator family is empty")
@@ -224,8 +198,11 @@ def _checked(vectors: Iterable[Vector]) -> tuple[tuple[Vector, ...], _Packing]:
 
 
 def _validated(vectors: Iterable[Vector]) -> tuple[tuple[Vector, ...], _Packing]:
-    """validate_generators, with the family's packing: the antichain check
-    on the grid where it pays and passes, else by pairs, which name the fault."""
+    """A generator family normalised, with its packing: sorted, of one
+    length, non-negative and pairwise incomparable.  InvalidGeneratorError
+    on an empty family or a comparable pair (duplicates included),
+    DimensionError on ragged input.  The antichain check runs on the grid
+    where it pays and passes, else by pairs, which name the fault."""
     gens, packing = _checked(vectors)
     axes = _axes(gens)
     if not (_grid_steps(axes) < len(gens) ** 2 and _nested_on_grid([gens], axes)):
@@ -332,27 +309,6 @@ def _closure_by_joins(packing: _Packing, codes: Sequence[int],
         elements |= set(map(g.__or__, elements))
         elements.add(g)
     return tuple(map(packing.vector, sorted(elements)))
-
-
-def formations(target: Vector, generators: Iterable[Vector]) -> list[tuple[Vector, ...]]:
-    """All subsets of the generators whose join equals `target`.
-
-    Returned sorted by size, then lexicographically; each formation is a
-    sorted tuple of generators.  Empty when target is not in the closure.
-    """
-    # only generators below the target can take part in a formation
-    candidates = [g for g in validate_generators(generators) if leq(g, target)]
-    if not candidates:
-        return []  # this also keeps a target with a negative state from the encoder
-    # every candidate lies below the target, so the target's states are wide enough
-    packing = _Packing(target)
-    goal = packing.code(target)
-    found = [
-        tuple(g for i, g in enumerate(candidates) if mask >> i & 1)
-        for mask, v in _subset_joins(packing.codes(candidates))
-        if v == goal
-    ]
-    return sorted(found, key=lambda f: (len(f), f))
 
 
 def _subset_joins(gens: Sequence[int]) -> Iterator[tuple[int, int]]:

@@ -161,8 +161,10 @@ def table_system(
     """System from an explicit table of structure values.
 
     `values` is either a map from state vectors to levels, total on the
-    space, or a flat sequence in lexicographic vector order.  Monotonicity
-    is verified on construction.
+    space, or a flat sequence in lexicographic vector order.  Either way
+    the system keeps one flat list, in which x's value sits at the offset
+    of its lane (see lanes.Lanes).  Monotonicity is verified on
+    construction.
     """
     ms = tuple(max_states)
     space_size = math.prod(m + 1 for m in ms)
@@ -180,19 +182,22 @@ def table_system(
             raise ValidationError(
                 f"table has {len(flat)} entries, space has {space_size} vectors"
             )
-        table = dict(zip(product(*(range(m + 1) for m in ms)), flat))
     if any(v < 0 for v in flat):
         raise ValidationError("negative structure value in table")
     system_max = max(flat)
     space = StateSpace(max_states=ms, system_max=system_max)
     whole = Lanes((0,) * len(ms), ms, system_max)
     packed = whole.pack(flat).to_bytes(whole.size * whole.width, "little")
+    strides = whole.strides
+
+    def phi(x: Vector) -> int:
+        return flat[sum(map(operator.mul, x, strides))]
 
     def lanes(lo, hi, k) -> tuple[Lanes, int]:
         box = Lanes(lo, hi, system_max)
         return box, box.cut(whole, packed)
 
-    system = MultistateSystem(space=space, kind="table", _func=table.__getitem__, _lanes=lanes)
+    system = MultistateSystem(space=space, kind="table", _func=phi, _lanes=lanes)
     if not check_monotone(system):
         raise ValidationError("table is not monotone non-decreasing")
     return system
@@ -240,7 +245,7 @@ def path_vector_system(
     if not levels:
         raise ValidationError("no path vector levels given")
     system_max = max(levels)
-    if sorted(levels) != list(range(1, system_max + 1)):
+    if sorted(levels) != list(range(1, len(levels) + 1)):  # not up to a huge max key
         raise ValidationError(f"levels must be exactly 1..{system_max}, got {sorted(levels)}")
     families = {k: tuple(sorted(map(tuple, levels[k]))) for k in range(1, system_max + 1)}
     vectors = list(chain(*families.values()))
@@ -381,49 +386,6 @@ def minimal_path_vectors(ls: LevelSystem) -> tuple[Vector, ...]:
     js = [hit.start() for hit in re.finditer("1", minimal)]
     columns = [[j // s % r for j in js] for s, r in reversed(digits)]
     return tuple(zip(*columns)) if columns else ((),) * len(js)
-
-
-@dataclass(frozen=True)
-class RelevanceReport:
-    """Which component states matter for a level function.
-
-    attained[i] lists the states r > 0 of component i occurring in some
-    minimal path vector (the r-relevances).  Component i is irrelevant
-    iff the list is empty and strongly relevant iff its top state m_i is
-    attained; the system is strongly coherent iff every component is
-    strongly relevant.  Strong coherence is necessary for a non-zero
-    signed domination, though not sufficient.
-    """
-
-    max_states: tuple[int, ...]
-    attained: tuple[tuple[int, ...], ...]
-
-    @property
-    def irrelevant(self) -> tuple[bool, ...]:
-        return tuple(not a for a in self.attained)
-
-    @property
-    def strongly_relevant(self) -> tuple[bool, ...]:
-        return tuple(m in a for a, m in zip(self.attained, self.max_states))
-
-    @property
-    def strongly_coherent(self) -> bool:
-        return all(self.strongly_relevant)
-
-
-def relevance_report(ls: LevelSystem) -> RelevanceReport:
-    """Relevance of every component for one level function."""
-    paths = minimal_path_vectors(ls)
-    ms = ls.max_states
-    attained = [set() for _ in ms]
-    for p in paths:
-        for i, s in enumerate(p):
-            if s > 0:
-                attained[i].add(s)
-    return RelevanceReport(
-        max_states=ms,
-        attained=tuple(tuple(sorted(a)) for a in attained),
-    )
 
 
 class ComponentDistribution:

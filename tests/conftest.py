@@ -7,17 +7,19 @@ families) so that library outputs are checked against something that
 shares no implementation.
 """
 
+import json
 import random
 import warnings
 from fractions import Fraction
 from itertools import combinations, product
 
 from domikit import (
+    Edge,
+    FlowNetwork,
     MultistateSystem,
     StateSpace,
     link_structure,
     minimal_path_vectors,
-    network,
     network_system,
     path_vector_system,
     sum_system,
@@ -31,6 +33,52 @@ def vjoin(a, b):
 
 def vleq(a, b):
     return all(x <= y for x, y in zip(a, b))
+
+
+def formations(target, generators):
+    """Every non-empty subset of the sorted generators whose componentwise
+    max is `target`, by size and then lexicographically: a plain search
+    over itertools.combinations."""
+    gens = sorted(map(tuple, generators))
+    found = [sub for r in range(1, len(gens) + 1) for sub in combinations(gens, r)
+             if tuple(max(column) for column in zip(*sub)) == tuple(target)]
+    return sorted(found, key=lambda f: (len(f), f))
+
+
+def attained_states(ls):
+    """The states r > 0 of each component that some minimal path vector
+    of the level function uses, sorted (its r-relevances).  Component i
+    is strongly relevant iff its top state is among them."""
+    paths = minimal_path_vectors(ls)
+    return tuple(tuple(sorted({p[i] for p in paths} - {0})) for i in range(len(ls.max_states)))
+
+
+def document_to_dict(doc):
+    """Canonical plain-dict form of a parsed document."""
+    out = {
+        "format_version": doc.format_version,
+        "n": len(doc.max_states),
+        "max_states": list(doc.max_states),
+        "system_max": doc.system_max,
+        "structure": doc.raw_structure,
+    }
+    if doc.distribution is not None:
+        if doc.distribution.exact:
+            out["distribution"] = [[str(Fraction(p)) for p in row] for row in doc.distribution.pmfs]
+        else:
+            out["distribution"] = [list(row) for row in doc.distribution.pmfs]
+    return out
+
+
+def serialize_system(doc):
+    """Canonical JSON text: sorted keys, two-space indent, newline at end."""
+    return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
+
+
+def network(nodes, edges, source, sink):
+    """A FlowNetwork from (id, tail, head, directed, capacity) tuples."""
+    return FlowNetwork(nodes=tuple(nodes), edges=tuple(Edge(*e) for e in edges),
+                       source=source, sink=sink)
 
 
 def naive_formation_delta(paths, target):

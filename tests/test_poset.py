@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_formation_delta, vjoin, vleq
+from conftest import formations, naive_formation_delta, vjoin, vleq
 from domikit import (
     ComplexityGuardError,
     DimensionError,
@@ -18,8 +18,6 @@ from domikit import (
     InvalidGeneratorError,
     domination_by_closure_mobius,
     domination_by_formations,
-    formations,
-    join,
     join_closure,
     minimal_path_vectors,
     path_vector_system,
@@ -27,7 +25,6 @@ from domikit import (
     poset,
     sum_system,
     systems,
-    validate_generators,
 )
 from domikit.poset import (
     _axes,
@@ -38,36 +35,26 @@ from domikit.poset import (
     _mobius_by_substitution,
     _mobius_on_grid,
     _nested_on_grid,
-    _Packing,
+    _validated,
 )
 
 FOUR_GENS = [(2, 1, 1, 0), (1, 2, 0, 1), (1, 0, 2, 1), (0, 1, 1, 2)]
 TWO_OF_THREE = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
 
 
-def test_join_componentwise_max():
-    assert join((2, 1, 1, 0), (1, 2, 0, 1)) == (2, 2, 1, 1)
-    assert join((1, 2), (1, 2)) == (1, 2)
-    assert join((0, 0), (1, 2)) == (1, 2)
-
-
-def test_join_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        join((1, 2), (1, 2, 3))
-
-
-def test_validate_generators_rejects_bad_families():
-    with pytest.raises(InvalidGeneratorError):
-        validate_generators([])
-    with pytest.raises(InvalidGeneratorError):
-        validate_generators([(1, 0), (1, 1)])
-    with pytest.raises(InvalidGeneratorError):
-        validate_generators([(1, 0), (1, 0)])
-    with pytest.raises(InvalidGeneratorError):
-        validate_generators([(1, -1)])
-    with pytest.raises(DimensionError):
-        validate_generators([(1, 0), (0, 1, 0)])
-    assert validate_generators([(1, 0), (0, 1)]) == ((0, 1), (1, 0))
+@pytest.mark.parametrize("check", [join_closure, _validated], ids=["join_closure", "_validated"])
+def test_generator_validation_rejects_bad_families(check):
+    with pytest.raises(InvalidGeneratorError, match="^generator family is empty$"):
+        check([])
+    with pytest.raises(InvalidGeneratorError, match=r"^comparable generators \(1, 0\) and \(1, 1\)$"):
+        check([(1, 0), (1, 1)])
+    with pytest.raises(InvalidGeneratorError, match=r"^comparable generators \(1, 0\) and \(1, 0\)$"):
+        check([(1, 0), (1, 0)])
+    with pytest.raises(InvalidGeneratorError, match=r"^negative state in generator \(1, -1\)$"):
+        check([(1, -1)])
+    with pytest.raises(DimensionError, match="^vectors of length 3 and 2$"):
+        check([(1, 0), (0, 1, 0)])
+    assert _validated([(1, 0), (0, 1)])[0] == ((0, 1), (1, 0))
 
 
 def test_join_closure_two_binary_generators():
@@ -100,23 +87,6 @@ def test_formations_of_the_top_is_the_full_set():
     assert top_forms == [tuple(sorted(FOUR_GENS))]
     for y in cl:
         assert len(formations(y, FOUR_GENS)) == 1
-
-
-def test_formations_ordering_two_of_three():
-    forms = formations((1, 1, 1), TWO_OF_THREE)
-    sizes = [len(f) for f in forms]
-    assert sizes == [2, 2, 2, 3]
-    assert forms[-1] == tuple(sorted(TWO_OF_THREE))
-    # within a size class the listing is lexicographic
-    assert forms[:3] == sorted(forms[:3])
-
-
-def test_formations_of_a_generator():
-    assert formations((2, 1, 1, 0), FOUR_GENS) == [((2, 1, 1, 0),)]
-
-
-def test_formations_outside_closure_empty():
-    assert formations((2, 2, 2, 9), FOUR_GENS) == []
 
 
 def test_domination_single_generator():
@@ -235,17 +205,12 @@ def _subset_join_reference(gens):
 
 
 def _first_comparable_reference(vectors):
-    """validate_generators' message, by a pairwise tuple check."""
+    """_validated's message, by a pairwise tuple check."""
     gens = sorted(tuple(v) for v in vectors)
     for a, b in combinations(gens, 2):
         if vleq(a, b):
             return f"comparable generators {a} and {b}"
     return None
-
-
-def _formations_reference(target, gens):
-    found = [sub for sub in _subsets(sorted(gens)) if _tuple_join(sub) == tuple(target)]
-    return sorted(found, key=lambda f: (len(f), f))
 
 
 def _closure_families():
@@ -265,7 +230,7 @@ def test_join_closure_equals_tuple_joins_of_every_subset(gens):
     assert join_closure(gens).elements == _subset_join_reference(gens)
 
 
-def test_validate_generators_names_the_pair_a_tuple_check_names():
+def test_generator_validation_names_the_pair_a_tuple_check_names():
     rng = random.Random(11)
     families = [[(1, 0), (1, 1)], [(1, 0), (1, 0)], [(0, 1, 0), (3, 0, 2), (0, 1, 0), (0, 0, 0)]]
     for _ in range(300):
@@ -278,21 +243,25 @@ def test_validate_generators_names_the_pair_a_tuple_check_names():
     for fam in families:
         expected = _first_comparable_reference(fam)
         if expected is None:
-            assert validate_generators(fam) == tuple(sorted(fam))
+            assert _validated(fam)[0] == tuple(sorted(fam))
             continue
         raised += 1
         with pytest.raises(InvalidGeneratorError) as err:
-            validate_generators(fam)
+            _validated(fam)
         assert str(err.value) == expected
     assert raised > 100
 
 
-def test_formations_match_a_tuple_reference():
+def test_formation_counts_match_the_formation_reference():
+    """Each entry of the formation count is its target's odd formations
+    less its even ones, as the combinations search lists them, and a
+    target off the closure has no formation and no entry."""
     rng = random.Random(5)
     checked = 0
     for _ in range(30):
         n = rng.randint(1, 4)
         gens = _random_antichain(rng, n, 4, rng.randint(1, 6))
+        table = domination_by_formations(gens)
         targets = list(join_closure(gens))
         for y in list(targets):
             i = rng.randrange(n)
@@ -300,25 +269,17 @@ def test_formations_match_a_tuple_reference():
             targets.append(y[:i] + (max(g[i] for g in gens) + rng.randint(1, 5),) + y[i + 1:])
         targets += [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(5)]
         for y in targets:
-            assert formations(y, gens) == _formations_reference(y, gens)
+            forms = formations(y, gens)
+            assert table.get(y) == (sum(1 if len(f) % 2 else -1 for f in forms) if forms else None)
             checked += 1
     assert checked > 100
-
-
-def test_formations_with_no_candidate_below_the_target():
-    assert formations((0, 0, 0, 0), FOUR_GENS) == []
-    assert formations((1, 1, 1, 1), FOUR_GENS) == []
-    assert formations((2, 2, -1, 2), FOUR_GENS) == []
-    with pytest.raises(DimensionError):
-        formations((2, 2, 2), FOUR_GENS)
 
 
 def _formations_by_walk(generators):
     """The formation count as a depth-first walk: one table update per
     non-empty subset, each join one `|` on its parent's.  The reference
     for domination_by_formations' 2^9-subset histogram updates."""
-    gens = validate_generators(generators)
-    packing = _Packing.of(gens)
+    gens, packing = _validated(generators)
     codes = packing.codes(gens)
     table = {}
     stack = [(1 << i, i, g) for i, g in enumerate(codes)]
@@ -440,7 +401,7 @@ def test_grid_kernels_equal_the_pairwise_loops(families):
     for grid in (True, False):
         on_poset, on_systems = _routes(grid)
         with on_poset, on_systems:
-            assert _outcome(lambda: validate_generators(faulty)) == expected
+            assert _outcome(lambda: _validated(faulty)[0]) == expected
             assert _outcome(lambda: join_closure(faulty).generators) == expected
 
 
@@ -545,7 +506,7 @@ def test_grid_kernels_hold_a_few_lanes_of_the_grid():
     and two lists of lane numbers of the generators: O(cells * width + s),
     where a list or tuple per cell would take 2.4 MB or more."""
     _, paths = _sum_3_8_level_12()
-    gens = validate_generators(paths)
+    gens = _validated(paths)[0]
     closure, axes, s = join_closure(gens), _axes(gens), len(gens)
     cells = math.prod(map(len, axes))
     kernels = [(lambda: _nested_on_grid([gens], axes), 1),

@@ -5,10 +5,9 @@ import time
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import bridge_network
+from conftest import bridge_network, network
 from domikit import (
     domination_via_binary,
-    network,
     network_system,
     pivotal_domination,
     sum_system,
