@@ -10,8 +10,9 @@ computes it two independent ways:
   given element, split by parity, and
 * by Mobius inversion of the constant-1 function on the closure.
 
-Both produce the same table.  The first counts all 2^s subsets of the s
-generators, 2^9 of them per C-level histogram update.
+Both produce the same table.  The first takes the generators one at a
+time with a signed count per join of the subsets so far: s * |closure|
+joins, |closure| <= 2^s - 1, which its guard of 20 generators bounds.
 
 The order kernels run on the generators' grid: the product of the chains
 of values V_i that coordinate i takes in the family, in rank coordinates
@@ -43,9 +44,8 @@ its loop, which names the first offending pair.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, product, repeat
+from itertools import compress, product, repeat
 from operator import add, itemgetter, lshift, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -311,39 +311,23 @@ def _closure_by_joins(packing: _Packing, codes: Sequence[int],
     return tuple(map(packing.vector, sorted(elements)))
 
 
-def _subset_joins(gens: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Every non-empty subset of the coded gens, as a bitmask, with its join.
-
-    Depth first, each join one `|` on its parent's, so memory stays
-    quadratic in len(gens) while the walk covers all 2^s subsets.
-    """
-    stack = [(1 << i, i, g) for i, g in enumerate(gens)]
-    while stack:
-        mask, last, v = stack.pop()
-        yield mask, v
-        for j in range(last + 1, len(gens)):
-            stack.append((mask | 1 << j, j, v | gens[j]))
-
-
 def domination_by_formations(generators: Iterable[Vector], *, guard: int = 20) -> DominationTable:
     """Signed domination of a generator family by direct formation counting.
 
-    Counts all 2^s - 1 non-empty subsets of the s generators and
-    accumulates (-1)^(|S|+1) at each subset's join.  The result maps every
-    closure element to (# odd formations) - (# even formations); elements
-    whose counts cancel stay in the table with value 0, vectors outside
-    the closure are absent.
+    Maps every closure element to (# odd formations) - (# even formations),
+    the signed count of the non-empty generator subsets whose join it is;
+    elements whose counts cancel stay in the table with value 0, vectors
+    outside the closure are absent.
 
-    The joins of the subsets of the first min(s, 9) generators are built
-    once, by doubling, split by parity.  Each subset H of the other
-    generators, walked depth first and the empty one included, then joins
-    its join h to all of them at once, Counter.update(map(h.__or__, ...))
-    into the histogram of the parity of the whole subset: one Python step
-    per 2^9 subsets.
+    One pass over the generators keeps that signed count per join of the
+    subsets seen so far.  Adding g flips the parity of each of them, so a
+    join x counted c moves -c to x | g, and g alone adds 1: s * |closure|
+    joins, `|` on thermometer codes, and no subset is listed.  No closure
+    or Mobius kernel runs, so verify's formations line checks them.
 
-    Exponential in s; families larger than `guard` are refused (use the
-    closure Mobius table, the pivotal decomposition or a closed form
-    instead), before the family is validated.
+    The closure can hold 2^s - 1 joins (s unit vectors), so families over
+    `guard` are refused before they are validated: the closure Mobius
+    table, pivotal decomposition or a closed form takes them instead.
     """
     generators = tuple(generators)
     s = len(generators)
@@ -354,23 +338,14 @@ def domination_by_formations(generators: Iterable[Vector], *, guard: int = 20) -
             "closed-form engine handles larger families"
         )
     gens, packing = _validated(generators)
-    codes = packing.codes(gens)
-    # the joins of the even and of the odd subsets of the first 9 generators
-    first_even, first_odd = [0], []
-    for g in codes[:9]:
-        first_even, first_odd = (first_even + [g | j for j in first_odd],
-                                 first_odd + [g | j for j in first_even])
-    even, odd = Counter(), Counter()  # histograms of the joins, by subset parity
-    for mask, h in chain([(0, 0)], _subset_joins(codes[9:])):
-        same, other = (odd, even) if mask.bit_count() & 1 else (even, odd)
-        same.update(map(h.__or__, first_even))
-        other.update(map(h.__or__, first_odd))
-    even[0] -= 1  # the empty subset, whose join is 0, is no formation
-    if not even[0]:
-        del even[0]
-    odd.subtract(even)  # zero entries stay, and joins of even subsets alone enter
-    even.clear()  # before the table is decoded, so one histogram is alive then
-    return {packing.vector(v): odd[v] for v in sorted(odd)}
+    counts: dict[int, int] = {}
+    get = counts.get
+    for g in packing.codes(gens):
+        for x, c in list(counts.items()):
+            x |= g
+            counts[x] = get(x, 0) - c
+        counts[g] = get(g, 0) + 1
+    return {packing.vector(v): counts[v] for v in sorted(counts)}
 
 
 def domination_by_closure_mobius(closure: JoinClosure) -> DominationTable:

@@ -86,6 +86,20 @@ class StateSpace:
     def size(self) -> int:
         return math.prod(m + 1 for m in self.max_states)
 
+    def _guarded_size(self, work: str) -> int:
+        """size(), refused past 10^7 states before `work` tabulates them.
+        The refusal names a size str() cannot write by its power of ten."""
+        size = self.size()
+        if size > 10**7:
+            try:
+                states = str(size)
+            except ValueError:  # more digits than int-to-str conversion writes
+                k = int(math.log10(size))
+                k -= 10**k > size  # the float log may round up past the floor
+                states = f"at least 10^{k}"
+            raise ComplexityGuardError(f"{work} over {states} states exceeds guard ({10**7})")
+        return size
+
     def vectors(self):
         """All state vectors in lexicographic order."""
         return product(*(range(m + 1) for m in self.max_states))
@@ -333,10 +347,7 @@ def check_monotone(system: MultistateSystem) -> bool:
     more than 10^7 vectors.
     """
     space = system.space
-    if space.size() > 10**7:
-        raise ComplexityGuardError(
-            f"monotonicity check over {space.size()} states exceeds guard ({10**7})"
-        )
+    space._guarded_size("monotonicity check")
     lanes, phi = _phi_lanes(system, (0,) * space.n, space.max_states)
     return all(lanes.at_least(phi, lanes.up(phi, i, lanes.positive(i))) == lanes.top
                for i in range(space.n))
@@ -361,11 +372,7 @@ def minimal_path_vectors(ls: LevelSystem) -> tuple[Vector, ...]:
     if ls.system._paths is not None:
         return ls.system._paths[ls.level]  # declared, and checked minimal at parse
     space = ls.system.space
-    ms, size = space.max_states, space.size()
-    if size > 10**7:
-        raise ComplexityGuardError(
-            f"path vector scan over {size} states exceeds guard ({10**7})"
-        )
+    ms, size = space.max_states, space._guarded_size("path vector scan")
     # one byte per vector, read backwards as the binary digits of I
     holds = int(ls._table[::-1].translate(_DIGITS), 2)
     lowered = 0
@@ -506,10 +513,7 @@ def reliability_enumerate(ls: LevelSystem, dist: ComponentDistribution) -> float
     """
     space = ls.system.space
     dist._check_space(space.max_states)
-    if space.size() > 10**7:
-        raise ComplexityGuardError(
-            f"enumeration over {space.size()} states exceeds guard ({10**7})"
-        )
+    space._guarded_size("enumeration")
     rows, _, scale = dist._weights
     zero, one = (0.0, 1.0) if scale is None else (0, 1)
     probs = iter((one,))

@@ -650,6 +650,22 @@ def test_exit_2_on_an_integer_too_long_to_read_or_print(tmp_path, capsys, comman
     assert (code, out, err) == (2, "", f"error: {path}: {what} has more than {DIGITS} digits\n")
 
 
+@pytest.mark.skipif(not DIGITS, reason="this Python writes integers of any length")
+def test_exit_3_on_a_state_space_too_large_to_print(tmp_path, capsys):
+    """A state space whose size str() cannot write is refused by the scan's
+    guard, naming the size by its power of ten, not left to raise
+    ValueError; the closed form still answers."""
+    half = DIGITS // 2 + 1  # (10^half)^2 states: more than DIGITS digits
+    f = tmp_path / "system.json"
+    f.write_text('{"format_version": 1, "max_states": [%s, %s], "structure": {"kind": "sum", '
+                 '"weights": [1, 1]}}' % ("9" * half, "9" * half))
+    code, out, err = run(capsys, ["paths", str(f), "--level", "1"])
+    assert (code, out) == (3, "")
+    assert err == f"error: path vector scan over at least 10^{2 * half} states exceeds guard (10000000)\n"
+    code, out, err = run(capsys, ["domination", str(f), "--level", "1", "--no-timing"])
+    assert (code, out, err) == (0, "d(phi_1) = 0  [method: closed_form]\n", "")
+
+
 def test_exit_2_on_a_level_key_past_the_levels_given(write_doc, capsys):
     """The level keys are checked against 1..(number of levels), not
     1..(largest key): a list up to a key of 10^20 cannot be built, and

@@ -278,7 +278,7 @@ def test_formation_counts_match_the_formation_reference():
 def _formations_by_walk(generators):
     """The formation count as a depth-first walk: one table update per
     non-empty subset, each join one `|` on its parent's.  The reference
-    for domination_by_formations' 2^9-subset histogram updates."""
+    for domination_by_formations' one signed pass per generator."""
     gens, packing = _validated(generators)
     codes = packing.codes(gens)
     table = {}
@@ -291,14 +291,24 @@ def _formations_by_walk(generators):
     return {packing.vector(v): d for v, d in sorted(table.items())}
 
 
+def _unit_vectors(s):
+    """The pass's worst case: every subset has its own join, 2^s - 1 of them."""
+    return [tuple(int(i == j) for j in range(s)) for i in range(s)]
+
+
 def test_formation_count_matches_the_depth_first_walk():
-    """s = 1..14, so the first 9 generators are doubled alone (s <= 9) and
-    with a walk over the rest (s >= 10); entries, zeros and order kept."""
+    """s = 1..14: staircases, random antichains and unit vectors, whose
+    closure of 2^s - 1 joins is the pass's worst case, and families where
+    most counts cancel (a 2-d staircase and one more axis, the simplex
+    layer a + b + c = 3); entries, zeros and order kept."""
     families = [[(0,)], [(0, 0, 0)], [(0, 3), (3, 1), (1, 2)], [(1, 2), (3, 0), (0, 3), (2, 1)],
-                [(3, 0, 2), (3, 2, 1), (2, 3, 0), (1, 3, 3), (2, 1, 2), (2, 0, 3)]]
+                [(3, 0, 2), (3, 2, 1), (2, 3, 0), (1, 3, 3), (2, 1, 2), (2, 0, 3)],
+                [(i, 12 - i, 0) for i in range(13)] + [(0, 0, 1)],
+                [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]]
     rng = random.Random(15)
     for s in range(1, 15):
         families.append([(i, s - 1 - i) for i in range(s)])
+        families.append(_unit_vectors(s))
         for n, top in ((3, 4), (4, 3), (5, 2)):
             gens = _random_antichain(rng, n, top, 4 * s)
             if len(gens) >= s:
@@ -308,17 +318,33 @@ def test_formation_count_matches_the_depth_first_walk():
         table = domination_by_formations(gens)
         assert list(table.items()) == list(_formations_by_walk(gens).items()), gens
         sizes.add(len(gens))
-        zeros += 0 in table.values()
-    assert sizes == set(range(1, 15)) and zeros >= 3
+        zeros += list(table.values()).count(0)
+    assert sizes == set(range(1, 15)) and zeros >= 500, zeros
     assert domination_by_formations([(0, 0)]) == {(0, 0): 1}
+
+
+def test_formation_count_runs_no_closure_or_mobius_kernel(monkeypatch):
+    """The formation count is verify's independent check of the closure
+    routes: it runs with join_closure, both closure kernels and both
+    Mobius kernels made to raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the formation count ran a closure or Mobius kernel")
+
+    closure = join_closure(FOUR_GENS)
+    for name in ("join_closure", "_closure_by_joins", "_closure_on_grid",
+                 "_mobius_on_grid", "_mobius_by_substitution"):
+        monkeypatch.setattr(poset, name, refuse)
+    for gens in (FOUR_GENS, TWO_OF_THREE, _unit_vectors(6), [(i, 5 - i) for i in range(6)]):
+        assert list(domination_by_formations(gens).items()) == list(_formations_by_walk(gens).items())
+    with pytest.raises(AssertionError, match="ran a closure or Mobius kernel"):
+        domination_by_closure_mobius(closure)  # the patches bite
 
 
 @pytest.mark.memory
 def test_formation_count_memory_stays_near_the_walk():
-    """At s = 20 the 2^11 subsets of the generators past the first 9 are
-    walked depth first, not listed: the peak stays within 1.25x of the
-    per-subset walk's, whose table of 687 joins it also holds.  A count
-    that lists those subsets and their joins peaks at about 2.3x."""
+    """At s = 20 the pass holds one signed count per join seen so far and
+    lists no subset: the peak stays within 1.25x of the per-subset walk's,
+    whose table of 687 joins it also holds."""
     gens = [(i, 17 - i, 0, 0) for i in range(18)] + [(0, 0, 1, 0), (0, 0, 0, 1)]
     peaks = []
     for count in (lambda: domination_by_formations(gens), lambda: _formations_by_walk(gens)):
