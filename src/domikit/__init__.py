@@ -6,9 +6,11 @@ each level of a multistate monotone system and carries its exact
 reliability: P(phi >= k) is the domination expansion evaluated at the
 component survival probabilities.  This package computes the invariant
 several independent ways (formation counting, Mobius inversion on the
-join closure, a full-lattice subset formula, pivotal decomposition, an
-associated binary reduction) and by closed forms for threshold systems,
-matroid systems and two-terminal flow networks.
+join closure, a full-lattice subset formula, pivotal decomposition, a
+reduction to the associated binary system) and by closed forms for
+threshold systems, matroid systems and two-terminal flow networks.  The
+associated binary system and a matroid's link are level functions of
+systems over {0,1}^n, so every route takes them.
 """
 
 from .errors import (
@@ -44,7 +46,6 @@ from .systems import (
     table_system,
 )
 from .domination import (
-    BinaryStructure,
     associated_binary,
     binary_signed_domination,
     delta_at,

@@ -27,6 +27,7 @@ import functools
 import json
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 from .documents import SystemDocument, parse_system
@@ -281,6 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning(message, *_) -> None:
+    """A library warning as one stderr line, like an error, with no source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -293,8 +299,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        doc = parse_system(text)
-        code, output = _COMMANDS[args.command](doc, args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning
+            doc = parse_system(text)
+            code, output = _COMMANDS[args.command](doc, args)
     except ComplexityGuardError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -7,8 +7,9 @@ subsets:
   vector (2^n terms, from Mobius inversion on the product lattice),
 * a pivotal decomposition, splitting the box of top corners (each
   component at m_i - 1 or m_i) one component at a time, and
-* a reduction to an associated binary structure on the component set,
-  whose signed domination at (1, ..., 1) equals the multistate one.
+* a reduction to the associated binary system on the component set, a
+  level-1 system over {0,1}^n whose signed domination at (1, ..., 1)
+  equals the multistate one.
 
 At the top vector all three come down to the same signed sum over the
 2^n top corners, and all three take its signs from one loop, which
@@ -23,14 +24,13 @@ integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, islice, product, repeat
 from operator import ge
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ComplexityGuardError, DimensionError, DomainError
 from .poset import Vector
-from .systems import LevelSystem, _level_table
+from .systems import LevelSystem, _binary_system, _level_table
 
 # free components per chunk of the box of top corners: 2^9 corners, so a
 # chunk's lanes stay a few hundred bytes whatever the number of components
@@ -144,62 +144,40 @@ def pivotal_domination(ls: LevelSystem) -> int:
     return _signed_chunks((_level_table(ls, [*top, *lo], [*top, *hi]) for top in tops), len(ms))
 
 
-@dataclass(frozen=True)
-class BinaryStructure:
-    """Monotone indicator on {0,1}^size.
-
-    Slot i stands for component i of the structure it was derived from.
-    `_func` returns 0 or 1 and is trusted with vectors the library builds
-    itself; calling the structure validates its input.
-    """
-
-    size: int
-    _func: Callable[[Vector], int]
-
-    def __call__(self, z: Vector) -> int:
-        z = tuple(z)
-        if len(z) != self.size or any(b not in (0, 1) for b in z):
-            raise DomainError(f"binary vector of length {self.size} expected, got {z}")
-        return 1 if self._func(z) else 0
-
-
-def associated_binary(ls: LevelSystem) -> BinaryStructure:
-    """Binary structure with the same signed domination as the level function.
+def associated_binary(ls: LevelSystem) -> LevelSystem:
+    """The associated binary system, with the same signed domination as
+    the level function.
 
     psi(z) = phi_k(m - 1 + z): slot i up means component i at its top
-    state, down means one below top.
+    state, down means one below top.  It is the level-1 cut of a system
+    over {0,1}^n, so every route that takes a level function takes it.
     """
     ms = ls.max_states
     base = tuple(m - 1 for m in ms)
-    return BinaryStructure(
-        size=len(ms),
-        _func=lambda z: ls(tuple(b + a for b, a in zip(base, z))),
-    )
+    return _binary_system(len(ms), lambda z: ls(tuple(b + a for b, a in zip(base, z))))
 
 
-def binary_signed_domination(bs: BinaryStructure) -> int:
-    """Signed domination of a binary structure at the all-ones vector.
+def binary_signed_domination(bs: LevelSystem) -> int:
+    """Signed domination of a binary system at the all-ones vector.
 
-    sum over subsets B of the slots of psi(1_B) * (-1)^(k - |B|).
+    sum over subsets B of the slots of psi(1_B) * (-1)^(k - |B|).  psi
+    is read from the structure function, one call per slot vector, with
+    no range check: the vectors are the ones product builds.
     """
-    k = bs.size
-    if k == 0:
-        return bs(())
+    k = len(bs.max_states)
     if k > 25:
         raise ComplexityGuardError(f"{k} binary components exceed the subset guard (25)")
-    return _signed_sum(map(bs._func, product((0, 1), repeat=k)), k)
+    return _signed_sum(map(bs.system._func, product((0, 1), repeat=k)), k)
 
 
 def domination_via_binary(ls: LevelSystem, *, guard: int = 25) -> int:
-    """Signed domination computed through the associated binary structure.
+    """Signed domination computed through the associated binary system.
 
     psi(z) = phi_k(m - 1 + z) over {0,1}^n in product order is phi_k over
     the box of top corners in product order, so psi is read there
     directly: one evaluate call per corner.
     """
     k = len(ls.max_states)
-    if k == 0:
-        return ls(())
     if k > guard:
         raise ComplexityGuardError(f"{k} binary components exceed the subset guard ({guard})")
     return _alternating_sum(ls, ls.max_states)

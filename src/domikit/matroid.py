@@ -5,12 +5,13 @@ bitmasks over the ground set: a uniform matroid ranks by min(|A|, r), a
 graphic one by union-find over the edge ends.  Beta, the link structure
 and the recursion read ranks only.  Beta is the alternating rank sum,
 and a distinguished ground element x turns the matroid into a binary
-monotone structure on C = F \\ x, phi(A) = 1 + r(A) - r(A + x), whose
-minimal path sets are the circuits through x with x removed.  The
-signed domination of that structure is beta(F) up to a sign fixed by
-the corank, which the recursion over one-element minors reproduces from
-one truth table of the structure: each minor is a slice of that table,
-so the structure is evaluated once per vector.
+system on C = F \\ x, phi(A) = 1 + r(A) - r(A + x), whose minimal path
+sets are the circuits through x with x removed.  It is the level-1 cut
+of a system over {0,1}^|C|, so every route that takes a level function
+takes it.  Its signed domination is beta(F) up to a sign fixed by the
+corank, which the recursion over one-element minors reproduces from one
+truth table of the structure: each minor is a slice of that table, so
+the structure is evaluated once per vector.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from itertools import product
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import ComplexityGuardError, DomainError, ValidationError
-from .domination import BinaryStructure, _signed_sum
+from .domination import _signed_sum
 from .poset import Vector
+from .systems import LevelSystem, _binary_system
 
 
 class Matroid:
@@ -107,9 +109,10 @@ class MatroidSystemLink:
         return 1 << self.matroid.index[self.terminal]
 
 
-def link_structure(link: MatroidSystemLink) -> BinaryStructure:
-    """The induced binary structure with slots in component order:
-    phi(A) = 1 + rank(A) - rank(A + x), which is 1 iff A contains a path set."""
+def link_structure(link: MatroidSystemLink) -> LevelSystem:
+    """The induced binary system, level 1 over {0,1}^|C| with slots in
+    component order: phi(A) = 1 + rank(A) - rank(A + x), which is 1 iff A
+    contains a path set."""
     m, xbit = link.matroid, link.terminal_bit
     bits = [1 << m.index[e] for e in link.components]
 
@@ -117,7 +120,7 @@ def link_structure(link: MatroidSystemLink) -> BinaryStructure:
         mask = sum(b for b, zi in zip(bits, z) if zi)
         return 1 + m.rank_mask(mask) - m.rank_mask(mask | xbit)
 
-    return BinaryStructure(size=len(bits), _func=func)
+    return _binary_system(len(bits), func)
 
 
 def domination_from_beta(link: MatroidSystemLink, subset: Iterable[Hashable]) -> int:
@@ -142,30 +145,26 @@ def domination_from_beta(link: MatroidSystemLink, subset: Iterable[Hashable]) ->
     return sign * _beta(m, full)
 
 
-def domination_invariant_recursion(
-    bs: BinaryStructure,
-    pivot: int | None = None,
-    *,
-    base_size: int = 10,
-) -> int:
-    """D = |signed domination| of a binary structure, by splitting.
+def domination_invariant_recursion(bs: LevelSystem, pivot: int | None = None) -> int:
+    """D = |signed domination| of a binary system, by splitting.
 
     D(phi) = D(phi with e up) + D(phi with e down), valid when phi comes
     from a matroid system (the split halves then carry opposite signs).
-    The structure is evaluated once per vector of {0,1}^size, in product
-    order, into one truth table; a minor is a slice of it.  Fixing slot e
-    of a k-slot table keeps the blocks of stride 2^(k-1-e) where e is
-    down, or where it is up.  Constant tables give 0, an irrelevant pivot
-    (both halves equal) gives 0, and every minor is memoised on its
-    table, so repeated shapes, frequent in symmetric systems, are
-    computed once.  The first split is on `pivot` when given, every later
-    one on slot 0; at base_size slots the subset formula takes over.
+    The structure function is called once per vector of {0,1}^k, in
+    product order, into one truth table; a minor is a slice of it.
+    Fixing slot e of a k-slot table keeps the blocks of stride
+    2^(k-1-e) where e is down, or where it is up.  Constant tables give
+    0, an irrelevant pivot (both halves equal) gives 0, and every minor
+    is memoised on its table, so repeated shapes, frequent in symmetric
+    systems, are computed once.  The first split is on `pivot` when
+    given, every later one on slot 0, down to the 0-slot minors.
     """
-    if pivot is not None and not 0 <= pivot < bs.size:
-        raise DomainError(f"pivot {pivot} outside 0..{bs.size - 1}")
+    size = len(bs.max_states)
+    if pivot is not None and not 0 <= pivot < size:
+        raise DomainError(f"pivot {pivot} outside 0..{size - 1}")
     memo: dict[bytes, int] = {}
 
-    def run(t: bytes, k: int, e: int | None) -> int:
+    def run(t: bytes, k: int, e: int) -> int:
         if k == 0:
             return t[0]
         if t[-1] == 0 or t[0] == 1:
@@ -173,21 +172,17 @@ def domination_invariant_recursion(
         value = memo.get(t)
         if value is not None:
             return value
-        if e is None and k <= base_size:
-            value = abs(_signed_sum(t, k))
-        else:
-            s = 1 << (k - 1 - (e or 0))
-            starts = range(0, len(t), 2 * s)
-            down = b"".join(t[i:i + s] for i in starts)
-            up = b"".join(t[i + s:i + 2 * s] for i in starts)
-            # Irrelevant pivot: both halves are the same minor, so the
-            # signed domination cancels and splitting would count the
-            # minor twice.
-            value = 0 if up == down else run(up, k - 1, None) + run(down, k - 1, None)
+        s = 1 << (k - 1 - e)
+        starts = range(0, len(t), 2 * s)
+        down = b"".join(t[i:i + s] for i in starts)
+        up = b"".join(t[i + s:i + 2 * s] for i in starts)
+        # Irrelevant pivot: both halves are the same minor, so the signed
+        # domination cancels and splitting would count the minor twice.
+        value = 0 if up == down else run(up, k - 1, 0) + run(down, k - 1, 0)
         memo[t] = value
         return value
 
-    return run(bytes(map(bs._func, product((0, 1), repeat=bs.size))), bs.size, pivot)
+    return run(bytes(map(bs.system._func, product((0, 1), repeat=size))), size, pivot or 0)
 
 
 def threshold_domination(n: int, m: int, k: int) -> int:

@@ -239,6 +239,13 @@ def sum_system(max_states: Sequence[int], weights: Sequence[int] | None = None) 
     )
 
 
+def _binary_system(n: int, func: Callable[[Vector], int]) -> LevelSystem:
+    """The level-1 cut of a binary system: n components with states 0..1
+    and a monotone structure `func` into 0..1.  The associated binary
+    system and every matroid link are built here."""
+    return MultistateSystem(StateSpace((1,) * n, 1), "binary", func).level(1)
+
+
 def path_vector_system(
     max_states: Sequence[int],
     levels: Mapping[int, Iterable[Vector]],

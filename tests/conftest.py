@@ -180,6 +180,13 @@ def frozen_level(ls, frozen):
     return MultistateSystem(StateSpace(rest, 1), "table", phi).level(1)
 
 
+def binary_system(n, func):
+    """The level function of a binary system: level 1 of a system over
+    {0,1}^n with structure `func`, as the associated binary system and
+    a matroid link are built."""
+    return MultistateSystem(StateSpace((1,) * n, 1), "bare", func).level(1)
+
+
 def random_pmfs(rng, max_states):
     """(float rows, Fraction rows) with the same seeded weights."""
     floats, exacts = [], []

@@ -686,6 +686,24 @@ def test_no_timing_output_is_byte_stable(write_doc, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_a_library_warning_is_one_stderr_line(write_doc):
+    """A network whose terminals are disconnected warns that its system is
+    constant 0; the command line prints that as one line ahead of the
+    error.  Run in a subprocess, as pytest records warnings itself."""
+    doc = {"format_version": 1, "structure": {
+        "kind": "network", "nodes": ["S", "A", "T"], "source": "S", "sink": "T",
+        "edges": [{"id": 1, "from": "S", "to": "A", "directed": False, "max_capacity": 2}]}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "domikit.cli", "paths", write_doc(doc), "--level", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "warning: terminals are disconnected at full capacity; the system is constant 0\n"
+        "error: level 1 outside 1..0\n")
+
+
 def test_module_entry_point(write_doc):
     f = write_doc(two_of_three())
     proc = subprocess.run(

@@ -238,6 +238,21 @@ def test_pivotal_lanes_agree_with_binary_on_every_kind():
             assert pivotal_domination(ls) == domination_via_binary(ls), (system, k)
 
 
+def test_associated_binary_is_a_system_every_route_takes():
+    """The associated binary system is level 1 of a system over {0,1}^n,
+    so pivotal decomposition and the binary route take it as they take
+    any level function, and give the level function's value: at every
+    level of every kind, n = 0 included."""
+    for system in lane_kinds():
+        for k in range(1, system.space.system_max + 1):
+            ls = system.level(k)
+            bs = associated_binary(ls)
+            assert bs.max_states == (1,) * len(ls.max_states)
+            assert (bs.level, bs.system.space.system_max) == (1, 1)
+            want = pivotal_domination(ls)
+            assert [pivotal_domination(bs), domination_via_binary(bs)] == [want] * 2, (system, k)
+
+
 def chunk_edge_systems(n):
     """Every kind on n components, n around the 2^9 corners of a chunk."""
     rng = random.Random(n)
@@ -299,7 +314,7 @@ def test_associated_binary_threshold_shift():
     structure on the top two states."""
     ls = sum_system([2, 2, 2, 2]).level(7)
     psi = associated_binary(ls)
-    assert psi.size == 4
+    assert psi.max_states == (1,) * 4 and psi.system.space.system_max == 1
     for z in product((0, 1), repeat=4):
         assert psi(z) == (1 if sum(z) >= 3 else 0)
 
@@ -317,7 +332,7 @@ def test_associated_binary_identity_on_binary_systems():
         assert psi(z) == ls(z)
 
 
-def test_binary_structure_rejects_bad_input():
+def test_associated_binary_rejects_bad_input():
     psi = associated_binary(sum_system([1, 1]).level(1))
     with pytest.raises(DomainError):
         psi((1,))

@@ -2,12 +2,13 @@
 
 import math
 import random
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 import pytest
 
 from conftest import (
     BRIDGE_EDGES,
+    binary_system,
     circuit_masks,
     circuit_paths,
     cycle_circuits,
@@ -15,7 +16,6 @@ from conftest import (
     link_paths,
 )
 from domikit import (
-    BinaryStructure,
     ComplexityGuardError,
     DomainError,
     Matroid,
@@ -25,8 +25,11 @@ from domikit import (
     crapo_beta,
     domination_from_beta,
     domination_invariant_recursion,
+    domination_via_binary,
     graphic_matroid,
     link_structure,
+    minimal_path_vectors,
+    pivotal_domination,
     threshold_domination,
     uniform_matroid,
 )
@@ -224,19 +227,18 @@ def test_beta_sign_relation_matches_subset_formula():
 
 
 def test_invariant_recursion_series_and_bridge():
-    series = BinaryStructure(size=3, _func=lambda z: int(all(z)))
+    series = binary_system(3, lambda z: int(all(z)))
     assert domination_invariant_recursion(series) == 1
     bs = link_structure(MatroidSystemLink(bridge_matroid(), "x"))
     assert domination_invariant_recursion(bs) == 3
-    assert domination_invariant_recursion(bs, base_size=0) == 3
     assert domination_invariant_recursion(bs, pivot=2) == 3
 
 
 def test_invariant_recursion_k_out_of_n():
     for n in range(1, 8):
         for k in range(1, n + 1):
-            bs = BinaryStructure(size=n, _func=lambda z, kk=k: int(sum(z) >= kk))
-            assert domination_invariant_recursion(bs, base_size=3) == math.comb(n - 1, k - 1)
+            bs = binary_system(n, lambda z, kk=k: int(sum(z) >= kk))
+            assert domination_invariant_recursion(bs) == math.comb(n - 1, k - 1)
 
 
 def test_invariant_recursion_equals_absolute_domination():
@@ -259,9 +261,9 @@ def test_invariant_recursion_equals_absolute_domination():
     for link in links:
         bs = link_structure(link)
         want = abs(binary_signed_domination(bs))
-        assert domination_invariant_recursion(bs, base_size=2) == want
-        for e in range(bs.size):
-            assert domination_invariant_recursion(bs, pivot=e, base_size=2) == want
+        assert domination_invariant_recursion(bs) == want
+        for e in range(len(bs.max_states)):
+            assert domination_invariant_recursion(bs, pivot=e) == want
 
 
 def test_invariant_recursion_irrelevant_pivot():
@@ -269,17 +271,58 @@ def test_invariant_recursion_irrelevant_pivot():
     m = graphic_matroid([(1, "a", "b"), (2, "a", "b"), (3, "c", "d"), ("x", "c", "d")])
     bs = link_structure(MatroidSystemLink(m, "x"))
     assert binary_signed_domination(bs) == 0
-    for e in range(bs.size):
-        assert domination_invariant_recursion(bs, pivot=e, base_size=0) == 0
+    for e in range(len(bs.max_states)):
+        assert domination_invariant_recursion(bs, pivot=e) == 0
 
 
 def test_invariant_recursion_trivial_structures():
-    always = BinaryStructure(size=2, _func=lambda z: 1)
-    never = BinaryStructure(size=2, _func=lambda z: 0)
+    always = binary_system(2, lambda z: 1)
+    never = binary_system(2, lambda z: 0)
     assert domination_invariant_recursion(always) == 0
     assert domination_invariant_recursion(never) == 0
     with pytest.raises(DomainError):
         domination_invariant_recursion(always, pivot=5)
+
+
+def uniform_link(n, r):
+    """U(r, n + 1) on 1..n and x, with its circuits, the (r + 1)-subsets."""
+    ground = list(range(1, n + 1)) + ["x"]
+    return MatroidSystemLink(uniform_matroid(ground, r), "x"), combinations(ground, r + 1)
+
+
+def graphic_link(edges):
+    """The graphic matroid of (label, u, v) edges, one of them x, with its
+    circuits by the reference cycle search."""
+    return MatroidSystemLink(graphic_matroid(edges), "x"), cycle_circuits(edges)
+
+
+LINKS = {
+    "uniform-2-5": lambda: uniform_link(4, 2),
+    "uniform-3-7": lambda: uniform_link(6, 3),
+    "graphic-k4": lambda: graphic_link([(1, "a", "b"), (2, "a", "c"), (3, "a", "d"),
+                                        (4, "b", "c"), (5, "b", "d"), ("x", "c", "d")]),
+    "bridge": lambda: graphic_link(BRIDGE_GRAPH),
+    "loop-terminal": lambda: graphic_link([(1, "a", "b"), (2, "a", "b"), (3, "b", "c"),
+                                           ("x", "c", "c")]),
+    "coloop-terminal": lambda: graphic_link([(1, "a", "b"), (2, "a", "b"), ("x", "b", "c")]),
+}
+
+
+@pytest.mark.parametrize("name", LINKS)
+def test_link_is_a_binary_system_every_route_takes(name):
+    """A matroid link is level 1 of a system over {0,1}^|C|: the system
+    routes take it and agree with beta, and its minimal path vectors are
+    the circuits through x with x removed."""
+    link, circuits = LINKS[name]()
+    bs = link_structure(link)
+    assert bs.max_states == (1,) * len(link.components)
+    assert (bs.level, bs.system.space.system_max) == (1, 1)
+    want = domination_from_beta(link, link.components)
+    got = [pivotal_domination(bs), domination_via_binary(bs), binary_signed_domination(bs)]
+    assert got == [want] * 3
+    assert domination_invariant_recursion(bs) == abs(want)
+    paths = minimal_path_vectors(bs)
+    assert {frozenset(compress(link.components, p)) for p in paths} == circuit_paths(circuits, "x")
 
 
 def test_threshold_domination_values():

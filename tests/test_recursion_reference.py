@@ -3,11 +3,11 @@ re-evaluating recursion, kept here as the reference.
 
 The reference below freezes slots one by one and calls the structure
 again at every node of the recursion; the library version tabulates the
-structure once and slices that table.  Both must give the same value on
-every monotone binary structure, matroid systems and others alike, for
-every pivot and base size.  On a structure that does not come from a
-matroid the value can depend on the pivot order, so these cases also pin
-which slot each split fixes.
+structure once and slices that table.  Both split down to the 0-slot
+minors and must give the same value on every monotone binary system,
+matroid systems and others alike, for every pivot.  On a structure that
+does not come from a matroid the value can depend on the pivot order, so
+these cases also pin which slot each split fixes.
 """
 
 import random
@@ -17,8 +17,8 @@ from operator import or_
 
 import pytest
 
+from conftest import binary_system
 from domikit import (
-    BinaryStructure,
     MatroidSystemLink,
     binary_signed_domination,
     domination_invariant_recursion,
@@ -52,12 +52,12 @@ def _alternating_sum(f, y):
     return total
 
 
-def reference_recursion(bs, pivot=None, *, base_size=10, memo_size=14):
+def reference_recursion(bs, pivot=None, *, memo_size=14):
     memo = {}
-    func = bs._func
+    func = bs.system._func
 
     def run(frozen, forced):
-        k = bs.size - len(frozen)
+        k = len(bs.max_states) - len(frozen)
 
         def b(z):
             return func(_splice(z, frozen))
@@ -76,17 +76,14 @@ def reference_recursion(bs, pivot=None, *, base_size=10, memo_size=14):
             cached = memo.get(key)
             if cached is not None:
                 return cached
-        if forced is None and k <= base_size:
-            value = abs(_alternating_sum(b, (1,) * k))
+        e = forced if forced is not None else 0
+        up = _freeze(frozen, e, 1)
+        down = _freeze(frozen, e, 0)
+        if all(func(_splice(z, up)) == func(_splice(z, down))
+               for z in product((0, 1), repeat=k - 1)):
+            value = 0
         else:
-            e = forced if forced is not None else 0
-            up = _freeze(frozen, e, 1)
-            down = _freeze(frozen, e, 0)
-            if all(func(_splice(z, up)) == func(_splice(z, down))
-                   for z in product((0, 1), repeat=k - 1)):
-                value = 0
-            else:
-                value = run(up, None) + run(down, None)
+            value = run(up, None) + run(down, None)
         if key is not None:
             memo[key] = value
         return value
@@ -94,7 +91,7 @@ def reference_recursion(bs, pivot=None, *, base_size=10, memo_size=14):
     return run((), pivot)
 
 
-def random_monotone(rng: random.Random, size: int, coherent: bool) -> BinaryStructure:
+def random_monotone(rng: random.Random, size: int, coherent: bool):
     """phi(z) = 1 iff z covers one of a few slot sets.  Random sets give
     any monotone structure, constant ones included, but mostly one with an
     irrelevant slot, whose value is 0; a coherent one grows an antichain
@@ -112,7 +109,7 @@ def random_monotone(rng: random.Random, size: int, coherent: bool) -> BinaryStru
         held = sum(1 << i for i, zi in enumerate(z) if zi)
         return int(any(m & held == m for m in masks))
 
-    return BinaryStructure(size=size, _func=func)
+    return binary_system(size, func)
 
 
 def matroid_structures(rng: random.Random):
@@ -137,15 +134,14 @@ def cases():
     return structures
 
 
-@pytest.mark.parametrize("bs", cases(), ids=lambda bs: f"size{bs.size}")
+@pytest.mark.parametrize("bs", cases(), ids=lambda bs: f"size{len(bs.max_states)}")
 def test_recursion_matches_the_reference(bs):
-    for base_size in (0, 2, 10):
-        for pivot in (None, *range(bs.size)):
-            got = domination_invariant_recursion(bs, pivot, base_size=base_size)
-            assert got == reference_recursion(bs, pivot, base_size=base_size), (pivot, base_size)
-    if bs.size:
-        # the recursion's base case takes abs(); the signed sum itself is held here
-        assert binary_signed_domination(bs) == _alternating_sum(bs._func, (1,) * bs.size)
+    size = len(bs.max_states)
+    for pivot in (None, *range(size)):
+        assert domination_invariant_recursion(bs, pivot) == reference_recursion(bs, pivot), pivot
+    # the recursion sums unsigned halves; the signed sum itself is held here,
+    # at size 0 too, where it is phi(())
+    assert binary_signed_domination(bs) == _alternating_sum(bs.system._func, (1,) * size)
 
 
 @pytest.mark.parametrize("size", range(17))
@@ -159,7 +155,7 @@ def test_recursion_evaluates_each_vector_once(size):
         calls += 1
         return int(sum(z) > size // 2)
 
-    bs = BinaryStructure(size=size, _func=func)
+    bs = binary_system(size, func)
     for pivot in (None, *([size // 2] if size else [])):
         calls = 0
         domination_invariant_recursion(bs, pivot)
