@@ -89,18 +89,17 @@ def _closed_form(doc: SystemDocument, level: int) -> int | None:
 
 
 class _Routes:
-    """The named routes to d(phi_k) for one (document, level, guard); they
-    share one path-vector scan and one closure Mobius table, each built once."""
+    """The named routes to d(phi_k) for one (document, level); they share
+    one path-vector scan and one closure Mobius table, each built once."""
 
-    def __init__(self, doc: SystemDocument, level: int, guard: int | None):
+    def __init__(self, doc: SystemDocument, level: int):
         self.doc, self.level, self.ls = doc, level, doc.system.level(level)
-        kw = {} if guard is None else {"guard": guard}
         top = doc.max_states
         self.methods = {  # in the order verify runs them
-            "formations": lambda: domination_by_formations(self.paths, **kw).get(top, 0),
+            "formations": lambda: domination_by_formations(self.paths).get(top, 0),
             "mobius": lambda: self.table.get(top, 0),
             "pivotal": lambda: pivotal_domination(self.ls),
-            "binary": lambda: domination_via_binary(self.ls, **kw),
+            "binary": lambda: domination_via_binary(self.ls),
         }
 
     @functools.cached_property
@@ -140,7 +139,7 @@ class _Routes:
 
 
 def cmd_paths(doc: SystemDocument, args) -> tuple[int, str]:
-    paths = _Routes(doc, args.level, args.guard).paths
+    paths = _Routes(doc, args.level).paths
     if args.json:
         payload = {"level": args.level, "count": len(paths),
                    "vectors": [list(p) for p in paths]}
@@ -151,7 +150,7 @@ def cmd_paths(doc: SystemDocument, args) -> tuple[int, str]:
 
 
 def cmd_domination(doc: SystemDocument, args) -> tuple[int, str]:
-    routes = _Routes(doc, args.level, args.guard)
+    routes = _Routes(doc, args.level)
     started = time.perf_counter()
     value, used = routes.compute(args.method)
     elapsed = time.perf_counter() - started
@@ -173,7 +172,7 @@ def cmd_domination(doc: SystemDocument, args) -> tuple[int, str]:
 def cmd_reliability(doc: SystemDocument, args) -> tuple[int, str]:
     if doc.distribution is None:
         raise ParseError("distribution", "reliability needs component distributions")
-    routes = _Routes(doc, args.level, args.guard)
+    routes = _Routes(doc, args.level)
     value = reliability_from_domination(routes.table, doc.distribution, doc.max_states)
     check = None
     if args.verify:
@@ -208,7 +207,7 @@ def cmd_verify(doc: SystemDocument, args) -> tuple[int, str]:
         if value is not None:  # None: no closed form applies
             results.append((name, value, time.perf_counter() - started, None))
 
-    for method, fn in _Routes(doc, args.level, args.guard).methods.items():
+    for method, fn in _Routes(doc, args.level).methods.items():
         run(method, fn)
     run("closed_form", lambda: _closed_form(doc, args.level))
 
@@ -268,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--level", type=int, required=True, metavar="K",
                        help="system level, 1..M")
         p.add_argument("--json", action="store_true", help="structured output")
-        p.add_argument("--guard", type=int, default=None, metavar="N",
-                       help="override the subset/formation complexity guard")
         p.add_argument("--no-timing", action="store_true",
                        help="suppress timings (byte-stable output)")
         if name == "domination":
@@ -288,10 +285,7 @@ def _warning(message, *_) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.guard is not None and args.guard < 1:
-        parser.error(f"argument --guard: must be at least 1, got {args.guard}")
+    args = build_parser().parse_args(argv)
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()

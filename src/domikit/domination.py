@@ -170,7 +170,7 @@ def binary_signed_domination(bs: LevelSystem) -> int:
     return _signed_sum(map(bs.system._func, product((0, 1), repeat=k)), k)
 
 
-def domination_via_binary(ls: LevelSystem, *, guard: int = 25) -> int:
+def domination_via_binary(ls: LevelSystem) -> int:
     """Signed domination computed through the associated binary system.
 
     psi(z) = phi_k(m - 1 + z) over {0,1}^n in product order is phi_k over
@@ -178,6 +178,6 @@ def domination_via_binary(ls: LevelSystem, *, guard: int = 25) -> int:
     directly: one evaluate call per corner.
     """
     k = len(ls.max_states)
-    if k > guard:
-        raise ComplexityGuardError(f"{k} binary components exceed the subset guard ({guard})")
+    if k > 25:
+        raise ComplexityGuardError(f"{k} binary components exceed the subset guard (25)")
     return _alternating_sum(ls, ls.max_states)

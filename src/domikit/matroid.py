@@ -10,8 +10,8 @@ sets are the circuits through x with x removed.  It is the level-1 cut
 of a system over {0,1}^|C|, so every route that takes a level function
 takes it.  Its signed domination is beta(F) up to a sign fixed by the
 corank, which the recursion over one-element minors reproduces from one
-truth table of the structure: each minor is a slice of that table, so
-the structure is evaluated once per vector.
+truth table of the structure: each minor is a half of its parent's
+table, so the structure is evaluated once per vector.
 """
 
 from __future__ import annotations
@@ -145,44 +145,41 @@ def domination_from_beta(link: MatroidSystemLink, subset: Iterable[Hashable]) ->
     return sign * _beta(m, full)
 
 
-def domination_invariant_recursion(bs: LevelSystem, pivot: int | None = None) -> int:
+def domination_invariant_recursion(bs: LevelSystem) -> int:
     """D = |signed domination| of a binary system, by splitting.
 
     D(phi) = D(phi with e up) + D(phi with e down), valid when phi comes
     from a matroid system (the split halves then carry opposite signs).
     The structure function is called once per vector of {0,1}^k, in
-    product order, into one truth table; a minor is a slice of it.
-    Fixing slot e of a k-slot table keeps the blocks of stride
-    2^(k-1-e) where e is down, or where it is up.  Constant tables give
-    0, an irrelevant pivot (both halves equal) gives 0, and every minor
-    is memoised on its table, so repeated shapes, frequent in symmetric
-    systems, are computed once.  The first split is on `pivot` when
-    given, every later one on slot 0, down to the 0-slot minors.
+    product order, into one truth table.  Every split is on slot 0, the
+    slowest, so the minors with it down and up are the first and second
+    halves of the table.  Constant tables give 0, an irrelevant slot
+    (both halves equal) gives 0, and every minor is memoised on its
+    table, so repeated shapes, frequent in symmetric systems, are
+    computed once.  Past 25 slots nothing is evaluated.
     """
     size = len(bs.max_states)
-    if pivot is not None and not 0 <= pivot < size:
-        raise DomainError(f"pivot {pivot} outside 0..{size - 1}")
+    if size > 25:
+        raise ComplexityGuardError(f"{size} binary components exceed the recursion guard (25)")
     memo: dict[bytes, int] = {}
 
-    def run(t: bytes, k: int, e: int) -> int:
-        if k == 0:
+    def run(t: bytes) -> int:
+        if len(t) == 1:
             return t[0]
         if t[-1] == 0 or t[0] == 1:
             return 0
         value = memo.get(t)
         if value is not None:
             return value
-        s = 1 << (k - 1 - e)
-        starts = range(0, len(t), 2 * s)
-        down = b"".join(t[i:i + s] for i in starts)
-        up = b"".join(t[i + s:i + 2 * s] for i in starts)
-        # Irrelevant pivot: both halves are the same minor, so the signed
+        half = len(t) // 2
+        down, up = t[:half], t[half:]
+        # Irrelevant slot: both halves are the same minor, so the signed
         # domination cancels and splitting would count the minor twice.
-        value = 0 if up == down else run(up, k - 1, 0) + run(down, k - 1, 0)
+        value = 0 if up == down else run(up) + run(down)
         memo[t] = value
         return value
 
-    return run(bytes(map(bs.system._func, product((0, 1), repeat=size))), size, pivot or 0)
+    return run(bytes(map(bs.system._func, product((0, 1), repeat=size))))
 
 
 def threshold_domination(n: int, m: int, k: int) -> int:

@@ -311,7 +311,7 @@ def _closure_by_joins(packing: _Packing, codes: Sequence[int],
     return tuple(map(packing.vector, sorted(elements)))
 
 
-def domination_by_formations(generators: Iterable[Vector], *, guard: int = 20) -> DominationTable:
+def domination_by_formations(generators: Iterable[Vector]) -> DominationTable:
     """Signed domination of a generator family by direct formation counting.
 
     Maps every closure element to (# odd formations) - (# even formations),
@@ -326,14 +326,14 @@ def domination_by_formations(generators: Iterable[Vector], *, guard: int = 20) -
     or Mobius kernel runs, so verify's formations line checks them.
 
     The closure can hold 2^s - 1 joins (s unit vectors), so families over
-    `guard` are refused before they are validated: the closure Mobius
-    table, pivotal decomposition or a closed form takes them instead.
+    20 are refused before they are validated: the closure Mobius table,
+    pivotal decomposition or a closed form takes them instead.
     """
     generators = tuple(generators)
     s = len(generators)
-    if s > guard:
+    if s > 20:
         raise ComplexityGuardError(
-            f"{s} generators exceed the formation guard ({guard}); "
+            f"{s} generators exceed the formation guard (20); "
             "domination_by_closure_mobius, pivotal_domination or a "
             "closed-form engine handles larger families"
         )

@@ -495,16 +495,21 @@ def reliability_from_domination(
     and the total becomes one Fraction by the common scale.
     """
     dist._check_space(tuple(max_states))
-    _, survival, scale = dist._weights
+    _, tails, scale = dist._weights
+    # keyed by state, so a state below 0, past m_i or between two states is no key
+    survival = [dict(enumerate(row)) for row in tails]
     total: float | int = 0.0 if scale is None else 0
     for x, d in table.items():
         if d == 0:
             continue
         if len(x) != dist.n:
             raise DimensionError(f"table vector {x} for {dist.n} components")
-        # left to right from delta(x), as the float digits depend on the order
-        total += reduce(operator.mul, map(operator.getitem, survival, x),
-                        float(d) if scale is None else d)
+        try:
+            # left to right from delta(x), as the float digits depend on the order
+            total += reduce(operator.mul, map(operator.getitem, survival, x),
+                            float(d) if scale is None else d)
+        except (KeyError, TypeError):
+            raise DomainError(f"table vector {x} outside space {dist.max_states}") from None
     return total if scale is None else total * scale
 
 

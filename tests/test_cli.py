@@ -2,9 +2,11 @@
 
 import importlib
 import json
+import math
 import subprocess
 import sys
 import time
+from itertools import product
 
 import pytest
 
@@ -291,13 +293,22 @@ def test_one_level_table_per_reliability_verify(write_doc, capsys, monkeypatch):
     assert tally == {"_phi_lanes": 1}
 
 
+def unit_sum_7() -> dict:
+    """The unit sum over seven binary components: 35 path vectors at
+    level 3, past the formation guard of 20."""
+    return {"format_version": 1, "max_states": [1] * 7, "structure": {"kind": "sum"}}
+
+
+FORMATION_REFUSAL = ("35 generators exceed the formation guard (20); domination_by_closure_mobius, "
+                     "pivotal_domination or a closed-form engine handles larger families")
+
+
 def test_verify_guard_skips_method(write_doc, capsys):
-    f = write_doc(sum_doc())
-    code, out, _ = run(capsys, ["verify", f, "--level", "4",
-                                "--guard", "5", "--no-timing"])
-    assert code == 0
-    assert "formations   skipped (" in out
-    assert out.splitlines()[-1] == "agreement: yes"
+    code, out, err = run(capsys, ["verify", write_doc(unit_sum_7()), "--level", "3", "--no-timing"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["signed domination at level 3", f"formations   skipped ({FORMATION_REFUSAL})",
+                                "mobius       15", "pivotal      15", "binary       15",
+                                "closed_form  15", "agreement: yes"]
 
 
 def test_reliability_float(write_doc, capsys):
@@ -360,21 +371,20 @@ def test_exit_2_on_bad_inputs(write_doc, capsys, tmp_path):
 
 
 def test_exit_3_on_guard(write_doc, capsys):
-    f = write_doc(sum_doc())
-    code, out, err = run(capsys, ["domination", f, "--level", "4",
-                                  "--method", "formations", "--guard", "3"])
-    assert code == 3
-    assert out == ""
-    assert "guard" in err
+    code, out, err = run(capsys, ["domination", write_doc(unit_sum_7()), "--level", "3",
+                                  "--method", "formations"])
+    assert (code, out) == (3, "")
+    assert err == f"error: {FORMATION_REFUSAL}\n"
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_guard_below_one_exits_2(write_doc, capsys, value):
+@pytest.mark.parametrize("command", ["paths", "domination", "reliability", "verify"])
+def test_no_subcommand_takes_a_guard(write_doc, capsys, command):
+    """Every limit is fixed: argparse refuses --guard like any unknown option."""
     f = write_doc(sum_doc())
     with pytest.raises(SystemExit) as exc:
-        main(["domination", f, "--level", "4", "--guard", value])
+        main([command, f, "--level", "4", "--guard", "30"])
     assert exc.value.code == 2
-    assert "--guard" in capsys.readouterr().err
+    assert "unrecognized arguments: --guard 30" in capsys.readouterr().err
 
 
 def test_parser_is_built_once(write_doc, capsys):
@@ -403,14 +413,19 @@ def weighted_8(kind: str) -> dict:
 
 
 def test_auto_refuses_past_the_guard(write_doc, capsys):
-    f = write_doc(weighted_8("table"))
-    code, out, err = run(capsys, ["domination", f, "--level", "6", "--guard", "5",
+    """A path_vectors document has no closed form, so past 25 components
+    auto refuses on the subset guard and names pivotal; below it, auto is
+    binary and agrees with pivotal."""
+    parallel_26 = {"format_version": 1, "max_states": [1] * 26,
+                   "structure": {"kind": "path_vectors",
+                                 "levels": {"1": [[int(i == j) for j in range(26)] for i in range(26)]}}}
+    code, out, err = run(capsys, ["domination", write_doc(parallel_26, "parallel.json"), "--level", "1",
                                   "--no-timing"])
-    assert code == 3
-    assert out == ""
-    assert "--method pivotal" in err
-    code, out, _ = run(capsys, ["domination", f, "--level", "6", "--guard", "8",
-                                "--no-timing"])
+    assert (code, out) == (3, "")
+    assert err == ("error: 26 binary components exceed the subset guard (25); "
+                   "--method pivotal runs without the guard but visits as many states\n")
+    f = write_doc(weighted_8("table"))
+    code, out, _ = run(capsys, ["domination", f, "--level", "6", "--no-timing"])
     assert code == 0
     assert out.endswith("  [method: binary]\n")
     _, pivotal, _ = run(capsys, ["domination", f, "--level", "6", "--method", "pivotal",
@@ -418,10 +433,24 @@ def test_auto_refuses_past_the_guard(write_doc, capsys):
     assert pivotal == out.replace("binary", "pivotal")
 
 
+def weighted_26_reference(level: int) -> int:
+    """d(phi_level) of the binary sum with weights WEIGHTS_8 + [1] * 18,
+    without its 2^26 corners: the signed sum over the subsets T of the
+    first eight components, each times the signed count over the 18 unit
+    components, sum over j >= a of (-1)^(18 - j) * C(18, j), which is
+    (-1)^(18 - a) * C(17, a - 1) for a >= 1 and 0 for a <= 0."""
+    def signed(n: int, count: int) -> int:
+        return -count if n % 2 else count
+
+    def units(a: int) -> int:
+        return 0 if a <= 0 else signed(18 - a, math.comb(17, a - 1))
+    return sum(signed(8 - sum(t), units(level - sum(w for w, b in zip(WEIGHTS_8, t) if b)))
+               for t in product((0, 1), repeat=8))
+
+
 def test_auto_answers_a_weighted_sum_past_the_guard_by_closed_form(write_doc, capsys):
     f = write_doc(weighted_8("sum"))
-    code, out, err = run(capsys, ["domination", f, "--level", "6", "--guard", "5",
-                                  "--no-timing"])
+    code, out, err = run(capsys, ["domination", f, "--level", "6", "--no-timing"])
     assert (code, err) == (0, "")
     assert out.endswith("  [method: closed_form]\n")
     _, pivotal, _ = run(capsys, ["domination", f, "--level", "6", "--method", "pivotal",
@@ -430,6 +459,16 @@ def test_auto_answers_a_weighted_sum_past_the_guard_by_closed_form(write_doc, ca
     _, table, _ = run(capsys, ["domination", write_doc(weighted_8("table"), "table.json"),
                                "--level", "6", "--method", "pivotal", "--no-timing"])
     assert table == pivotal
+    # 26 components, past the subset guard: binary refuses, auto answers
+    doc = {"format_version": 1, "max_states": [1] * 26,
+           "structure": {"kind": "sum", "weights": WEIGHTS_8 + [1] * 18}}
+    f = write_doc(doc, "weighted_26.json")
+    code, out, err = run(capsys, ["domination", f, "--level", "20", "--method", "binary"])
+    assert (code, out, err) == (3, "", "error: 26 binary components exceed the subset guard (25)\n")
+    assert weighted_26_reference(20) != 0
+    code, out, err = run(capsys, ["domination", f, "--level", "20", "--no-timing"])
+    assert (code, err) == (0, "")
+    assert out == f"d(phi_20) = {weighted_26_reference(20)}  [method: closed_form]\n"
 
 
 def test_auto_past_the_distribution_bound_refuses_as_before(write_doc, capsys):
@@ -447,9 +486,9 @@ def test_auto_past_the_distribution_bound_refuses_as_before(write_doc, capsys):
 
 def network_past_the_cut_guard(directed=False) -> dict:
     """The bridge with S-A split into 20 parallel edges, all of capacity 1:
-    26 edges, one past the cut guard, which --guard does not reach, and
-    not series-parallel, so no closed form takes it.  Directed, the sign
-    rule applies but needs the cut sets, so its guard refuses it too."""
+    26 edges, one past the cut guard, and not series-parallel, so no
+    closed form takes it.  Directed, the sign rule applies but needs the
+    cut sets, so its guard refuses it too."""
     ends = [("S", "A")] * 20 + [("S", "B"), ("A", "B"), ("A", "C"), ("B", "C"),
                                 ("C", "T"), ("B", "T")]
     edges = [{"id": i, "from": u, "to": v, "directed": directed, "max_capacity": 1}
@@ -472,12 +511,11 @@ def series_parallel_past_the_cut_guard() -> dict:
 
 def test_pivotal_on_a_network_past_the_cut_guard_exits_3(write_doc, capsys):
     f = write_doc(network_past_the_cut_guard())
-    for extra in ([], ["--guard", "100"]):
-        code, out, err = run(capsys, ["domination", f, "--level", "1", "--method", "pivotal",
-                                      "--no-timing", *extra])
-        assert code == 3
-        assert out == ""
-        assert err == "error: 26 edges exceed the cut enumeration guard (25)\n"
+    code, out, err = run(capsys, ["domination", f, "--level", "1", "--method", "pivotal",
+                                  "--no-timing"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: 26 edges exceed the cut enumeration guard (25)\n"
     # auto refuses on the subset guard and, as pivotal would refuse too,
     # names both refusals and not pivotal
     code, out, err = run(capsys, ["domination", f, "--level", "1", "--no-timing"])

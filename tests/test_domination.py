@@ -346,8 +346,8 @@ def test_binary_signed_domination_guard_and_empty():
         binary_signed_domination(psi)
     assert str(err.value) == "26 binary components exceed the subset guard (25)"
     with pytest.raises(ComplexityGuardError) as err:
-        domination_via_binary(sum_system([1] * 13).level(1), guard=12)
-    assert str(err.value) == "13 binary components exceed the subset guard (12)"
+        domination_via_binary(sum_system([1] * 26).level(1))
+    assert str(err.value) == "26 binary components exceed the subset guard (25)"
     ls = frozen_level(sum_system([1]).level(1), {0: 1})
     assert binary_signed_domination(associated_binary(ls)) == 1
     assert domination_via_binary(ls) == 1

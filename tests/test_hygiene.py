@@ -1,8 +1,8 @@
 """Source hygiene: every top-level import in the package and in the
 test modules is used, every definition of the package is read, every
-keyword-only option of the package is set by some caller outside the
-tests, every exported name is read outside the tests, and no exported
-name hides a submodule.
+option of the package is set by some caller outside the tests, every
+exported name is read outside the tests, and no exported name hides a
+submodule.
 
 A deletion that leaves an import, a definition or an option behind
 passes every behavioural test, so these checks read the modules
@@ -12,6 +12,7 @@ its imports are the public namespace.
 
 import ast
 import importlib
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -51,34 +52,50 @@ def test_every_import_is_read(path):
 
 
 def public_functions(tree: ast.Module):
-    """Public top-level functions and public methods of public classes."""
+    """Public top-level functions and public methods of public classes,
+    each with the number of its leading parameters that a call does not
+    pass: 1 for a method's self, else 0."""
     for node in tree.body:
-        body = [node]
+        body, bound = [node], 0
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            body = node.body
+            body, bound = node.body, 1
         for fn in body:
             if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
-                yield fn
+                yield fn, bound
+
+
+def options(fn: ast.FunctionDef, bound: int):
+    """(name, position) of each option of a function: a positional
+    parameter with a default, at its position among a call's arguments,
+    and a keyword-only parameter, at position None."""
+    params = fn.args.posonlyargs + fn.args.args
+    for i in range(len(params) - len(fn.args.defaults), len(params)):
+        yield params[i].arg, i - bound
+    for arg in fn.args.kwonlyargs:
+        yield arg.arg, None
 
 
 def test_every_keyword_option_is_set_by_a_caller():
-    """A keyword-only parameter that no call in the package or the
-    benchmark passes by name is a constant dressed as an option: one that
-    only the tests set is theirs to vary, not a caller's.  Calls are
-    matched on the called name; a call with **kwargs counts as passing
-    every keyword."""
+    """An option, a keyword-only parameter or a positional one with a
+    default, that no call in the package or the benchmark sets is a
+    constant dressed as an option: one that only the tests set is theirs
+    to vary, not a caller's.  Calls are matched on the called name; a
+    call sets an option by its name, or by its position before any
+    *args.  A **kwargs call sets no option by name: it only forwards."""
     passed: dict[str, set] = {}
     for path in (p for p in CALLERS if p.parent != TESTS):
         for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(call, ast.Call):
                 name = getattr(call.func, "id", getattr(call.func, "attr", None))
-                passed.setdefault(name, set()).update(kw.arg for kw in call.keywords)
-    unset = [f"{path.name}: {fn.name}({arg.arg}=)"
+                plain = takewhile(lambda a: not isinstance(a, ast.Starred), call.args)
+                passed.setdefault(name, set()).update(
+                    range(len(list(plain))), (kw.arg for kw in call.keywords if kw.arg))
+    unset = [f"{path.name}: {fn.name}({name}=)"
              for path in sorted(PACKAGE.glob("*.py"))
-             for fn in public_functions(ast.parse(path.read_text(encoding="utf-8")))
-             for arg in fn.args.kwonlyargs
-             if not passed.get(fn.name, set()) & {arg.arg, None}]
-    assert not unset, f"keyword options no caller sets: {unset}"
+             for fn, bound in public_functions(ast.parse(path.read_text(encoding="utf-8")))
+             for name, position in options(fn, bound)
+             if not passed.get(fn.name, set()) & {name, position}]
+    assert not unset, f"options no caller sets: {unset}"
 
 
 def reads(paths):

@@ -231,7 +231,6 @@ def test_invariant_recursion_series_and_bridge():
     assert domination_invariant_recursion(series) == 1
     bs = link_structure(MatroidSystemLink(bridge_matroid(), "x"))
     assert domination_invariant_recursion(bs) == 3
-    assert domination_invariant_recursion(bs, pivot=2) == 3
 
 
 def test_invariant_recursion_k_out_of_n():
@@ -243,7 +242,7 @@ def test_invariant_recursion_k_out_of_n():
 
 def test_invariant_recursion_equals_absolute_domination():
     """On random matroid systems the recursion agrees with the direct
-    |signed domination|, whichever pivot starts the split."""
+    |signed domination|."""
     rng = random.Random(9)
     links = []
     for n, k in [(4, 2), (5, 2), (5, 4), (6, 3)]:
@@ -262,17 +261,15 @@ def test_invariant_recursion_equals_absolute_domination():
         bs = link_structure(link)
         want = abs(binary_signed_domination(bs))
         assert domination_invariant_recursion(bs) == want
-        for e in range(len(bs.max_states)):
-            assert domination_invariant_recursion(bs, pivot=e) == want
 
 
 def test_invariant_recursion_irrelevant_pivot():
-    # two disjoint circuits: components 1 and 2 never matter
+    # two disjoint circuits: components 1 and 2 never matter, and the
+    # first split, on slot 0, is on component 1
     m = graphic_matroid([(1, "a", "b"), (2, "a", "b"), (3, "c", "d"), ("x", "c", "d")])
     bs = link_structure(MatroidSystemLink(m, "x"))
     assert binary_signed_domination(bs) == 0
-    for e in range(len(bs.max_states)):
-        assert domination_invariant_recursion(bs, pivot=e) == 0
+    assert domination_invariant_recursion(bs) == 0
 
 
 def test_invariant_recursion_trivial_structures():
@@ -280,8 +277,21 @@ def test_invariant_recursion_trivial_structures():
     never = binary_system(2, lambda z: 0)
     assert domination_invariant_recursion(always) == 0
     assert domination_invariant_recursion(never) == 0
-    with pytest.raises(DomainError):
-        domination_invariant_recursion(always, pivot=5)
+
+
+def test_invariant_recursion_guard():
+    """Past 25 slots the truth table is refused before the first evaluation."""
+    class Evaluated(Exception):
+        pass
+
+    def func(z):
+        raise Evaluated(z)
+
+    with pytest.raises(ComplexityGuardError) as err:
+        domination_invariant_recursion(binary_system(26, func))
+    assert str(err.value) == "26 binary components exceed the recursion guard (25)"
+    with pytest.raises(Evaluated):
+        domination_invariant_recursion(binary_system(25, func))
 
 
 def uniform_link(n, r):

@@ -119,7 +119,7 @@ def test_formation_guard_comes_before_validation():
         domination_by_formations(iter(gens))
     assert str(err.value).startswith("25 generators exceed the formation guard (20); ")
     with pytest.raises(InvalidGeneratorError) as err:
-        domination_by_formations(gens, guard=25)
+        domination_by_formations(gens[:20])
     assert str(err.value) == "comparable generators (0, 0) and (1, 0)"
 
 
@@ -128,9 +128,11 @@ def test_formation_guard_names_alternatives():
     with pytest.raises(ComplexityGuardError) as err:
         domination_by_formations(gens)
     assert "pivotal" in str(err.value)
-    # override allows it through
-    table = domination_by_formations(gens[:5], guard=5)
-    assert table[(1,) * 5 + (0,) * 16] == 1
+    # 20 generators are counted: a staircase, whose closure stays small
+    stairs = [(i, 19 - i) for i in range(20)]
+    table = domination_by_formations(stairs)
+    assert table == domination_by_closure_mobius(join_closure(stairs))
+    assert table[(1, 19)] == -1 and table[(19, 19)] == 0
 
 
 def test_closure_mobius_route_matches_formations():

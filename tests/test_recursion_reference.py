@@ -3,11 +3,12 @@ re-evaluating recursion, kept here as the reference.
 
 The reference below freezes slots one by one and calls the structure
 again at every node of the recursion; the library version tabulates the
-structure once and slices that table.  Both split down to the 0-slot
-minors and must give the same value on every monotone binary system,
-matroid systems and others alike, for every pivot.  On a structure that
-does not come from a matroid the value can depend on the pivot order, so
-these cases also pin which slot each split fixes.
+structure once and slices that table.  Both split on slot 0 down to the
+0-slot minors and must give the same value on every monotone binary
+system, matroid systems and others alike.  On a structure that does not
+come from a matroid the value can depend on the split order, so these
+cases also pin which slot each split fixes.  The reference still takes
+a first pivot: on a matroid system every pivot gives the library value.
 """
 
 import random
@@ -126,19 +127,23 @@ def matroid_structures(rng: random.Random):
 
 
 def cases():
+    """(structure, whether it comes from a matroid), named by size."""
     rng = random.Random(2)
-    structures = [random_monotone(rng, size, coherent)
+    structures = [(random_monotone(rng, size, coherent), False)
                   for size in range(10) for coherent in (False, True, True, True)]
     matroids = matroid_structures(rng)
-    structures += [next(matroids) for _ in range(17)]
-    return structures
+    structures += [(next(matroids), True) for _ in range(17)]
+    return [pytest.param(bs, matroid, id=f"{'matroid' if matroid else 'monotone'}{len(bs.max_states)}")
+            for bs, matroid in structures]
 
 
-@pytest.mark.parametrize("bs", cases(), ids=lambda bs: f"size{len(bs.max_states)}")
-def test_recursion_matches_the_reference(bs):
+@pytest.mark.parametrize("bs, matroid", cases())
+def test_recursion_matches_the_reference(bs, matroid):
     size = len(bs.max_states)
-    for pivot in (None, *range(size)):
-        assert domination_invariant_recursion(bs, pivot) == reference_recursion(bs, pivot), pivot
+    value = domination_invariant_recursion(bs)
+    assert value == reference_recursion(bs)
+    for pivot in range(size) if matroid else ():
+        assert reference_recursion(bs, pivot) == value, pivot
     # the recursion sums unsigned halves; the signed sum itself is held here,
     # at size 0 too, where it is phi(())
     assert binary_signed_domination(bs) == _alternating_sum(bs.system._func, (1,) * size)
@@ -147,7 +152,7 @@ def test_recursion_matches_the_reference(bs):
 @pytest.mark.parametrize("size", range(17))
 def test_recursion_evaluates_each_vector_once(size):
     """One structure evaluation per vector of {0,1}^size, whatever the
-    depth of the recursion and with or without a pivot."""
+    depth of the recursion."""
     calls = 0
 
     def func(z):
@@ -155,9 +160,6 @@ def test_recursion_evaluates_each_vector_once(size):
         calls += 1
         return int(sum(z) > size // 2)
 
-    bs = binary_system(size, func)
-    for pivot in (None, *([size // 2] if size else [])):
-        calls = 0
-        domination_invariant_recursion(bs, pivot)
-        assert calls == 2 ** size, pivot
+    domination_invariant_recursion(binary_system(size, func))
+    assert calls == 2 ** size
 

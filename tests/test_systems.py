@@ -504,6 +504,21 @@ def test_reliability_space_mismatch():
         reliability_from_domination({(1, 1): 1}, d, (1, 1))
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("x", [(1, -1), (2, 1), (1.5, 1), (-3, 0)])
+def test_reliability_refuses_a_table_vector_outside_the_space(x, exact):
+    """A negative state would index its survival row from the end and
+    give a wrong value; a state past the row or between two states would
+    raise a bare IndexError or TypeError.  Each is a DomainError naming
+    the vector, with floats and with exact input alike."""
+    rows = [[0.5, 0.5], [0.25, 0.75]]
+    d = ComponentDistribution([[Fraction(p) for p in row] for row in rows] if exact else rows)
+    assert reliability_from_domination({(1, 1): 1}, d, (1, 1)) == 0.375
+    with pytest.raises(DomainError) as err:
+        reliability_from_domination({(1, 1): 1, x: 1}, d, (1, 1))
+    assert str(err.value) == f"table vector {x} outside space (1, 1)"
+
+
 def test_random_reliability_identity():
     for seed in range(10):
         system = make_random_system(seed)
