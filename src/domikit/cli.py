@@ -165,7 +165,8 @@ def cmd_domination(doc: SystemDocument, args) -> tuple[int, str]:
     tag = f"[method: {used}]" if args.no_timing else f"[method: {used}, {elapsed:.3f}s]"
     lines = [f"d(phi_{args.level}) = {value}  {tag}"]
     if table is not None:
-        lines += [f"{_vec(x)}\t{d}" for x, d in table.items()]
+        row = " ".join(["{}"] * len(doc.max_states)) + "\t{}"  # _vec(x), a tab, d
+        lines += [row.format(*x, d) for x, d in table.items()]
     return 0, "\n".join(lines)
 
 

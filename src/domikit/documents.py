@@ -21,6 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Any
 
 from .errors import (
@@ -189,9 +190,13 @@ def _parse_structure(obj: dict, max_states: tuple[int, ...] | None):
             raise ParseError(f"structure.levels.{key}", "level keys must be positive integers")
         if key.startswith("0"):  # "01" would name level 1 beside "1"
             raise ParseError(f"structure.levels.{key}", f'level {int(key)} must be written "{int(key)}"')
-        vecs = [tuple(_int_list(v, f"structure.levels.{key}[{i}]"))
-                for i, v in enumerate(_expect_list(fam, f"structure.levels.{key}"))]
-        levels[int(key)] = vecs
+        fam = _expect_list(fam, f"structure.levels.{key}")
+        # one flat type check; the loop runs only to name the first fault
+        if not ({list}.issuperset(map(type, fam))
+                and {int}.issuperset(map(type, chain.from_iterable(fam)))):
+            for i, v in enumerate(fam):
+                _int_list(v, f"structure.levels.{key}[{i}]")
+        levels[int(key)] = list(map(tuple, fam))
     try:
         system = path_vector_system(max_states, levels)
     except DomikitError as e:

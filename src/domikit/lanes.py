@@ -6,9 +6,9 @@ reliability by enumeration; over the box of top corners (each x_i at
 m_i - 1 or m_i) they feed pivotal decomposition, 2^9 corners at a time
 (see systems._phi_lanes and domination.pivotal_domination).  Over the
 grid of a generator family's values they hold the order kernels of
-poset: up-sets, generator counts and Mobius tables.  One OR sweep,
-Lanes.closed, closes the up-sets of poset's order checks and of the
-path_vectors tabulator: level k is k Up(F_k), phi the sum over k.
+poset: generator counts, their up-sets and Mobius tables.  One OR
+sweep, Lanes.closed, closes the up-sets of the path_vectors tabulator:
+level k is k Up(F_k), phi the sum over k.
 """
 
 from __future__ import annotations

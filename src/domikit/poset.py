@@ -20,12 +20,12 @@ and lexicographic cell order, one cell per lane of a lanes.Lanes (lo = 0,
 hi = |V_i| - 1).  Every join of generators lies on the grid, and a sweep
 along an axis is a whole-int shift, so
 
-* the up-set of the generators is their cells closed upward along
-  each axis, and the family is an antichain iff no two cells coincide
-  and no generator cell lies in the strict up-set;
+* c, the count of the generators at or below each cell, is their marks
+  summed along each axis (the zeta transform, prefix sums);
+* the family is an antichain iff no two cells coincide and c is 1 at
+  every generator cell, and its up-set is the cells where c >= 1;
 * y is in the closure iff c(y) > c(y - e_i) along every axis where y's
-  rank is positive, c counting the generators at or below each cell (the zeta
-  transform, prefix sums along each axis);
+  rank is positive;
 * the Mobius table is the n-fold backward difference of the up-set
   indicator (the Mobius transform of a product of chains: Yates 1937;
   Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007), read at the
@@ -69,6 +69,10 @@ class _Packing:
     vectors sort lexicographically.  A negative state raises and one above
     its width spills into the next field: callers check both first.  A
     code wider than 10^7 bits is refused before any field is built.
+
+    The pairwise loops here encode a family when they run, and a
+    path_vectors system encodes a level on the first evaluate that reads
+    it, its codes side by side in one int (see systems.path_vector_system).
     """
 
     guard = 10**7
@@ -95,8 +99,13 @@ class _Packing:
         # field i holds 2^(v_i + shift_i) - 2^shift_i, its low v_i bits
         return sum(map((1).__lshift__, map(add, v, self.shifts))) - self.base
 
-    def codes(self, vectors: Iterable[Vector]) -> list[int]:
-        return list(map(self.code, vectors))
+    def codes(self, vectors: Sequence[Vector]) -> list[int]:
+        """The codes of a family, by columns: one pass per coordinate adds
+        2^(v_i + shift_i) to every code."""
+        codes = [-self.base] * len(vectors)
+        for i, s in enumerate(self.shifts):
+            codes = list(map(add, codes, map((1 << s).__lshift__, map(itemgetter(i), vectors))))
+        return codes
 
     def vector(self, code: int) -> Vector:
         """Decode: the state of each coordinate is its field's popcount."""
@@ -153,20 +162,16 @@ def _sweeps(lanes: Lanes) -> Iterator[tuple[int, int, int]]:
 def _nested_on_grid(families: Sequence[Sequence[Vector]], axes: list[list[int]]) -> bool:
     """True iff every family is an antichain and each lies in the up-set of
     the one before it, on one grid over all of them whose axes are given;
-    one family is the antichain check.  A family is an antichain iff no two
-    of its cells coincide and none lies in its strict up-set, the up-set
-    moved one step along some axis."""
-    lanes = _grid(axes, 1)
-    below = -1  # every cell
+    one family is the antichain check.  A family's up-set is the cells
+    whose generator count (see _antichain_counts) is at least one."""
+    lanes = _grid(axes, max(map(len, families)))  # counts <= the largest family
+    below = lanes.top  # every cell
     for fam in families:
         marks = lanes.marks(_cells(lanes, axes, fam))
-        up = lanes.closed(marks)
-        above = 0
-        for i, _, positive in _sweeps(lanes):
-            above |= lanes.up(up, i, positive)
-        if marks.bit_count() < len(fam) or marks & (above | ~below):
+        counts = _antichain_counts(lanes, marks, len(fam))
+        if counts is None or (marks << (lanes.bits - 1)) & ~below:
             return False
-        below = up
+        below = lanes.at_least(counts, lanes.ones)
     return True
 
 
@@ -283,15 +288,24 @@ def _joins(lanes: Lanes, counts: int) -> bytes:
     return (joins >> (lanes.bits - 1)).to_bytes(lanes.size * lanes.width, "little")[:: lanes.width]
 
 
-def _closure_on_grid(gens: Sequence[Vector], axes: list[list[int]]) -> tuple[Vector, ...] | None:
-    """The closure of a checked family, or None if it is no antichain: a
-    generator cell that counts a generator besides itself at or below it."""
-    lanes = _grid(axes, len(gens))  # counts <= s
-    marks = lanes.marks(_cells(lanes, axes, gens))
-    if marks.bit_count() < len(gens):
+def _antichain_counts(lanes: Lanes, marks: int, s: int) -> int | None:
+    """The generator counts of a family of s vectors marked on the grid
+    (see _counts), or None if it is no antichain: two generators on one
+    cell, or a generator cell that counts another generator at or below
+    it.  The lanes hold counts up to s."""
+    if marks.bit_count() < s:
         return None
     counts = _counts(lanes, marks)
     if lanes.at_least(counts, 2 * lanes.ones) & (marks << (lanes.bits - 1)):
+        return None
+    return counts
+
+
+def _closure_on_grid(gens: Sequence[Vector], axes: list[list[int]]) -> tuple[Vector, ...] | None:
+    """The closure of a checked family, or None if it is no antichain."""
+    lanes = _grid(axes, len(gens))
+    counts = _antichain_counts(lanes, lanes.marks(_cells(lanes, axes, gens)), len(gens))
+    if counts is None:
         return None
     return tuple(compress(product(*axes), _joins(lanes, counts)))  # cells in lex order
 

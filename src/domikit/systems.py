@@ -32,7 +32,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import accumulate, chain, compress, cycle, product, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -260,7 +260,13 @@ def path_vector_system(
     (see poset) inside 0..m_i at both ends, and on one grid of them all,
     F_k is an antichain whose cells AND NOT Up(F_(k-1)) are empty.  Else,
     and to name a fault, the checks run in the order the levels are read:
-    each level's bounds, generator checks and lengths, then the nesting.
+    each level's bounds, generator checks and lengths, then the nesting,
+    on thermometer codes (see poset._Packing).
+
+    No code is built where the grid check passes: phi encodes a level on
+    the first evaluate that reads it, as one int holding its codes in
+    fields of W + 1 bits (W the code's width), and tests "some vector of
+    F_k lies below x" on that int with a few whole-int operations.
     """
     ms = tuple(max_states)
     if not levels:
@@ -292,22 +298,37 @@ def path_vector_system(
                 if len(v) != len(ms):
                     raise ValidationError(f"path vector {v} outside space {ms}")
     packing = _Packing(widths)
-    codes = {k: packing.codes(fam) for k, fam in families.items()}
     if not checked:
+        codes = {k: packing.codes(fam) for k, fam in families.items()}
         for k in range(2, system_max + 1):
             for v, c in zip(families[k], codes[k]):
                 if not any(u | c == c for u in codes[k - 1]):
                     raise ValidationError(
                         f"level-{k} path vector {v} dominates no level-{k - 1} path vector")
+    bits = sum(widths)
+    mask, spec = (1 << bits) - 1, f"0{bits + 1}b"  # a code, and one with a 0 bit above it
+
+    @cache
+    def word(k: int) -> tuple[int, int, int]:
+        """Level k's codes side by side in fields of bits + 1 bits, and the
+        low and the high bit of every field."""
+        ones = int(("0" * bits + "1") * len(families[k]), 2)
+        return int("".join(map(format, packing.codes(families[k]), repeat(spec))), 2), ones, ones << bits
 
     def phi(x: Vector) -> int:
         """Bisect the levels: every level-k vector dominates a level-(k-1)
-        one, so "x lies above some F_k vector" is monotone in k."""
-        c = packing.code(map(min, x, widths))
+        one, so "x lies above some F_k vector" is monotone in k.  That is
+        one test on level k's word (SWAR, as in lanes): u <= x iff u has no
+        bit outside x's code, so the fields of t = word & (the bits outside
+        x's code, in every field) are zero exactly where u <= x, and
+        (t | highs) - ones clears the high bit of exactly the zero fields."""
+        outside = mask ^ packing.code(map(min, x, widths))
         lo, hi = 0, system_max
         while lo < hi:
             k = (lo + hi + 1) // 2
-            if any(u | c == c for u in codes[k]):
+            fields, ones, highs = word(k)
+            t = fields & outside * ones
+            if ((t | highs) - ones) & highs != highs:
                 lo = k
             else:
                 hi = k - 1

@@ -2,15 +2,23 @@
 
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from conftest import document_to_dict, serialize_system
 from domikit import (
     ParseError,
+    domination_by_closure_mobius,
+    join_closure,
+    minimal_path_vectors,
     parse_system,
     parse_system_dict,
+    reliability_enumerate,
+    reliability_from_domination,
+    sum_system,
 )
+from domikit import poset
 
 
 def two_of_three_doc(**extra):
@@ -101,6 +109,37 @@ def test_parse_path_vectors():
     assert doc.system_max == 1
     assert doc.system.evaluate((1, 1, 0)) == 1
     assert doc.system.evaluate((1, 0, 0)) == 0
+
+
+def test_path_vector_codes_are_built_on_first_evaluate(monkeypatch):
+    """A document whose grid check passes is parsed without one thermometer
+    code; evaluate builds the word of each level its bisection reads, once,
+    and the path vector and reliability routes never build one."""
+    ms = [2] * 5
+    sums = sum_system(ms)
+    levels = {str(k): [list(p) for p in minimal_path_vectors(sums.level(k))] for k in range(1, 11)}
+    doc = {"format_version": 1, "max_states": ms,
+           "structure": {"kind": "path_vectors", "levels": levels},
+           "distribution": [["1/4", "1/4", "1/2"]] * 5}
+    calls = []
+    codes = poset._Packing.codes
+    monkeypatch.setattr(poset._Packing, "codes", lambda self, vs: calls.append(vs) or codes(self, vs))
+    parsed = parse_system_dict(doc)
+    system, dist = parsed.system, parsed.distribution
+    assert calls == []
+    words = lambda: sorted(k for k, fam in system._paths.items() if any(vs is fam for vs in calls))
+    for k in range(1, 11):  # the join loop may encode a copy of a family, never the system's own
+        ls = system.level(k)
+        table = domination_by_closure_mobius(join_closure(minimal_path_vectors(ls)))
+        assert reliability_from_domination(table, dist, ms) == reliability_enumerate(ls, dist)
+    assert words() == []
+    calls.clear()
+    assert system.evaluate((2, 1, 0, 1, 1)) == 5
+    assert words() == [5, 6, 8] and len(calls) == 3  # the bisection of 0..10 reads 5, 8, 6
+    assert system.evaluate((2, 1, 0, 1, 1)) == 5 and len(calls) == 3
+    assert [system.evaluate(x) for x in product(range(3), repeat=5)] \
+        == [sum(x) for x in product(range(3), repeat=5)]
+    assert words() == list(range(1, 11)) and len(calls) == 10
 
 
 def test_parse_network():
@@ -203,6 +242,29 @@ def test_path_vector_errors():
     assert str(err.value) == "structure.levels.2[1][2]: expected an integer, got False"
     deep["structure"]["levels"]["2"][1] = {"0": 1}
     assert path_of(deep) == "structure.levels.2[1]"
+    # a family passes one flat type check; a fault is named by the per-vector
+    # loop, in reading order, as each vector's own check names it
+    for bad in (True, 1.0, "1", None, [1], {"a": 1}):
+        for i, j in ((0, 0), (1, 0), (1, 2)):  # the first vector, the last, its last entry
+            doc = two_of_three_doc(max_states=[1, 2, 1])
+            levels = {"1": [[1, 1, 0], [0, 1, 1]], "2": [[0, 2, 1], [1, 2, 0]]}
+            levels["2"][i][j] = bad
+            doc["structure"]["levels"] = levels
+            with pytest.raises(ParseError) as err:
+                parse_system_dict(doc)
+            assert str(err.value) == f"structure.levels.2[{i}][{j}]: expected an integer, got {bad!r}"
+            levels["2"][1 - i][2] = False  # a second fault, in the other vector: vector 0's is named
+            with pytest.raises(ParseError) as err:
+                parse_system_dict(doc)
+            assert err.value.path == f"structure.levels.2[0][{j if i == 0 else 2}]"
+    for bad, name in (({"0": 1}, "dict"), ("1 2 1", "str")):
+        for i in (0, 1):
+            doc = two_of_three_doc(max_states=[1, 2, 1])
+            doc["structure"]["levels"] = {"1": [[1, 1, 0], [0, 1, 1]], "2": [[0, 2, 1], [1, 2, 0]]}
+            doc["structure"]["levels"]["2"][i] = bad
+            with pytest.raises(ParseError) as err:
+                parse_system_dict(doc)
+            assert str(err.value) == f"structure.levels.2[{i}]: expected an array, got {name}"
     for key in ("0", "00"):  # no level, whatever its spelling
         zero = two_of_three_doc()
         zero["structure"]["levels"] = {key: [[1, 1, 1]]}
