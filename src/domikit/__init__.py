@@ -36,7 +36,6 @@ from .systems import (
     ComponentDistribution,
     LevelSystem,
     MultistateSystem,
-    StateSpace,
     check_monotone,
     minimal_path_vectors,
     path_vector_system,

@@ -74,13 +74,13 @@ def _closed_form(doc: SystemDocument, level: int) -> int | None:
     the cut sets, so past their guard it raises ComplexityGuardError:
     `verify` reports it as a refusal and `auto` goes on to binary.
     """
-    ms = doc.max_states
-    if doc.structure_kind == "sum":
+    ms = doc.system.max_states
+    if doc.system.kind == "sum":
         weights = doc.raw_structure["weights"]
         if all(w == 1 for w in weights) and len(set(ms)) == 1:
             return threshold_domination(len(ms), ms[0], level)
         return sum_domination(ms, weights, level)
-    if doc.structure_kind == "network" and doc.net is not None:
+    if doc.system.kind == "network" and doc.net is not None:
         net = doc.net
         if all(e.directed for e in net.edges) and reduces_to_connectivity(net, level):
             return directed_network_domination(net)
@@ -94,7 +94,7 @@ class _Routes:
 
     def __init__(self, doc: SystemDocument, level: int):
         self.doc, self.level, self.ls = doc, level, doc.system.level(level)
-        top = doc.max_states
+        top = doc.system.max_states
         self.methods = {  # in the order verify runs them
             "formations": lambda: domination_by_formations(self.paths).get(top, 0),
             "mobius": lambda: self.table.get(top, 0),
@@ -130,7 +130,7 @@ class _Routes:
             return self.methods["binary"](), "binary"
         except ComplexityGuardError as e:
             try:
-                self.ls(self.doc.max_states)
+                self.ls(self.ls.max_states)
             except ComplexityGuardError as refused:
                 raise ComplexityGuardError(f"{e}; {refused}") from e
             raise ComplexityGuardError(
@@ -165,7 +165,7 @@ def cmd_domination(doc: SystemDocument, args) -> tuple[int, str]:
     tag = f"[method: {used}]" if args.no_timing else f"[method: {used}, {elapsed:.3f}s]"
     lines = [f"d(phi_{args.level}) = {value}  {tag}"]
     if table is not None:
-        row = " ".join(["{}"] * len(doc.max_states)) + "\t{}"  # _vec(x), a tab, d
+        row = " ".join(["{}"] * len(doc.system.max_states)) + "\t{}"  # _vec(x), a tab, d
         lines += [row.format(*x, d) for x, d in table.items()]
     return 0, "\n".join(lines)
 
@@ -174,7 +174,7 @@ def cmd_reliability(doc: SystemDocument, args) -> tuple[int, str]:
     if doc.distribution is None:
         raise ParseError("distribution", "reliability needs component distributions")
     routes = _Routes(doc, args.level)
-    value = reliability_from_domination(routes.table, doc.distribution, doc.max_states)
+    value = reliability_from_domination(routes.table, doc.distribution, doc.system.max_states)
     check = None
     if args.verify:
         check = reliability_enumerate(routes.ls, doc.distribution)

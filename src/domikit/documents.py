@@ -49,19 +49,14 @@ _EDGE_KEYS = {"id", "from", "to", "directed", "max_capacity"}
 
 @dataclass(frozen=True, eq=False)
 class SystemDocument:
-    """A parsed document: the built system plus canonical raw payload."""
+    """A parsed document: the built system, and what the system does not
+    hold: the canonical raw structure, a network document's flow network
+    and the component distributions, if any."""
 
-    format_version: int
-    max_states: tuple[int, ...]
-    structure_kind: str
     system: MultistateSystem
     raw_structure: dict
     net: FlowNetwork | None = None
     distribution: ComponentDistribution | None = None
-
-    @property
-    def system_max(self) -> int:
-        return self.system.space.system_max
 
 
 def _expect_dict(value: Any, path: str) -> dict:
@@ -146,7 +141,7 @@ def _parse_structure(obj: dict, max_states: tuple[int, ...] | None):
                 "max_states", f"{list(max_states)} does not match edge capacities {list(net.max_states)}"
             )
         system = network_system(net)
-        _check_printable(system.space.system_max, "structure.edges")
+        _check_printable(system.system_max, "structure.edges")
         raw = {
             "kind": "network",
             "nodes": list(net.nodes),
@@ -178,7 +173,7 @@ def _parse_structure(obj: dict, max_states: tuple[int, ...] | None):
             system = sum_system(max_states, weights)
         except DomikitError as e:
             raise ParseError("structure.weights", str(e)) from e
-        _check_printable(system.space.system_max, "structure.weights")
+        _check_printable(system.system_max, "structure.weights")
         return system, {"kind": "sum", "weights": weights}, None
     # path_vectors
     levels_obj = _expect_dict(_get(obj, "levels", "structure"), "structure.levels")
@@ -274,30 +269,22 @@ def parse_system_dict(obj: Any) -> SystemDocument:
         max_states = tuple(ms_list)
 
     system, raw, net = _parse_structure(structure_obj, max_states)
-    resolved = system.space.max_states
+    resolved = system.max_states
     if "n" in obj and _expect_int(obj["n"], "n") != len(resolved):
         raise ParseError("n", f"{obj['n']} does not match {len(resolved)} components")
     if "system_max" in obj:
         declared = _expect_int(obj["system_max"], "system_max")
-        if declared != system.space.system_max:
+        if declared != system.system_max:
             raise ParseError(
                 "system_max",
-                f"declared {declared}, structure yields {system.space.system_max}",
+                f"declared {declared}, structure yields {system.system_max}",
             )
 
     dist = None
     if "distribution" in obj:
         dist = _parse_distribution(obj["distribution"], resolved)
 
-    return SystemDocument(
-        format_version=version,
-        max_states=resolved,
-        structure_kind=raw["kind"],
-        system=system,
-        raw_structure=raw,
-        net=net,
-        distribution=dist,
-    )
+    return SystemDocument(system=system, raw_structure=raw, net=net, distribution=dist)
 
 
 def parse_system(text: str) -> SystemDocument:

@@ -52,10 +52,6 @@ class Matroid:
         """Rank of the subset with bitmask `mask`; every rank is taken here."""
         return self._rank(mask)
 
-    def rank(self, subset: Iterable[Hashable]) -> int:
-        """Rank of a subset: size of its largest independent part."""
-        return self.rank_mask(self.to_mask(subset))
-
 
 def crapo_beta(m: Matroid, subset: Iterable[Hashable]) -> int:
     """Crapo's beta invariant of a subset A.

@@ -34,7 +34,7 @@ from .errors import ComplexityGuardError, DomainError, GraphError
 from .lanes import Lanes
 from .matroid import _forest_rank
 from .poset import Vector
-from .systems import MultistateSystem, StateSpace
+from .systems import MultistateSystem
 
 
 @dataclass(frozen=True)
@@ -249,8 +249,7 @@ def network_system(net: FlowNetwork) -> MultistateSystem:
         flows = (lanes.weighted([int(i in c) for i in range(len(ms))]) for c in net._cuts)
         return lanes, reduce(lanes.minimum, flows)
 
-    space = StateSpace(max_states=ms, system_max=system_max)
-    return MultistateSystem(space=space, kind="network", _func=phi, _lanes=lanes)
+    return MultistateSystem(ms, system_max, "network", phi, _lanes=lanes)
 
 
 def connectivity_thresholds(net: FlowNetwork, k: int) -> dict[tuple[int, ...], int]:

@@ -230,15 +230,6 @@ class JoinClosure:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __iter__(self) -> Iterator[Vector]:
-        return iter(self.elements)
-
-    @property
-    def top(self) -> Vector:
-        """Join of all generators, the largest element of the closure and
-        so the lexicographically last."""
-        return self.elements[-1]
-
 
 def join_closure(generators: Iterable[Vector]) -> JoinClosure:
     """Close a generator family under joins, by a loop or on the grid.

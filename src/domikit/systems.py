@@ -6,7 +6,7 @@ of the structure (phi >= k) is a binary monotone structure over the same
 components; almost everything downstream (path vectors, domination,
 reliability) works level by level.
 
-Systems are represented by a state space plus an evaluator, with
+A system is its component bounds, its top level and an evaluator, with
 constructors for the concrete shapes used in practice: explicit tables,
 weighted sums and families of minimal path vectors.  Flow networks get
 their constructor in the network module.
@@ -56,8 +56,9 @@ from .poset import (
 
 
 @dataclass(frozen=True)
-class StateSpace:
-    """Product space {0..m_1} x ... x {0..m_n} with system levels 0..M.
+class MultistateSystem:
+    """Component bounds m_i, a top level M and a monotone structure
+    function from {0..m_1} x ... x {0..m_n} into 0..M.
 
     system_max = 0 marks a degenerate system that never leaves level 0;
     it arises from flow networks whose terminals are disconnected.  The
@@ -68,20 +69,20 @@ class StateSpace:
 
     max_states: tuple[int, ...]
     system_max: int
+    kind: str
+    _func: Callable[[Vector], int]
+    # a path_vectors system's declared minimal path vectors, by level
+    _paths: Mapping[int, tuple[Vector, ...]] | None = field(default=None, compare=False, repr=False)
+    # _lanes(lo, hi, k): phi over the box lo <= x <= hi in lanes, by the kind's
+    # own arithmetic; None tabulates by evaluating each state (see _phi_lanes)
+    _lanes: Callable[[Sequence[int], Sequence[int], int | None], tuple[Lanes, int]] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if any(m < 1 for m in self.max_states):
             raise DomainError(f"component max states must be >= 1, got {self.max_states}")
         if self.system_max < 0:
             raise DomainError(f"system max level must be >= 0, got {self.system_max}")
-
-    @property
-    def n(self) -> int:
-        return len(self.max_states)
-
-    @property
-    def top(self) -> Vector:
-        return self.max_states
 
     def size(self) -> int:
         return math.prod(m + 1 for m in self.max_states)
@@ -100,28 +101,9 @@ class StateSpace:
             raise ComplexityGuardError(f"{work} over {states} states exceeds guard ({10**7})")
         return size
 
-    def vectors(self):
-        """All state vectors in lexicographic order."""
-        return product(*(range(m + 1) for m in self.max_states))
-
-
-@dataclass(frozen=True)
-class MultistateSystem:
-    """A state space together with a monotone structure function."""
-
-    space: StateSpace
-    kind: str
-    _func: Callable[[Vector], int]
-    # a path_vectors system's declared minimal path vectors, by level
-    _paths: Mapping[int, tuple[Vector, ...]] | None = field(default=None, compare=False, repr=False)
-    # _lanes(lo, hi, k): phi over the box lo <= x <= hi in lanes, by the kind's
-    # own arithmetic; None tabulates by evaluating each state (see _phi_lanes)
-    _lanes: Callable[[Sequence[int], Sequence[int], int | None], tuple[Lanes, int]] | None = field(
-        default=None, compare=False, repr=False)
-
     def evaluate(self, x: Vector) -> int:
         x = tuple(x)
-        ms = self.space.max_states
+        ms = self.max_states
         if not (len(x) == len(ms) and all(map(operator.le, x, ms)) and (not x or min(x) >= 0)):
             raise DomainError(f"state vector {x} outside space {ms}")
         try:  # a sum of states in range is an int only when every state is
@@ -132,9 +114,9 @@ class MultistateSystem:
 
     def level(self, k: int) -> "LevelSystem":
         """The binary level-k structure, phi_k(x) = 1 iff phi(x) >= k."""
-        if not 1 <= k <= self.space.system_max:
+        if not 1 <= k <= self.system_max:
             raise DomainError(
-                f"level {k} outside 1..{self.space.system_max}"
+                f"level {k} outside 1..{self.system_max}"
             )
         return LevelSystem(system=self, level=k)
 
@@ -148,7 +130,7 @@ class LevelSystem:
 
     @property
     def max_states(self) -> tuple[int, ...]:
-        return self.system.space.max_states
+        return self.system.max_states
 
     def __call__(self, x: Vector) -> int:
         return 1 if self.system.evaluate(x) >= self.level else 0
@@ -168,38 +150,22 @@ def _integer(v, what: str) -> int:
         raise ValidationError(f"{what} {v!r} is not an integer") from None
 
 
-def table_system(
-    max_states: Sequence[int],
-    values: Mapping[Vector, int] | Sequence[int],
-) -> MultistateSystem:
+def table_system(max_states: Sequence[int], values: Sequence[int]) -> MultistateSystem:
     """System from an explicit table of structure values.
 
-    `values` is either a map from state vectors to levels, total on the
-    space, or a flat sequence in lexicographic vector order.  Either way
-    the system keeps one flat list, in which x's value sits at the offset
-    of its lane (see lanes.Lanes).  Monotonicity is verified on
-    construction.
+    `values` lists the level of every state vector in lexicographic
+    order; the system keeps it as one flat list, in which x's value sits
+    at the offset of its lane (see lanes.Lanes).  Monotonicity is
+    verified on construction.
     """
     ms = tuple(max_states)
     space_size = math.prod(m + 1 for m in ms)
-    if isinstance(values, Mapping):
-        table = {tuple(x): _integer(v, "table value") for x, v in values.items()}
-        for x in table:
-            if len(x) != len(ms) or not all(0 <= a <= m for a, m in zip(x, ms)):
-                raise ValidationError(f"table vector {x} lies outside the space {ms}")
-        if len(table) != space_size:
-            raise ValidationError(f"table covers {len(table)} of {space_size} vectors")
-        flat = list(map(table.__getitem__, product(*(range(m + 1) for m in ms))))
-    else:
-        flat = [_integer(v, "table value") for v in values]
-        if len(flat) != space_size:
-            raise ValidationError(
-                f"table has {len(flat)} entries, space has {space_size} vectors"
-            )
+    flat = [_integer(v, "table value") for v in values]
+    if len(flat) != space_size:
+        raise ValidationError(f"table has {len(flat)} entries, space has {space_size} vectors")
     if any(v < 0 for v in flat):
         raise ValidationError("negative structure value in table")
     system_max = max(flat)
-    space = StateSpace(max_states=ms, system_max=system_max)
     whole = Lanes((0,) * len(ms), ms, system_max)
     packed = whole.pack(flat).to_bytes(whole.size * whole.width, "little")
     strides = whole.strides
@@ -211,7 +177,7 @@ def table_system(
         box = Lanes(lo, hi, system_max)
         return box, box.cut(whole, packed)
 
-    system = MultistateSystem(space=space, kind="table", _func=phi, _lanes=lanes)
+    system = MultistateSystem(ms, system_max, "table", phi, _lanes=lanes)
     if not check_monotone(system):
         raise ValidationError("table is not monotone non-decreasing")
     return system
@@ -225,25 +191,21 @@ def sum_system(max_states: Sequence[int], weights: Sequence[int] | None = None) 
         raise DimensionError(f"{len(w)} weights for {len(ms)} components")
     if any(v < 0 for v in w):
         raise ValidationError("weights must be non-negative")
-    space = StateSpace(max_states=ms, system_max=sum(a * b for a, b in zip(w, ms)))
+    system_max = sum(a * b for a, b in zip(w, ms))
 
     def lanes(lo, hi, k) -> tuple[Lanes, int]:
-        lanes = Lanes(lo, hi, space.system_max)
+        lanes = Lanes(lo, hi, system_max)
         return lanes, lanes.weighted(w)
 
-    return MultistateSystem(
-        space=space,
-        kind="sum",
-        _func=lambda x: sum(map(operator.mul, w, x)),
-        _lanes=lanes,
-    )
+    return MultistateSystem(ms, system_max, "sum", lambda x: sum(map(operator.mul, w, x)),
+                            _lanes=lanes)
 
 
 def _binary_system(n: int, func: Callable[[Vector], int]) -> LevelSystem:
     """The level-1 cut of a binary system: n components with states 0..1
     and a monotone structure `func` into 0..1.  The associated binary
     system and every matroid link are built here."""
-    return MultistateSystem(StateSpace((1,) * n, 1), "binary", func).level(1)
+    return MultistateSystem((1,) * n, 1, "binary", func).level(1)
 
 
 def path_vector_system(
@@ -340,9 +302,7 @@ def path_vector_system(
             return lanes, sum(map(lanes.upset, families.values()))
         return lanes, k * lanes.upset(families[k])
 
-    space = StateSpace(max_states=ms, system_max=system_max)
-    return MultistateSystem(space=space, kind="path_vectors", _func=phi, _paths=families,
-                            _lanes=lanes)
+    return MultistateSystem(ms, system_max, "path_vectors", phi, _paths=families, _lanes=lanes)
 
 
 def _phi_lanes(system: MultistateSystem, lo: Sequence[int], hi: Sequence[int],
@@ -355,7 +315,7 @@ def _phi_lanes(system: MultistateSystem, lo: Sequence[int], hi: Sequence[int],
     if system._lanes is not None:
         return system._lanes(lo, hi, k)
     values = list(map(system._func, product(*(range(a, b + 1) for a, b in zip(lo, hi)))))
-    lanes = Lanes(lo, hi, max(max(values), system.space.system_max))
+    lanes = Lanes(lo, hi, max(max(values), system.system_max))
     return lanes, lanes.pack(values)
 
 
@@ -374,11 +334,10 @@ def check_monotone(system: MultistateSystem) -> bool:
     compared with phi moved one step up that axis.  Refuses spaces with
     more than 10^7 vectors.
     """
-    space = system.space
-    space._guarded_size("monotonicity check")
-    lanes, phi = _phi_lanes(system, (0,) * space.n, space.max_states)
+    system._guarded_size("monotonicity check")
+    lanes, phi = _phi_lanes(system, (0,) * len(system.max_states), system.max_states)
     return all(lanes.at_least(phi, lanes.up(phi, i, lanes.positive(i))) == lanes.top
-               for i in range(space.n))
+               for i in range(len(system.max_states)))
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -399,8 +358,7 @@ def minimal_path_vectors(ls: LevelSystem) -> tuple[Vector, ...]:
     """
     if ls.system._paths is not None:
         return ls.system._paths[ls.level]  # declared, and checked minimal at parse
-    space = ls.system.space
-    ms, size = space.max_states, space._guarded_size("path vector scan")
+    ms, size = ls.max_states, ls.system._guarded_size("path vector scan")
     # one byte per vector, read backwards as the binary digits of I
     holds = int(ls._table[::-1].translate(_DIGITS), 2)
     lowered = 0
@@ -544,9 +502,8 @@ def reliability_enumerate(ls: LevelSystem, dist: ComponentDistribution) -> float
     Exact input runs over the integer pmf rows of ComponentDistribution
     and makes one Fraction of the total by the common scale.
     """
-    space = ls.system.space
-    dist._check_space(space.max_states)
-    space._guarded_size("enumeration")
+    dist._check_space(ls.max_states)
+    ls.system._guarded_size("enumeration")
     rows, _, scale = dist._weights
     zero, one = (0.0, 1.0) if scale is None else (0, 1)
     probs = iter((one,))

@@ -17,7 +17,6 @@ from domikit import (
     Edge,
     FlowNetwork,
     MultistateSystem,
-    StateSpace,
     link_structure,
     minimal_path_vectors,
     network_system,
@@ -25,6 +24,18 @@ from domikit import (
     sum_system,
     table_system,
 )
+from domikit.documents import FORMAT_VERSION
+
+
+def vectors(max_states):
+    """All state vectors of the space, in lexicographic order."""
+    return product(*(range(m + 1) for m in max_states))
+
+
+def lex_values(max_states, table):
+    """A map from every state vector to its level, as the flat list in
+    lexicographic vector order that table_system takes."""
+    return [table[x] for x in vectors(max_states)]
 
 
 def vjoin(a, b):
@@ -56,10 +67,10 @@ def attained_states(ls):
 def document_to_dict(doc):
     """Canonical plain-dict form of a parsed document."""
     out = {
-        "format_version": doc.format_version,
-        "n": len(doc.max_states),
-        "max_states": list(doc.max_states),
-        "system_max": doc.system_max,
+        "format_version": FORMAT_VERSION,
+        "n": len(doc.system.max_states),
+        "max_states": list(doc.system.max_states),
+        "system_max": doc.system.system_max,
         "structure": doc.raw_structure,
     }
     if doc.distribution is not None:
@@ -160,15 +171,15 @@ def make_random_system(seed):
     n = rng.randint(1, 4)
     max_states = tuple(rng.randint(1, 3) for _ in range(n))
     table = random_monotone_table(rng, max_states, rng.randint(1, 4))
-    return table_system(max_states, table)
+    return table_system(max_states, lex_values(max_states, table))
 
 
 def frozen_level(ls, frozen):
     """The level function ls with the components in `frozen` (a map from
     position to state) held fixed, as a level-1 function of the others.
 
-    Built on a StateSpace directly: freezing can leave a constant 0
-    structure, which table_system would give no level 1.
+    Built as a MultistateSystem directly: freezing can leave a constant
+    0 structure, which table_system would give no level 1.
     """
     ms = ls.max_states
     rest = tuple(m for i, m in enumerate(ms) if i not in frozen)
@@ -177,14 +188,14 @@ def frozen_level(ls, frozen):
         free = iter(x)
         return ls(tuple(frozen[i] if i in frozen else next(free) for i in range(len(ms))))
 
-    return MultistateSystem(StateSpace(rest, 1), "table", phi).level(1)
+    return MultistateSystem(rest, 1, "table", phi).level(1)
 
 
 def binary_system(n, func):
     """The level function of a binary system: level 1 of a system over
     {0,1}^n with structure `func`, as the associated binary system and
     a matroid link are built."""
-    return MultistateSystem(StateSpace((1,) * n, 1), "bare", func).level(1)
+    return MultistateSystem((1,) * n, 1, "bare", func).level(1)
 
 
 def random_pmfs(rng, max_states):
@@ -269,9 +280,9 @@ def cut_form_networks():
 
 def path_family_system(system):
     """The same structure rebuilt as a path_vectors system."""
-    return path_vector_system(system.space.max_states, {
+    return path_vector_system(system.max_states, {
         k: minimal_path_vectors(system.level(k))
-        for k in range(1, system.space.system_max + 1)
+        for k in range(1, system.system_max + 1)
     })
 
 

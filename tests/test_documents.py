@@ -68,9 +68,9 @@ def test_parse_table():
         "max_states": [1, 2],
         "structure": {"kind": "table", "values": [0, 0, 1, 0, 1, 2]},
     })
-    assert doc.structure_kind == "table"
-    assert doc.max_states == (1, 2)
-    assert doc.system_max == 2
+    assert doc.system.kind == "table"
+    assert doc.system.max_states == (1, 2)
+    assert doc.system.system_max == 2
     assert doc.system.evaluate((1, 1)) == 1
 
 
@@ -80,7 +80,7 @@ def test_parse_table_over_more_states_than_its_values():
         "max_states": [256],
         "structure": {"kind": "table", "values": [0] * 200 + [1] * 57},
     })
-    assert doc.system_max == 1
+    assert doc.system.system_max == 1
     assert doc.system.evaluate((199,)) == 0 and doc.system.evaluate((200,)) == 1
 
 
@@ -90,7 +90,7 @@ def test_parse_sum_default_weights():
         "max_states": [2, 2],
         "structure": {"kind": "sum"},
     })
-    assert doc.system_max == 4
+    assert doc.system.system_max == 4
     assert doc.raw_structure == {"kind": "sum", "weights": [1, 1]}
 
 
@@ -100,13 +100,13 @@ def test_parse_sum_explicit_weights():
         "max_states": [2, 3],
         "structure": {"kind": "sum", "weights": [2, 1]},
     })
-    assert doc.system_max == 7
+    assert doc.system.system_max == 7
     assert doc.system.evaluate((1, 3)) == 5
 
 
 def test_parse_path_vectors():
     doc = parse_system_dict(two_of_three_doc())
-    assert doc.system_max == 1
+    assert doc.system.system_max == 1
     assert doc.system.evaluate((1, 1, 0)) == 1
     assert doc.system.evaluate((1, 0, 0)) == 0
 
@@ -144,19 +144,19 @@ def test_path_vector_codes_are_built_on_first_evaluate(monkeypatch):
 
 def test_parse_network():
     doc = parse_system_dict(bridge_doc())
-    assert doc.structure_kind == "network"
+    assert doc.system.kind == "network"
     assert doc.net is not None
-    assert doc.max_states == (2, 2, 1, 2, 1, 2, 2)
-    assert doc.system_max == 4
+    assert doc.system.max_states == (2, 2, 1, 2, 1, 2, 2)
+    assert doc.system.system_max == 4
 
 
 def test_parse_network_optional_max_states():
-    assert parse_system_dict(bridge_doc(max_states=[2, 2, 1, 2, 1, 2, 2])).system_max == 4
+    assert parse_system_dict(bridge_doc(max_states=[2, 2, 1, 2, 1, 2, 2])).system.system_max == 4
     assert path_of(bridge_doc(max_states=[2] * 7)) == "max_states"
 
 
 def test_declared_totals_checked():
-    assert parse_system_dict(two_of_three_doc(n=3, system_max=1)).system_max == 1
+    assert parse_system_dict(two_of_three_doc(n=3, system_max=1)).system.system_max == 1
     assert path_of(two_of_three_doc(n=4)) == "n"
     assert path_of(two_of_three_doc(system_max=2)) == "system_max"
 

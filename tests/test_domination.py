@@ -11,15 +11,16 @@ from conftest import (
     bare_systems,
     frozen_level,
     lane_kinds,
+    lex_values,
     make_random_system,
     network,
     oracle_subset_delta,
+    vectors,
 )
 from domikit import (
     ComplexityGuardError,
     DomainError,
     MultistateSystem,
-    StateSpace,
     associated_binary,
     binary_signed_domination,
     delta_at,
@@ -60,9 +61,9 @@ def test_delta_at_pins_components_off_the_support():
     is left it is the signed domination of the associated binary system."""
     for seed in range(10):
         system = make_random_system(seed)
-        for k in range(1, system.space.system_max + 1):
+        for k in range(1, system.system_max + 1):
             ls = system.level(k)
-            for y in system.space.vectors():
+            for y in vectors(system.max_states):
                 support = [i for i, v in enumerate(y) if v > 0]
                 if not support:
                     continue
@@ -96,7 +97,7 @@ def test_delta_at_guard():
     def unreachable(x):
         raise AssertionError(f"evaluated {x} past the guard")
 
-    big = MultistateSystem(StateSpace((1,) * 26, 1), "sum", unreachable).level(1)
+    big = MultistateSystem((1,) * 26, 1, "sum", unreachable).level(1)
     with pytest.raises(ComplexityGuardError,
                        match=r"^support size 26 exceeds the subset guard \(25\); "):
         delta_at(big, (1,) * 26)
@@ -118,9 +119,9 @@ def test_delta_at_agrees_with_closure_table_everywhere():
 def test_delta_at_matches_independent_oracle_on_random_systems():
     for seed in range(15):
         system = make_random_system(seed)
-        for k in range(1, system.space.system_max + 1):
+        for k in range(1, system.system_max + 1):
             ls = system.level(k)
-            for y in system.space.vectors():
+            for y in vectors(system.max_states):
                 if all(v == 0 for v in y):
                     continue
                 assert delta_at(ls, y) == oracle_subset_delta(ls, y)
@@ -223,7 +224,7 @@ def test_pivotal_holds_no_table_of_the_box():
 def test_pivotal_matches_subset_formula_on_random_systems():
     for seed in range(15):
         system = make_random_system(seed)
-        for k in range(1, system.space.system_max + 1):
+        for k in range(1, system.system_max + 1):
             ls = system.level(k)
             assert pivotal_domination(ls) == top_delta(ls)
 
@@ -233,7 +234,7 @@ def test_pivotal_lanes_agree_with_binary_on_every_kind():
     binary evaluates each corner through evaluate: equal at every level
     of every kind, bare structure functions and n = 0 included."""
     for system in lane_kinds() + bare_systems():
-        for k in range(1, system.space.system_max + 1):
+        for k in range(1, system.system_max + 1):
             ls = system.level(k)
             assert pivotal_domination(ls) == domination_via_binary(ls), (system, k)
 
@@ -244,11 +245,11 @@ def test_associated_binary_is_a_system_every_route_takes():
     any level function, and give the level function's value: at every
     level of every kind, n = 0 included."""
     for system in lane_kinds():
-        for k in range(1, system.space.system_max + 1):
+        for k in range(1, system.system_max + 1):
             ls = system.level(k)
             bs = associated_binary(ls)
             assert bs.max_states == (1,) * len(ls.max_states)
-            assert (bs.level, bs.system.space.system_max) == (1, 1)
+            assert (bs.level, bs.system.system_max) == (1, 1)
             want = pivotal_domination(ls)
             assert [pivotal_domination(bs), domination_via_binary(bs)] == [want] * 2, (system, k)
 
@@ -281,7 +282,7 @@ def test_pivotal_across_the_chunk_edge(n):
     """One chunk at n = 9, two at 10 and sixteen at 13: pivotal equals the
     per-corner binary route at the lowest, middle and top levels."""
     for system in chunk_edge_systems(n):
-        top = system.space.system_max
+        top = system.system_max
         for k in sorted({1, (top + 1) // 2, top}):
             ls = system.level(k)
             assert pivotal_domination(ls) == domination_via_binary(ls), (system.kind, k)
@@ -314,7 +315,7 @@ def test_associated_binary_threshold_shift():
     structure on the top two states."""
     ls = sum_system([2, 2, 2, 2]).level(7)
     psi = associated_binary(ls)
-    assert psi.max_states == (1,) * 4 and psi.system.space.system_max == 1
+    assert psi.max_states == (1,) * 4 and psi.system.system_max == 1
     for z in product((0, 1), repeat=4):
         assert psi(z) == (1 if sum(z) >= 3 else 0)
 
@@ -385,7 +386,7 @@ def test_signed_sum_matches_the_per_term_sign_loop(k):
 def test_domination_via_binary_equals_subset_formula():
     for seed in range(15):
         system = make_random_system(seed)
-        for k in range(1, system.space.system_max + 1):
+        for k in range(1, system.system_max + 1):
             ls = system.level(k)
             assert domination_via_binary(ls) == top_delta(ls)
 
@@ -393,13 +394,13 @@ def test_domination_via_binary_equals_subset_formula():
 def test_permutation_invariance_of_delta():
     """Relabeling components permutes the domination table accordingly."""
     system = make_random_system(7)
-    n = system.space.n
-    for k in range(1, system.space.system_max + 1):
+    n = len(system.max_states)
+    for k in range(1, system.system_max + 1):
         ls = system.level(k)
         base = {y: delta_at(ls, y)
-                for y in system.space.vectors() if any(y)}
+                for y in vectors(system.max_states) if any(y)}
         for perm in permutations(range(n)):
-            permuted_states = tuple(system.space.max_states[perm[i]] for i in range(n))
+            permuted_states = tuple(system.max_states[perm[i]] for i in range(n))
 
             def permuted_phi(x, _p=perm):
                 return system.evaluate(tuple(x[_p.index(i)] for i in range(n)))
@@ -408,7 +409,7 @@ def test_permutation_invariance_of_delta():
             for y, d in base.items():
                 ptab[tuple(y[perm[i]] for i in range(n))] = d
             ptable = {x: permuted_phi(x) for x in product(*(range(m + 1) for m in permuted_states))}
-            psys = table_system(permuted_states, ptable)
+            psys = table_system(permuted_states, lex_values(permuted_states, ptable))
             pls = psys.level(k)
             for y, d in ptab.items():
                 assert delta_at(pls, y) == d

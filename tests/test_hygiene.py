@@ -1,8 +1,8 @@
 """Source hygiene: every top-level import in the package and in the
 test modules is used, every definition of the package is read, every
 option of the package is set by some caller outside the tests, every
-exported name is read outside the tests, and no exported name hides a
-submodule.
+exported name and every public member of a public class is read outside
+the tests, and no exported name hides a submodule.
 
 A deletion that leaves an import, a definition or an option behind
 passes every behavioural test, so these checks read the modules
@@ -130,6 +130,30 @@ def test_every_definition_is_read():
                         and method.name not in attributes):
                     unread.append(f"{path.name} {node.name}.{method.name}")
     assert not unread, f"definitions nothing reads: {unread}"
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    """A public method, property or annotated class-level field of a
+    public class that no module of the package and no benchmark script
+    reads as an attribute serves only the tests.  Members match by name
+    alone, so a member counts as read when any attribute of its name is:
+    the check is a lower bound.  Dunders are exempt."""
+    _, attributes = reads(p for p in CALLERS if p.parent != TESTS)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    name = member.name
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    name = member.target.id
+                else:
+                    continue
+                if not name.startswith("_") and name not in attributes:
+                    unread.append(f"{path.name} {node.name}.{name}")
+    assert not unread, f"members read only by the tests: {unread}"
 
 
 def test_int_byte_conversions_name_length_and_byteorder():

@@ -104,9 +104,9 @@ def test_minimal_cut_sets_small_and_guard():
     # its system builds, as parsing needs only max flow, and refuses on
     # the first evaluation, which enumerates the cut sets
     system = network_system(big)
-    assert system.space.system_max == 29
+    assert system.system_max == 29
     with pytest.raises(ComplexityGuardError, match="cut enumeration guard"):
-        system.evaluate(system.space.top)
+        system.evaluate(system.max_states)
 
 
 def test_minimal_cut_sets_of_disconnected_terminals():
@@ -118,8 +118,8 @@ def test_minimal_cut_sets_of_disconnected_terminals():
 
 def test_network_system_levels():
     sys_ = network_system(bridge_network())
-    assert sys_.space.system_max == 4
-    assert sys_.evaluate(sys_.space.top) == 4
+    assert sys_.system_max == 4
+    assert sys_.evaluate(sys_.max_states) == 4
     counts = [len(minimal_path_vectors(sys_.level(k))) for k in range(1, 5)]
     assert counts == [7, 15, 8, 2]
 
@@ -133,7 +133,7 @@ def test_network_system_disconnected_warns():
     disconnected = network(["S", "T", "A"], [(1, "S", "A", False, 2)], "S", "T")
     with pytest.warns(UserWarning, match="disconnected"):
         sys_ = network_system(disconnected)
-    assert sys_.space.system_max == 0
+    assert sys_.system_max == 0
     with pytest.raises(DomainError):
         sys_.level(1)
 

@@ -8,7 +8,7 @@ from itertools import product
 
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import signed_formation_dp, vleq
+from conftest import lex_values, signed_formation_dp, vleq
 from domikit import (
     InvalidGeneratorError,
     delta_at,
@@ -57,7 +57,7 @@ def test_closure_inversion_sums_to_one(raw):
         return  # comparable pair drawn; covered by constructor tests
     assert len(closure) <= 2 ** len(closure.generators) - 1
     table = domination_by_closure_mobius(closure)
-    for y in closure:
+    for y in closure.elements:
         assert sum(d for x, d in table.items() if vleq(x, y)) == 1
 
 
@@ -80,7 +80,7 @@ def test_cross_method_on_random_tables(max_states, data):
     top = tuple(max_states)
     if table[top] == 0:
         return
-    system = table_system(max_states, table)
+    system = table_system(max_states, lex_values(max_states, table))
     for k in range(1, table[top] + 1):
         ls = system.level(k)
         paths = minimal_path_vectors(ls)

@@ -18,7 +18,7 @@ from domikit.signed import series_parallel_domination, sum_domination
 
 def check_every_level(system, route):
     """route(k) equals binary and pivotal at every level of the system."""
-    for k in range(1, system.space.system_max + 1):
+    for k in range(1, system.system_max + 1):
         ls = system.level(k)
         assert route(k) == domination_via_binary(ls) == pivotal_domination(ls), k
 
