@@ -60,7 +60,6 @@ from .matroid import (
     domination_invariant_recursion,
     graphic_matroid,
     link_structure,
-    threshold_domination,
     uniform_matroid,
 )
 from .network import (
@@ -75,6 +74,7 @@ from .network import (
     reduces_to_connectivity,
     relevant_edges,
 )
+from .signed import threshold_domination
 from .documents import (
     SystemDocument,
     parse_system,

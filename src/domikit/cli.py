@@ -6,14 +6,14 @@ function (optionally its full table), `reliability` evaluates the
 domination expansion against component distributions, and `verify`
 runs every applicable method and checks that they agree.
 
-`domination --method auto` takes a closed form when one applies and the
-per-corner binary route otherwise.  The closed forms are the threshold
-formula, signed value distributions for every other sum and for
-undirected series-parallel networks (see signed), and the sign rule for
-directed networks; `verify` runs the one that applies as its
-`closed_form` line.  A distribution route bounds its integer steps
-before it starts and, past 10^7, leaves the document to the other
-routes and their guards.
+`domination --method auto` takes the system's closed form when one
+applies and the per-corner binary route otherwise; `verify` runs it as
+its `closed_form` line.  A system carries its closed form: the threshold
+formula and signed value distributions for sums, the sign rule and the
+series-parallel reduction for networks (see signed), none for the other
+kinds.  A distribution route bounds its integer steps before it starts
+and, past 10^7, leaves the document to the other routes and their
+guards.
 
 Exit codes: 0 success, 2 parse or validation failure, 3 a complexity
 guard refused the computation (in `verify`, every method), 4
@@ -33,16 +33,14 @@ from fractions import Fraction
 from .documents import SystemDocument, parse_system
 from .domination import domination_via_binary, pivotal_domination
 from .errors import ComplexityGuardError, DomikitError, ParseError
-from .matroid import threshold_domination
-from .network import directed_network_domination, reduces_to_connectivity
 from .poset import (
     DominationTable,
     domination_by_closure_mobius,
     domination_by_formations,
     join_closure,
 )
-from .signed import series_parallel_domination, sum_domination
 from .systems import (
+    MultistateSystem,
     minimal_path_vectors,
     reliability_enumerate,
     reliability_from_domination,
@@ -61,45 +59,21 @@ def _prob(p) -> str:
     return format(p, ".15g")
 
 
-def _closed_form(doc: SystemDocument, level: int) -> int | None:
-    """d(phi_level) by the first closed form that applies, or None.
-
-    Unit-weight sums over equal state ranges hit the threshold formula,
-    and every other sum the signed value distribution route.  Fully
-    directed networks whose cut sets are all tight at this level reduce
-    to two-terminal connectivity and hit the acyclic/cyclic sign rule;
-    undirected series-parallel networks take the distribution route.
-    A distribution route gives None past its work bound (see signed),
-    and so does a document no closed form takes.  The sign rule reads
-    the cut sets, so past their guard it raises ComplexityGuardError:
-    `verify` reports it as a refusal and `auto` goes on to binary.
-    """
-    ms = doc.system.max_states
-    if doc.system.kind == "sum":
-        weights = doc.raw_structure["weights"]
-        if all(w == 1 for w in weights) and len(set(ms)) == 1:
-            return threshold_domination(len(ms), ms[0], level)
-        return sum_domination(ms, weights, level)
-    if doc.system.kind == "network" and doc.net is not None:
-        net = doc.net
-        if all(e.directed for e in net.edges) and reduces_to_connectivity(net, level):
-            return directed_network_domination(net)
-        return series_parallel_domination(net, level)
-    return None
-
-
 class _Routes:
-    """The named routes to d(phi_k) for one (document, level); they share
-    one path-vector scan and one closure Mobius table, each built once."""
+    """The named routes to d(phi_k) for one (system, level); they share
+    one path-vector scan and one closure Mobius table, each built once.
+    The closed form gives None where the system has none (see
+    MultistateSystem._closed)."""
 
-    def __init__(self, doc: SystemDocument, level: int):
-        self.doc, self.level, self.ls = doc, level, doc.system.level(level)
-        top = doc.system.max_states
+    def __init__(self, system: MultistateSystem, level: int):
+        self.ls = system.level(level)
+        top = system.max_states
         self.methods = {  # in the order verify runs them
             "formations": lambda: domination_by_formations(self.paths).get(top, 0),
             "mobius": lambda: self.table.get(top, 0),
             "pivotal": lambda: pivotal_domination(self.ls),
             "binary": lambda: domination_via_binary(self.ls),
+            "closed_form": lambda: system._closed(level),
         }
 
     @functools.cached_property
@@ -112,16 +86,14 @@ class _Routes:
         return domination_by_closure_mobius(join_closure(self.paths))
 
     def compute(self, method: str) -> tuple[int, str]:
-        """(value, method used).  `auto` takes a closed form when one applies
-        (the threshold formula, a signed value distribution within its
-        work bound, or the directed sign rule; see _closed_form), else
-        binary; past the guard it refuses, as pivotal visits as many
-        states, and names pivotal only if one evaluation of the level
-        function is not refused too."""
+        """(value, method used).  `auto` takes the closed form when one
+        applies, else binary; past the guard it refuses, as pivotal
+        visits as many states, and names pivotal only if one evaluation
+        of the level function is not refused too."""
         if method != "auto":
             return self.methods[method](), method
         try:
-            value = _closed_form(self.doc, self.level)
+            value = self.methods["closed_form"]()
         except ComplexityGuardError:
             value = None  # the sign rule past the cut guard: binary names the refusals
         if value is not None:
@@ -139,7 +111,7 @@ class _Routes:
 
 
 def cmd_paths(doc: SystemDocument, args) -> tuple[int, str]:
-    paths = _Routes(doc, args.level).paths
+    paths = _Routes(doc.system, args.level).paths
     if args.json:
         payload = {"level": args.level, "count": len(paths),
                    "vectors": [list(p) for p in paths]}
@@ -150,7 +122,7 @@ def cmd_paths(doc: SystemDocument, args) -> tuple[int, str]:
 
 
 def cmd_domination(doc: SystemDocument, args) -> tuple[int, str]:
-    routes = _Routes(doc, args.level)
+    routes = _Routes(doc.system, args.level)
     started = time.perf_counter()
     value, used = routes.compute(args.method)
     elapsed = time.perf_counter() - started
@@ -173,7 +145,7 @@ def cmd_domination(doc: SystemDocument, args) -> tuple[int, str]:
 def cmd_reliability(doc: SystemDocument, args) -> tuple[int, str]:
     if doc.distribution is None:
         raise ParseError("distribution", "reliability needs component distributions")
-    routes = _Routes(doc, args.level)
+    routes = _Routes(doc.system, args.level)
     value = reliability_from_domination(routes.table, doc.distribution, doc.system.max_states)
     check = None
     if args.verify:
@@ -208,9 +180,8 @@ def cmd_verify(doc: SystemDocument, args) -> tuple[int, str]:
         if value is not None:  # None: no closed form applies
             results.append((name, value, time.perf_counter() - started, None))
 
-    for method, fn in _Routes(doc, args.level).methods.items():
+    for method, fn in _Routes(doc.system, args.level).methods.items():
         run(method, fn)
-    run("closed_form", lambda: _closed_form(doc, args.level))
 
     values = [v for _, v, _, _ in results if v is not None]
     agree = len(set(values)) == 1 and bool(values)

@@ -6,8 +6,8 @@ table, weighted sum, two-terminal flow network, or minimal path vector
 families) and, optionally, independent component distributions.
 Parsing validates everything up front and reports the path of the first
 offending field, integers too long for int() or str() included.  A
-parsed document keeps its structure in canonical form (raw_structure):
-sorted path vector families and every edge field spelled out.
+parsed document is the built system and its distributions: whatever a
+route needs of the structure, closed forms included, the system holds.
 
 Probabilities may be written as decimal numbers or as rational strings
 like "3/10"; any rational entry switches the whole distribution into
@@ -49,13 +49,10 @@ _EDGE_KEYS = {"id", "from", "to", "directed", "max_capacity"}
 
 @dataclass(frozen=True, eq=False)
 class SystemDocument:
-    """A parsed document: the built system, and what the system does not
-    hold: the canonical raw structure, a network document's flow network
-    and the component distributions, if any."""
+    """A parsed document: the built system and the component
+    distributions, if any."""
 
     system: MultistateSystem
-    raw_structure: dict
-    net: FlowNetwork | None = None
     distribution: ComponentDistribution | None = None
 
 
@@ -102,7 +99,7 @@ def _int_list(value: Any, path: str) -> list[int]:
     return list(value)
 
 
-def _parse_structure(obj: dict, max_states: tuple[int, ...] | None):
+def _parse_structure(obj: dict, max_states: tuple[int, ...] | None) -> MultistateSystem:
     kind = _expect_str(_get(obj, "kind", "structure"), "structure.kind")
     if kind not in _KINDS:
         raise ParseError("structure.kind", f"unknown kind {kind!r}, expected one of {_KINDS}")
@@ -142,39 +139,26 @@ def _parse_structure(obj: dict, max_states: tuple[int, ...] | None):
             )
         system = network_system(net)
         _check_printable(system.system_max, "structure.edges")
-        raw = {
-            "kind": "network",
-            "nodes": list(net.nodes),
-            "edges": [{"id": e.id, "from": e.tail, "to": e.head,
-                       "directed": e.directed, "max_capacity": e.capacity}
-                      for e in net.edges],
-            "source": net.source,
-            "sink": net.sink,
-        }
-        return system, raw, net
+        return system
 
     if max_states is None:
         raise ParseError("max_states", "missing required field")
     if kind == "table":
         values = _int_list(_get(obj, "values", "structure"), "structure.values")
         try:
-            system = table_system(max_states, values)
+            return table_system(max_states, values)
         except ComplexityGuardError:
             raise
         except DomikitError as e:
             raise ParseError("structure.values", str(e)) from e
-        return system, {"kind": "table", "values": values}, None
     if kind == "sum":
-        if "weights" in obj:
-            weights = _int_list(obj["weights"], "structure.weights")
-        else:
-            weights = [1] * len(max_states)
+        weights = _int_list(obj["weights"], "structure.weights") if "weights" in obj else None
         try:
             system = sum_system(max_states, weights)
         except DomikitError as e:
             raise ParseError("structure.weights", str(e)) from e
         _check_printable(system.system_max, "structure.weights")
-        return system, {"kind": "sum", "weights": weights}, None
+        return system
     # path_vectors
     levels_obj = _expect_dict(_get(obj, "levels", "structure"), "structure.levels")
     levels: dict[int, list[tuple[int, ...]]] = {}
@@ -193,12 +177,9 @@ def _parse_structure(obj: dict, max_states: tuple[int, ...] | None):
                 _int_list(v, f"structure.levels.{key}[{i}]")
         levels[int(key)] = list(map(tuple, fam))
     try:
-        system = path_vector_system(max_states, levels)
+        return path_vector_system(max_states, levels)
     except DomikitError as e:
         raise ParseError("structure.levels", str(e)) from e
-    raw = {"kind": "path_vectors",
-           "levels": {str(k): sorted(list(map(list, vs))) for k, vs in levels.items()}}
-    return system, raw, None
 
 
 def _parse_distribution(value: Any, max_states: tuple[int, ...]) -> ComponentDistribution:
@@ -268,7 +249,7 @@ def parse_system_dict(obj: Any) -> SystemDocument:
             raise ParseError("max_states", f"max states must be >= 1, got {ms_list}")
         max_states = tuple(ms_list)
 
-    system, raw, net = _parse_structure(structure_obj, max_states)
+    system = _parse_structure(structure_obj, max_states)
     resolved = system.max_states
     if "n" in obj and _expect_int(obj["n"], "n") != len(resolved):
         raise ParseError("n", f"{obj['n']} does not match {len(resolved)} components")
@@ -284,7 +265,7 @@ def parse_system_dict(obj: Any) -> SystemDocument:
     if "distribution" in obj:
         dist = _parse_distribution(obj["distribution"], resolved)
 
-    return SystemDocument(system=system, raw_structure=raw, net=net, distribution=dist)
+    return SystemDocument(system=system, distribution=dist)
 
 
 def parse_system(text: str) -> SystemDocument:

@@ -16,7 +16,6 @@ table, so the structure is evaluated once per vector.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Hashable, Iterable, Sequence
@@ -176,25 +175,6 @@ def domination_invariant_recursion(bs: LevelSystem) -> int:
         return value
 
     return run(bytes(map(bs.system._func, product((0, 1), repeat=size))))
-
-
-def threshold_domination(n: int, m: int, k: int) -> int:
-    """Signed domination of the level-k cut of phi(x) = x_1 + ... + x_n
-    with every component ranging over 0..m.
-
-    Non-zero only when n*(m-1) < k <= n*m; writing j = k - n*(m-1) there,
-    the value is (-1)^(n-j) * C(n-1, j-1).  The binary case m = 1 is the
-    classical k-out-of-n formula.
-    """
-    if n < 1 or m < 1:
-        raise DomainError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    if not 1 <= k <= n * m:
-        raise DomainError(f"level {k} outside 1..{n * m}")
-    j = k - n * (m - 1)
-    if j < 1:
-        return 0
-    sign = 1 if (n - j) % 2 == 0 else -1
-    return sign * math.comb(n - 1, j - 1)
 
 
 def uniform_matroid(ground: Iterable[Hashable], rank: int) -> Matroid:

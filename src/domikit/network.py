@@ -20,7 +20,7 @@ An undirected series-parallel network has a closed form at every level,
 signed.series_parallel_domination: its signed value distribution
 composes over the network's series and parallel reductions, in at most
 |E| * (sum of capacities + 1)^2 integer steps and with no cut set, so it
-runs past the cut guard.
+runs past the cut guard.  A network system carries both as its _closed.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .errors import ComplexityGuardError, DomainError, GraphError
 from .lanes import Lanes
 from .matroid import _forest_rank
 from .poset import Vector
+from .signed import series_parallel_domination
 from .systems import MultistateSystem
 
 
@@ -223,7 +224,8 @@ def network_system(net: FlowNetwork) -> MultistateSystem:
     ComplexityGuardError.  No state's value is memoised.  The top system
     level is the max flow at full capacity; a network whose terminals
     cannot be connected at all yields the degenerate constant-0 system,
-    flagged with a warning.
+    flagged with a warning.  Its closed form is the directed sign rule
+    where that applies at the level, else the series-parallel reduction.
     """
     ms = net.max_states
     system_max = max_flow(net, ms)
@@ -249,7 +251,12 @@ def network_system(net: FlowNetwork) -> MultistateSystem:
         flows = (lanes.weighted([int(i in c) for i in range(len(ms))]) for c in net._cuts)
         return lanes, reduce(lanes.minimum, flows)
 
-    return MultistateSystem(ms, system_max, "network", phi, _lanes=lanes)
+    def closed(k: int) -> int | None:
+        if all(e.directed for e in net.edges) and reduces_to_connectivity(net, k):
+            return directed_network_domination(net)
+        return series_parallel_domination(net, k)
+
+    return MultistateSystem(ms, system_max, "network", phi, _lanes=lanes, _closed=closed)
 
 
 def connectivity_thresholds(net: FlowNetwork, k: int) -> dict[tuple[int, ...], int]:

@@ -20,18 +20,20 @@ Weighted sums compose by +, and undirected series-parallel networks by
 + and min, so their signed domination takes integer steps polynomial in
 n and the value range, never 2^n.  Each route bounds those steps before
 it starts and gives None above 10^7 of them, so that its caller falls
-back to a per-corner route.  The CLI imports this module; the package
-namespace and the document parser do not, so parsing does not compile
-it.
+back to a per-corner route; unit weights over equal ranges take the
+threshold formula.  Sum and network systems carry these routes as their
+closed forms (see systems.MultistateSystem), so every parse compiles
+this module, which imports no other one of the package but errors.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from operator import add
 from typing import Callable, Sequence
 
-from .network import FlowNetwork
+from .errors import DomainError
 
 _WORK = 10**7  # integer steps a route may take; above it the route gives None
 
@@ -66,10 +68,12 @@ def sum_domination(ms: Sequence[int], weights: Sequence[int], k: int) -> int | N
     a polynomial in x, built one component at a time; a zero weight
     makes it 0.  D has at most min(2^n, sum of w_i + 1) terms, so the
     route takes n times that many steps and gives None when that
-    exceeds 10^7.  Unit weights over equal ranges give back
-    matroid.threshold_domination.
+    exceeds 10^7.  Unit weights over equal ranges take
+    threshold_domination, which the distribution gives back.
     """
     n = len(ms)
+    if all(w == 1 for w in weights) and len(set(ms)) == 1:
+        return threshold_domination(n, ms[0], k)
     if n * min(2 ** n, sum(weights) + 1) > _WORK:
         return None
     d = {0: 1}
@@ -78,9 +82,28 @@ def sum_domination(ms: Sequence[int], weights: Sequence[int], k: int) -> int | N
     return _tail(d, k)
 
 
-def series_parallel_domination(net: FlowNetwork, k: int) -> int | None:
+def threshold_domination(n: int, m: int, k: int) -> int:
+    """Signed domination of the level-k cut of phi(x) = x_1 + ... + x_n
+    with every component ranging over 0..m.
+
+    Non-zero only when n*(m-1) < k <= n*m; writing j = k - n*(m-1) there,
+    the value is (-1)^(n-j) * C(n-1, j-1).  The binary case m = 1 is the
+    classical k-out-of-n formula.
+    """
+    if n < 1 or m < 1:
+        raise DomainError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    if not 1 <= k <= n * m:
+        raise DomainError(f"level {k} outside 1..{n * m}")
+    j = k - n * (m - 1)
+    if j < 1:
+        return 0
+    return (-1) ** (n - j) * math.comb(n - 1, j - 1)
+
+
+def series_parallel_domination(net, k: int) -> int | None:
     """Signed domination of the level-k flow system of an undirected
-    series-parallel network, by signed value distributions, or None.
+    series-parallel network (a network.FlowNetwork), by signed value
+    distributions, or None.
 
     Each edge starts as the distribution of its capacity c at its top
     two states, {c: 1, c - 1: -1}.  Parallel edges merge by +, and the

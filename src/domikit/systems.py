@@ -53,6 +53,7 @@ from .poset import (
     _Packing,
     _validated,
 )
+from .signed import sum_domination
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,12 @@ class MultistateSystem:
     empty space (n = 0, the single vector ()) is allowed because
     table_system([], [v]) builds a constant system on it; documents read
     from files always have n >= 1.
+
+    A kind's constructor may hand the system routines of its own
+    arithmetic: _lanes(lo, hi, k), phi over the box lo <= x <= hi in
+    lanes (else each state is evaluated, see _phi_lanes), and _closed(k),
+    d(phi_k) by a closed form or None where none applies (a sum's or a
+    network's, see signed; a network's refuses past the cut guard).
     """
 
     max_states: tuple[int, ...]
@@ -73,10 +80,9 @@ class MultistateSystem:
     _func: Callable[[Vector], int]
     # a path_vectors system's declared minimal path vectors, by level
     _paths: Mapping[int, tuple[Vector, ...]] | None = field(default=None, compare=False, repr=False)
-    # _lanes(lo, hi, k): phi over the box lo <= x <= hi in lanes, by the kind's
-    # own arithmetic; None tabulates by evaluating each state (see _phi_lanes)
     _lanes: Callable[[Sequence[int], Sequence[int], int | None], tuple[Lanes, int]] | None = field(
         default=None, compare=False, repr=False)
+    _closed: Callable[[int], int | None] = field(default=lambda k: None, compare=False, repr=False)
 
     def __post_init__(self):
         if any(m < 1 for m in self.max_states):
@@ -198,7 +204,7 @@ def sum_system(max_states: Sequence[int], weights: Sequence[int] | None = None) 
         return lanes, lanes.weighted(w)
 
     return MultistateSystem(ms, system_max, "sum", lambda x: sum(map(operator.mul, w, x)),
-                            _lanes=lanes)
+                            _lanes=lanes, _closed=lambda k: sum_domination(ms, w, k))
 
 
 def _binary_system(n: int, func: Callable[[Vector], int]) -> LevelSystem:
@@ -228,7 +234,8 @@ def path_vector_system(
     No code is built where the grid check passes: phi encodes a level on
     the first evaluate that reads it, as one int holding its codes in
     fields of W + 1 bits (W the code's width), and tests "some vector of
-    F_k lies below x" on that int with a few whole-int operations.
+    F_k lies below x" on that int with a few whole-int operations, from
+    the codes the nesting loop built, if it ran.
     """
     ms = tuple(max_states)
     if not levels:
@@ -260,11 +267,15 @@ def path_vector_system(
                 if len(v) != len(ms):
                     raise ValidationError(f"path vector {v} outside space {ms}")
     packing = _Packing(widths)
+
+    @cache
+    def codes(k: int) -> list[int]:
+        return packing.codes(families[k])
+
     if not checked:
-        codes = {k: packing.codes(fam) for k, fam in families.items()}
         for k in range(2, system_max + 1):
-            for v, c in zip(families[k], codes[k]):
-                if not any(u | c == c for u in codes[k - 1]):
+            for v, c in zip(families[k], codes(k)):
+                if not any(u | c == c for u in codes(k - 1)):
                     raise ValidationError(
                         f"level-{k} path vector {v} dominates no level-{k - 1} path vector")
     bits = sum(widths)
@@ -275,7 +286,7 @@ def path_vector_system(
         """Level k's codes side by side in fields of bits + 1 bits, and the
         low and the high bit of every field."""
         ones = int(("0" * bits + "1") * len(families[k]), 2)
-        return int("".join(map(format, packing.codes(families[k]), repeat(spec))), 2), ones, ones << bits
+        return int("".join(map(format, codes(k), repeat(spec))), 2), ones, ones << bits
 
     def phi(x: Vector) -> int:
         """Bisect the levels: every level-k vector dominates a level-(k-1)

@@ -65,13 +65,16 @@ def attained_states(ls):
 
 
 def document_to_dict(doc):
-    """Canonical plain-dict form of a parsed document."""
+    """Canonical plain-dict form of a parsed document.  Its structure is
+    written as a table, every state's level by evaluate, whatever kind it
+    was parsed from: the system, not the document, is what is kept."""
+    ms = doc.system.max_states
     out = {
         "format_version": FORMAT_VERSION,
-        "n": len(doc.system.max_states),
-        "max_states": list(doc.system.max_states),
+        "n": len(ms),
+        "max_states": list(ms),
         "system_max": doc.system.system_max,
-        "structure": doc.raw_structure,
+        "structure": {"kind": "table", "values": list(map(doc.system.evaluate, vectors(ms)))},
     }
     if doc.distribution is not None:
         if doc.distribution.exact:

@@ -91,7 +91,7 @@ def test_parse_sum_default_weights():
         "structure": {"kind": "sum"},
     })
     assert doc.system.system_max == 4
-    assert doc.raw_structure == {"kind": "sum", "weights": [1, 1]}
+    assert [doc.system.evaluate(e) for e in ((1, 0), (0, 1))] == [1, 1]  # unit weights
 
 
 def test_parse_sum_explicit_weights():
@@ -114,7 +114,10 @@ def test_parse_path_vectors():
 def test_path_vector_codes_are_built_on_first_evaluate(monkeypatch):
     """A document whose grid check passes is parsed without one thermometer
     code; evaluate builds the word of each level its bisection reads, once,
-    and the path vector and reliability routes never build one."""
+    and the path vector and reliability routes never build one.  A small
+    document takes the nesting loop, which encodes each level once: the
+    pairs check encodes its own sorted copy, and evaluate reads the loop's
+    codes."""
     ms = [2] * 5
     sums = sum_system(ms)
     levels = {str(k): [list(p) for p in minimal_path_vectors(sums.level(k))] for k in range(1, 11)}
@@ -141,11 +144,18 @@ def test_path_vector_codes_are_built_on_first_evaluate(monkeypatch):
         == [sum(x) for x in product(range(3), repeat=5)]
     assert words() == list(range(1, 11)) and len(calls) == 10
 
+    calls.clear()
+    levels = {"1": [[1, 1, 0], [1, 0, 1], [0, 1, 1]], "2": [[1, 1, 1]]}
+    small = parse_system_dict(two_of_three_doc(structure={"kind": "path_vectors", "levels": levels}))
+    system = small.system
+    assert words() == [1, 2] and len(calls) == 4
+    assert [system.evaluate(x) for x in product(range(2), repeat=3)] == [0, 0, 0, 1, 0, 1, 1, 2]
+    assert words() == [1, 2] and len(calls) == 4
+
 
 def test_parse_network():
     doc = parse_system_dict(bridge_doc())
     assert doc.system.kind == "network"
-    assert doc.net is not None
     assert doc.system.max_states == (2, 2, 1, 2, 1, 2, 2)
     assert doc.system.system_max == 4
 
@@ -327,8 +337,8 @@ def test_parse_rejects_invalid_json_text():
 
 
 def test_serialise_round_trip_is_stable():
-    """The canonical form a parsed document keeps, written as JSON,
-    parses back to the same text."""
+    """A parsed document of any kind, written as JSON with its structure
+    as a table, parses back to the same system: the same text again."""
     samples = [
         two_of_three_doc(),
         two_of_three_doc(distribution=[["7/10", "3/10"]] * 3),

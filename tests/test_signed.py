@@ -1,16 +1,23 @@
 """Signed value distributions: the sum and series-parallel closed forms
-against the per-corner binary route and pivotal decomposition."""
+against the per-corner binary route and pivotal decomposition, and the
+closed forms that systems carry."""
 
+import random
 import time
+import warnings
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bridge_network, network
+from conftest import bridge_network, cut_form_networks, network, path_family_system
 from domikit import (
+    ComplexityGuardError,
+    associated_binary,
     domination_via_binary,
     network_system,
     pivotal_domination,
     sum_system,
+    table_system,
     threshold_domination,
 )
 from domikit.signed import series_parallel_domination, sum_domination
@@ -122,3 +129,45 @@ def test_irrelevant_edges_give_zero():
         check_every_level(network_system(net), lambda k: series_parallel_domination(net, k))
         assert series_parallel_domination(net, 1) == 0
 
+
+
+def test_systems_carry_their_closed_form():
+    """A sum or network system built in the library gives d(phi_k) as its
+    _closed(k) wherever that is not None: the threshold formula, the
+    distribution routes and the directed sign rule alike.  A table, a
+    path_vectors or an associated binary system has none, and a fully
+    directed network past the cut guard refuses."""
+    rng = random.Random(20261020)
+    sums = [sum_system([m] * n) for n in range(1, 5) for m in range(1, 4)]
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        sums.append(sum_system([rng.randint(1, 3) for _ in range(n)],
+                               [rng.randint(0, 4) for _ in range(n)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the networks with disconnected terminals
+        nets = [network_system(net) for net in cut_form_networks()]
+    bridges = [network_system(bridge_network(directed=d, cyclic=c))
+               for d, c in ((False, False), (True, False), (True, True))]
+    answered = {}
+    for system in sums + nets + bridges:
+        for k in range(1, system.system_max + 1):
+            value = system._closed(k)
+            if value is not None:
+                assert value == pivotal_domination(system.level(k)), (system.max_states, k)
+                answered[system.kind] = answered.get(system.kind, 0) + 1
+    assert answered["sum"] == sum(s.system_max for s in sums)  # every sum level answers
+    assert answered["network"] > 50
+    # the undirected bridge is not series-parallel; the directed two reduce at level 3
+    assert [b._closed(3) for b in bridges] == [None, -1, 0]
+
+    unit = sum_system([2, 2])
+    others = [table_system([1, 1], [0, 0, 0, 1]), path_family_system(unit),
+              associated_binary(unit.level(3)).system]
+    for system in others:
+        assert [system._closed(k) for k in range(1, system.system_max + 1)] \
+            == [None] * system.system_max
+
+    chain = network([f"v{i}" for i in range(27)],
+                    [(i + 1, f"v{i}", f"v{i + 1}", True, 1) for i in range(26)], "v0", "v26")
+    with pytest.raises(ComplexityGuardError, match="26 edges exceed the cut enumeration guard"):
+        network_system(chain)._closed(1)
