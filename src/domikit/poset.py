@@ -164,16 +164,13 @@ def _nested_on_grid(families: Sequence[Sequence[Vector]], axes: list[list[int]])
     the one before it, on one grid over all of them whose axes are given;
     one family is the antichain check.  A family's up-set is the cells
     whose generator count (see _antichain_counts) is at least one.  All
-    cells are found in one pass, and several families share the axis
-    masks where these together take at most _MAX_CELLS lanes."""
+    families' cells are found in one pass."""
     lanes = _grid(axes, max(map(len, families)))  # counts <= the largest family
-    shared = len(families) > 1 and len(axes) * lanes.size <= _MAX_CELLS
-    sweeps = list(_sweeps(lanes)) if shared else None
     cells = iter(_cells(lanes, axes, list(chain.from_iterable(families))))
     below = lanes.top  # every cell
     for fam in families:
         marks = lanes.marks(islice(cells, len(fam)))
-        counts = _antichain_counts(lanes, marks, len(fam), sweeps or _sweeps(lanes))
+        counts = _antichain_counts(lanes, marks, len(fam))
         if counts is None or (marks << (lanes.bits - 1)) & ~below:
             return False
         below = lanes.at_least(counts, lanes.ones)
@@ -263,11 +260,11 @@ def join_closure(generators: Iterable[Vector]) -> JoinClosure:
     return JoinClosure(generators=gens, elements=elements)
 
 
-def _counts(lanes: Lanes, marks: int, sweeps: Iterable[tuple[int, int, int]]) -> int:
+def _counts(lanes: Lanes, marks: int) -> int:
     """The zeta transform of the marks on the grid, prefix sums along each
-    axis in `sweeps` (see _sweeps): the generators at or below each cell."""
+    axis: the number of generators at or below each cell."""
     c = marks
-    for i, e, positive in sweeps:
+    for i, e, positive in _sweeps(lanes):
         moved = c
         for _ in range(e):
             moved = lanes.up(moved, i, positive)
@@ -284,15 +281,14 @@ def _joins(lanes: Lanes, counts: int) -> bytes:
     return (joins >> (lanes.bits - 1)).to_bytes(lanes.size * lanes.width, "little")[:: lanes.width]
 
 
-def _antichain_counts(lanes: Lanes, marks: int, s: int,
-                      sweeps: Iterable[tuple[int, int, int]]) -> int | None:
+def _antichain_counts(lanes: Lanes, marks: int, s: int) -> int | None:
     """The generator counts of a family of s vectors marked on the grid
     (see _counts), or None if it is no antichain: two generators on one
     cell, or a generator cell that counts another generator at or below
     it.  The lanes hold counts up to s."""
     if marks.bit_count() < s:
         return None
-    counts = _counts(lanes, marks, sweeps)
+    counts = _counts(lanes, marks)
     if lanes.at_least(counts, 2 * lanes.ones) & (marks << (lanes.bits - 1)):
         return None
     return counts
@@ -301,7 +297,7 @@ def _antichain_counts(lanes: Lanes, marks: int, s: int,
 def _closure_on_grid(gens: Sequence[Vector], axes: list[list[int]]) -> tuple[Vector, ...] | None:
     """The closure of a checked family, or None if it is no antichain."""
     lanes = _grid(axes, len(gens))
-    counts = _antichain_counts(lanes, lanes.marks(_cells(lanes, axes, gens)), len(gens), _sweeps(lanes))
+    counts = _antichain_counts(lanes, lanes.marks(_cells(lanes, axes, gens)), len(gens))
     if counts is None:
         return None
     return tuple(compress(product(*axes), _joins(lanes, counts)))  # cells in lex order
@@ -387,7 +383,7 @@ def domination_by_closure_mobius(closure: JoinClosure) -> DominationTable:
 def _mobius_on_grid(closure: JoinClosure, axes: list[list[int]]) -> DominationTable:
     n, s = len(axes), len(closure.generators)
     lanes = _grid(axes, max(s, (1 << n) - 1))  # generator counts and |delta|
-    counts = _counts(lanes, lanes.marks(_cells(lanes, axes, closure.generators)), _sweeps(lanes))
+    counts = _counts(lanes, lanes.marks(_cells(lanes, axes, closure.generators)))
     top = lanes.top  # the bias: 2^(bits - 1) in every lane
     delta = top | lanes.at_least(counts, lanes.ones) >> (lanes.bits - 1)  # the up-set
     for i, _, positive in _sweeps(lanes):

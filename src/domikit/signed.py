@@ -20,10 +20,11 @@ Weighted sums compose by +, and undirected series-parallel networks by
 + and min, so their signed domination takes integer steps polynomial in
 n and the value range, never 2^n.  Each route bounds those steps before
 it starts and gives None above 10^7 of them, so that its caller falls
-back to a per-corner route; unit weights over equal ranges take the
-threshold formula.  Sum and network systems carry these routes as their
-closed forms (see systems.MultistateSystem), so every parse compiles
-this module, which imports no other one of the package but errors.
+back to a per-corner route.  The threshold formula for unit weights
+over equal ranges lives here too.  Sum and network systems carry these
+routes as their closed forms (see systems.MultistateSystem), so every
+parse compiles this module, which imports no other one of the package
+but errors.
 """
 
 from __future__ import annotations
@@ -68,12 +69,10 @@ def sum_domination(ms: Sequence[int], weights: Sequence[int], k: int) -> int | N
     a polynomial in x, built one component at a time; a zero weight
     makes it 0.  D has at most min(2^n, sum of w_i + 1) terms, so the
     route takes n times that many steps and gives None when that
-    exceeds 10^7.  Unit weights over equal ranges take
-    threshold_domination, which the distribution gives back.
+    exceeds 10^7.  Unit weights over equal ranges give back
+    threshold_domination.
     """
     n = len(ms)
-    if all(w == 1 for w in weights) and len(set(ms)) == 1:
-        return threshold_domination(n, ms[0], k)
     if n * min(2 ** n, sum(weights) + 1) > _WORK:
         return None
     d = {0: 1}
@@ -97,7 +96,8 @@ def threshold_domination(n: int, m: int, k: int) -> int:
     j = k - n * (m - 1)
     if j < 1:
         return 0
-    return (-1) ** (n - j) * math.comb(n - 1, j - 1)
+    sign = 1 if (n - j) % 2 == 0 else -1
+    return sign * math.comb(n - 1, j - 1)
 
 
 def series_parallel_domination(net, k: int) -> int | None:

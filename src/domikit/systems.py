@@ -53,7 +53,7 @@ from .poset import (
     _Packing,
     _validated,
 )
-from .signed import sum_domination
+from .signed import sum_domination, threshold_domination
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,13 @@ def sum_system(max_states: Sequence[int], weights: Sequence[int] | None = None) 
         lanes = Lanes(lo, hi, system_max)
         return lanes, lanes.weighted(w)
 
+    def closed(k: int) -> int | None:
+        if set(w) == {1} and len(set(ms)) == 1:
+            return threshold_domination(len(ms), ms[0], k)
+        return sum_domination(ms, w, k)
+
     return MultistateSystem(ms, system_max, "sum", lambda x: sum(map(operator.mul, w, x)),
-                            _lanes=lanes, _closed=lambda k: sum_domination(ms, w, k))
+                            _lanes=lanes, _closed=closed)
 
 
 def _binary_system(n: int, func: Callable[[Vector], int]) -> LevelSystem:
@@ -267,15 +272,12 @@ def path_vector_system(
                 if len(v) != len(ms):
                     raise ValidationError(f"path vector {v} outside space {ms}")
     packing = _Packing(widths)
-
-    @cache
-    def codes(k: int) -> list[int]:
-        return packing.codes(families[k])
-
+    codes = {}  # the nesting loop's, each handed to word once and dropped
     if not checked:
+        codes = {k: packing.codes(fam) for k, fam in families.items()}
         for k in range(2, system_max + 1):
-            for v, c in zip(families[k], codes(k)):
-                if not any(u | c == c for u in codes(k - 1)):
+            for v, c in zip(families[k], codes[k]):
+                if not any(u | c == c for u in codes[k - 1]):
                     raise ValidationError(
                         f"level-{k} path vector {v} dominates no level-{k - 1} path vector")
     bits = sum(widths)
@@ -286,7 +288,8 @@ def path_vector_system(
         """Level k's codes side by side in fields of bits + 1 bits, and the
         low and the high bit of every field."""
         ones = int(("0" * bits + "1") * len(families[k]), 2)
-        return int("".join(map(format, codes(k), repeat(spec))), 2), ones, ones << bits
+        level = codes.pop(k, None) or packing.codes(families[k])
+        return int("".join(map(format, level, repeat(spec))), 2), ones, ones << bits
 
     def phi(x: Vector) -> int:
         """Bisect the levels: every level-k vector dominates a level-(k-1)
