@@ -16,10 +16,10 @@ At the top vector all three come down to the same signed sum over the
 sums in C, 2^9 terms at a time (see _signed_chunks).  The subset formula
 and the binary route take the corners one evaluate call each and are
 the per-state reference.  The pivotal route reads their level tables
-from the system's own lane tabulator (see systems._level_table) and
-runs past the subset guard, so pivotal agreeing with binary checks that
-tabulator against the structure function.  All arithmetic is exact
-integer arithmetic.
+from the tabulator the system carries (see systems.MultistateSystem)
+and runs past the subset guard, so pivotal agreeing with binary checks
+a kind's own tabulator against its structure function.  All arithmetic
+is exact integer arithmetic.
 """
 
 from __future__ import annotations

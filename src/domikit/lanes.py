@@ -4,7 +4,7 @@ They are the tabulated form of a structure function.  Over the whole
 space they feed the level tables, the monotonicity check and
 reliability by enumeration; over the box of top corners (each x_i at
 m_i - 1 or m_i) they feed pivotal decomposition, 2^9 corners at a time
-(see systems._phi_lanes and domination.pivotal_domination).  Over the
+(see systems.MultistateSystem and domination.pivotal_domination).  Over the
 grid of a generator family's values they hold the order kernels of
 poset: generator counts, their up-sets and Mobius tables.  One OR
 sweep, Lanes.closed, closes the up-sets of the path_vectors tabulator:

@@ -22,6 +22,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import ComplexityGuardError, DomainError, ValidationError
 from .domination import _signed_sum
+from .network import _forest_rank
 from .poset import Vector
 from .systems import LevelSystem, _binary_system
 
@@ -183,27 +184,6 @@ def uniform_matroid(ground: Iterable[Hashable], rank: int) -> Matroid:
     if not 0 <= rank <= len(elems):
         raise DomainError(f"rank {rank} outside 0..{len(elems)}")
     return Matroid(elems, lambda mask: min(mask.bit_count(), rank))
-
-
-def _forest_rank(ends: Iterable[tuple[Hashable, Hashable]]) -> int:
-    """Graphic rank of the edges with ends (u, v): the size of a spanning
-    forest, by union-find.  A loop adds nothing, nor does each parallel
-    edge after the first."""
-    parent: dict[Hashable, Hashable] = {}
-
-    def find(a: Hashable) -> Hashable:
-        while parent.setdefault(a, a) != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    rank = 0
-    for u, v in ends:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            rank += 1
-    return rank
 
 
 def graphic_matroid(edges: Sequence[tuple[Hashable, Hashable, Hashable]]) -> Matroid:

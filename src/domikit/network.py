@@ -29,10 +29,10 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import Hashable, Iterable
 
 from .errors import ComplexityGuardError, DomainError, GraphError
 from .lanes import Lanes
-from .matroid import _forest_rank
 from .poset import Vector
 from .signed import series_parallel_domination
 from .systems import MultistateSystem
@@ -318,6 +318,27 @@ def find_directed_cycle(net: FlowNetwork) -> tuple[int, ...] | None:
                 if path_edges:  # the edge into the node left
                     path_edges.pop()
     return None
+
+
+def _forest_rank(ends: Iterable[tuple[Hashable, Hashable]]) -> int:
+    """Graphic rank of the edges with ends (u, v): the size of a spanning
+    forest, by union-find.  A loop adds nothing, nor does each parallel
+    edge after the first."""
+    parent: dict[Hashable, Hashable] = {}
+
+    def find(a: Hashable) -> Hashable:
+        while parent.setdefault(a, a) != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    rank = 0
+    for u, v in ends:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            rank += 1
+    return rank
 
 
 def directed_network_domination(net: FlowNetwork) -> int:

@@ -71,7 +71,7 @@ class _Packing:
     code wider than 10^7 bits is refused before any field is built.
 
     The pairwise loops here encode a family when they run, and a
-    path_vectors system encodes a level on the first evaluate that reads
+    path_vectors system a level on the first dominance test that reads
     it, its codes side by side in one int (see systems.path_vector_system).
     """
 
@@ -209,7 +209,10 @@ def _validated(vectors: Iterable[Vector]) -> tuple[tuple[Vector, ...], _Packing]
     length, non-negative and pairwise incomparable.  InvalidGeneratorError
     on an empty family or a comparable pair (duplicates included),
     DimensionError on ragged input.  The antichain check runs on the grid
-    where it pays and passes, else by pairs, which name the fault."""
+    where it pays and passes, else by pairs, which name the fault.  The
+    grid pays on no family of the benchmark, nor on one that formations
+    take (20 at most), but the unit sum's level-12 family over [3]^8, 8 092
+    vectors, takes 0.02 s on it and 2.4 s by pairs (Python 3.11, 2 CPUs)."""
     gens, packing = _checked(vectors)
     axes = _axes(gens)
     if not (_grid_steps(axes) < len(gens) ** 2 and _nested_on_grid([gens], axes)):

@@ -67,11 +67,11 @@ class MultistateSystem:
     table_system([], [v]) builds a constant system on it; documents read
     from files always have n >= 1.
 
-    A kind's constructor may hand the system routines of its own
-    arithmetic: _lanes(lo, hi, k), phi over the box lo <= x <= hi in
-    lanes (else each state is evaluated, see _phi_lanes), and _closed(k),
-    d(phi_k) by a closed form or None where none applies (a sum's or a
-    network's, see signed; a network's refuses past the cut guard).
+    A system carries two routines, each with a default that a kind's
+    constructor may replace: _lanes(lo, hi, k), phi over the box lo <= x
+    <= hi in lanes, by default each state evaluated once (given a level k,
+    a lane need only be >= k exactly where phi is); and _closed(k),
+    d(phi_k) by a closed form, by default None: none applies (see signed).
     """
 
     max_states: tuple[int, ...]
@@ -80,7 +80,7 @@ class MultistateSystem:
     _func: Callable[[Vector], int]
     # a path_vectors system's declared minimal path vectors, by level
     _paths: Mapping[int, tuple[Vector, ...]] | None = field(default=None, compare=False, repr=False)
-    _lanes: Callable[[Sequence[int], Sequence[int], int | None], tuple[Lanes, int]] | None = field(
+    _lanes: Callable[[Sequence[int], Sequence[int], int | None], tuple[Lanes, int]] = field(
         default=None, compare=False, repr=False)
     _closed: Callable[[int], int | None] = field(default=lambda k: None, compare=False, repr=False)
 
@@ -89,6 +89,15 @@ class MultistateSystem:
             raise DomainError(f"component max states must be >= 1, got {self.max_states}")
         if self.system_max < 0:
             raise DomainError(f"system max level must be >= 0, got {self.system_max}")
+        # over _func and system_max, not self, so the system holds no cycle
+        func, top = self._func, self.system_max
+
+        def lanes(lo, hi, k) -> tuple[Lanes, int]:
+            values = list(map(func, product(*(range(a, b + 1) for a, b in zip(lo, hi)))))
+            box = Lanes(lo, hi, max(max(values), top))
+            return box, box.pack(values)
+
+        object.__setattr__(self, "_lanes", self._lanes or lanes)
 
     def size(self) -> int:
         return math.prod(m + 1 for m in self.max_states)
@@ -143,9 +152,9 @@ class LevelSystem:
 
     @cached_property
     def _table(self) -> bytes:
-        """The level table (see _level_table), tabulated on first read, so
-        the path vector scan and enumeration share one tabulation."""
-        return _level_table(self)
+        """The level table of the whole space (see _level_table), tabulated
+        on first read, so the path vector scan and enumeration share it."""
+        return _level_table(self, (0,) * len(self.max_states), self.max_states)
 
 
 def _integer(v, what: str) -> int:
@@ -236,11 +245,10 @@ def path_vector_system(
     each level's bounds, generator checks and lengths, then the nesting,
     on thermometer codes (see poset._Packing).
 
-    No code is built where the grid check passes: phi encodes a level on
-    the first evaluate that reads it, as one int holding its codes in
-    fields of W + 1 bits (W the code's width), and tests "some vector of
-    F_k lies below x" on that int with a few whole-int operations, from
-    the codes the nesting loop built, if it ran.
+    "Some vector of F_k lies below x" is one test, a few whole-int
+    operations on an int of level k's codes in fields of W + 1 bits (W the
+    code's width), built on the first test of level k: phi bisects the
+    levels with it, and the nesting loop tests each level-k vector on F_(k-1).
     """
     ms = tuple(max_states)
     if not levels:
@@ -272,14 +280,6 @@ def path_vector_system(
                 if len(v) != len(ms):
                     raise ValidationError(f"path vector {v} outside space {ms}")
     packing = _Packing(widths)
-    codes = {}  # the nesting loop's, each handed to word once and dropped
-    if not checked:
-        codes = {k: packing.codes(fam) for k, fam in families.items()}
-        for k in range(2, system_max + 1):
-            for v, c in zip(families[k], codes[k]):
-                if not any(u | c == c for u in codes[k - 1]):
-                    raise ValidationError(
-                        f"level-{k} path vector {v} dominates no level-{k - 1} path vector")
     bits = sum(widths)
     mask, spec = (1 << bits) - 1, f"0{bits + 1}b"  # a code, and one with a 0 bit above it
 
@@ -288,23 +288,34 @@ def path_vector_system(
         """Level k's codes side by side in fields of bits + 1 bits, and the
         low and the high bit of every field."""
         ones = int(("0" * bits + "1") * len(families[k]), 2)
-        level = codes.pop(k, None) or packing.codes(families[k])
-        return int("".join(map(format, level, repeat(spec))), 2), ones, ones << bits
+        fields = int("".join(map(format, packing.codes(families[k]), repeat(spec))), 2)
+        return fields, ones, ones << bits
+
+    def below(k: int, outside: int) -> bool:
+        """Some vector of F_k lies below x, given the bits outside x's code,
+        by SWAR on level k's word, as in lanes: u <= x iff u has no bit
+        outside x's code, so the fields of t = word & (outside, in every
+        field) are zero exactly where u <= x, and (t | highs) - ones clears
+        the high bit of exactly the zero fields."""
+        fields, ones, highs = word(k)
+        t = fields & outside * ones
+        return ((t | highs) - ones) & highs != highs
+
+    if not checked:
+        for k in range(2, system_max + 1):
+            for v in families[k]:
+                if not below(k - 1, mask ^ packing.code(v)):
+                    raise ValidationError(
+                        f"level-{k} path vector {v} dominates no level-{k - 1} path vector")
 
     def phi(x: Vector) -> int:
         """Bisect the levels: every level-k vector dominates a level-(k-1)
-        one, so "x lies above some F_k vector" is monotone in k.  That is
-        one test on level k's word (SWAR, as in lanes): u <= x iff u has no
-        bit outside x's code, so the fields of t = word & (the bits outside
-        x's code, in every field) are zero exactly where u <= x, and
-        (t | highs) - ones clears the high bit of exactly the zero fields."""
+        one, so "x lies above some F_k vector" is monotone in k."""
         outside = mask ^ packing.code(map(min, x, widths))
         lo, hi = 0, system_max
         while lo < hi:
             k = (lo + hi + 1) // 2
-            fields, ones, highs = word(k)
-            t = fields & outside * ones
-            if ((t | highs) - ones) & highs != highs:
+            if below(k, outside):
                 lo = k
             else:
                 hi = k - 1
@@ -319,25 +330,9 @@ def path_vector_system(
     return MultistateSystem(ms, system_max, "path_vectors", phi, _paths=families, _lanes=lanes)
 
 
-def _phi_lanes(system: MultistateSystem, lo: Sequence[int], hi: Sequence[int],
-               k: int | None = None) -> tuple[Lanes, int]:
-    """phi over the box lo <= x <= hi in lanes: by the system's own
-    tabulator, or for a system given only its structure function, by
-    evaluating each state of the box once.  Given a level k, a lane need
-    only be >= k exactly where phi is, which lets a path_vectors system
-    close its level-k family alone."""
-    if system._lanes is not None:
-        return system._lanes(lo, hi, k)
-    values = list(map(system._func, product(*(range(a, b + 1) for a, b in zip(lo, hi)))))
-    lanes = Lanes(lo, hi, max(max(values), system.system_max))
-    return lanes, lanes.pack(values)
-
-
-def _level_table(ls: LevelSystem, lo: Sequence[int] = (), hi: Sequence[int] = ()) -> bytes:
-    """phi_k over the box lo <= x <= hi, by default (empty bounds) the
-    whole space, one byte 0 or 1 per state in lexicographic order."""
-    ms = ls.max_states
-    lanes, phi = _phi_lanes(ls.system, lo or (0,) * len(ms), hi or ms, ls.level)
+def _level_table(ls: LevelSystem, lo: Sequence[int], hi: Sequence[int]) -> bytes:
+    """phi_k over the box lo <= x <= hi, one byte 0 or 1 per state, in lex order."""
+    lanes, phi = ls.system._lanes(lo, hi, ls.level)
     return lanes.table(phi, ls.level)
 
 
@@ -349,7 +344,7 @@ def check_monotone(system: MultistateSystem) -> bool:
     more than 10^7 vectors.
     """
     system._guarded_size("monotonicity check")
-    lanes, phi = _phi_lanes(system, (0,) * len(system.max_states), system.max_states)
+    lanes, phi = system._lanes((0,) * len(system.max_states), system.max_states, None)
     return all(lanes.at_least(phi, lanes.up(phi, i, lanes.positive(i))) == lanes.top
                for i in range(len(system.max_states)))
 
@@ -364,8 +359,8 @@ def minimal_path_vectors(ls: LevelSystem) -> tuple[Vector, ...]:
     Otherwise x is minimal iff the level function holds at x but fails
     whenever one positive coordinate is lowered by one; monotonicity
     makes that local test exact.  The level table, tabulated in lanes
-    (see _phi_lanes), is packed into an int I (bit j for the j-th vector
-    in lexicographic order); lowering coordinate i is a shift by its
+    (see MultistateSystem), is packed into an int I (bit j for the j-th
+    vector in lexicographic order); lowering coordinate i is a shift by its
     stride, so the minimal vectors are the bits of I & ~OR_i((I <<
     stride_i) & [x_i > 0]).  Spaces over 10^7 states are refused before
     anything is tabulated.  Output is lexicographically sorted.

@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -139,6 +140,28 @@ def test_domination_json(write_doc, capsys):
     assert payload["level"] == 1
     assert "seconds" not in payload
     assert [[1, 1, 1], -2] in payload["table"]
+
+
+def test_timing_unless_turned_off(write_doc, capsys):
+    """Without --no-timing, domination --json carries its seconds, verify
+    --json carries each route's, and each of verify's route lines ends in
+    its seconds to the millisecond."""
+    f = write_doc(two_of_three())
+    code, out, _ = run(capsys, ["domination", f, "--level", "1", "--json"])
+    payload = json.loads(out)
+    assert code == 0 and sorted(payload) == ["level", "method", "seconds", "value"]
+    assert isinstance(payload["seconds"], float) and payload["seconds"] >= 0
+    code, out, _ = run(capsys, ["verify", f, "--level", "1", "--json"])
+    payload = json.loads(out)
+    assert code == 0 and payload["value"] == -2
+    assert [sorted(rec) for rec in payload["results"]] == [["method", "seconds", "value"]] * 4
+    assert all(isinstance(rec["seconds"], float) and rec["seconds"] >= 0
+               for rec in payload["results"])
+    code, out, _ = run(capsys, ["verify", f, "--level", "1"])
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "agreement: yes" and len(lines) == 6
+    for line, method in zip(lines[1:-1], ["formations", "mobius", "pivotal", "binary"]):
+        assert re.fullmatch(rf"{method:<12} -2  \(\d+\.\d{{3}}s\)", line), line
 
 
 def test_network_doc_domination(write_doc, capsys):
@@ -284,13 +307,13 @@ def test_one_cut_enumeration_per_directed_verify(write_doc, capsys, monkeypatch)
 def test_one_level_table_per_reliability_verify(write_doc, capsys, monkeypatch):
     """The path vector scan and the enumeration read one tabulation of
     the level function."""
-    tally = tallied(monkeypatch, "domikit.systems", ["_phi_lanes"])
+    tally = tallied(monkeypatch, "domikit.systems", ["_level_table"])
     ms = [2, 2, 1, 2, 1, 2, 2]
     doc = bridge_doc()
     doc["distribution"] = [["1/5", "1/5", "3/5"] if m == 2 else ["1/3", "2/3"] for m in ms]
     code, out, _ = run(capsys, ["reliability", write_doc(doc), "--level", "3", "--verify"])
     assert code == 0 and out.splitlines()[-1] == "|diff| = 0"
-    assert tally == {"_phi_lanes": 1}
+    assert tally == {"_level_table": 1}
 
 
 def unit_sum_7() -> dict:

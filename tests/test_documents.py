@@ -115,9 +115,9 @@ def test_path_vector_codes_are_built_on_first_evaluate(monkeypatch):
     """A document whose grid check passes is parsed without one thermometer
     code; evaluate builds the word of each level its bisection reads, once,
     and the path vector and reliability routes never build one.  A small
-    document takes the nesting loop, which encodes each level once: the
-    pairs check encodes its own sorted copy, and evaluate reads the loop's
-    codes."""
+    document takes the nesting loop, which tests each level-k vector on
+    the word of level k - 1, the word evaluate reads; the pairs check
+    encodes its own sorted copy of each family."""
     ms = [2] * 5
     sums = sum_system(ms)
     levels = {str(k): [list(p) for p in minimal_path_vectors(sums.level(k))] for k in range(1, 11)}
@@ -148,7 +148,7 @@ def test_path_vector_codes_are_built_on_first_evaluate(monkeypatch):
     levels = {"1": [[1, 1, 0], [1, 0, 1], [0, 1, 1]], "2": [[1, 1, 1]]}
     small = parse_system_dict(two_of_three_doc(structure={"kind": "path_vectors", "levels": levels}))
     system = small.system
-    assert words() == [1, 2] and len(calls) == 4
+    assert words() == [1] and len(calls) == 3
     assert [system.evaluate(x) for x in product(range(2), repeat=3)] == [0, 0, 0, 1, 0, 1, 1, 2]
     assert words() == [1, 2] and len(calls) == 4
 
@@ -217,6 +217,13 @@ def test_structure_errors():
         "format_version": 1, "max_states": [1],
         "structure": {"kind": "table", "values": [1, 0]},
     }) == "structure.values"  # not monotone
+    for weights, message in (([1, -1, 1], "weights must be non-negative"),
+                             ([1, 1], "2 weights for 3 components"),
+                             ([1, 1, 1, 1], "4 weights for 3 components")):
+        with pytest.raises(ParseError) as err:
+            parse_system_dict({"format_version": 1, "max_states": [1, 2, 1],
+                               "structure": {"kind": "sum", "weights": weights}})
+        assert str(err.value) == f"structure.weights: {message}"
 
 
 def test_network_errors():
@@ -232,6 +239,12 @@ def test_network_errors():
     bad_node = bridge_doc()
     bad_node["structure"]["nodes"][1] = 7
     assert path_of(bad_node) == "structure.nodes[1]"
+    for flag in ("yes", 0, None):  # 0 is no bool, though it compares equal to False
+        not_bool = bridge_doc()
+        not_bool["structure"]["edges"][3]["directed"] = flag
+        with pytest.raises(ParseError) as err:
+            parse_system_dict(not_bool)
+        assert str(err.value) == f"structure.edges[3].directed: expected true or false, got {flag!r}"
 
 
 def test_path_vector_errors():
@@ -315,6 +328,10 @@ def test_distribution_errors():
     assert path_of(two_of_three_doc(  # exact input keeps the integer, whose pmf sums past 1
         distribution=[[10**400, 0], ["1/2", "1/2"], ["1/2", "1/2"]],
     )) == "distribution"
+    for p in (None, [0.5], {"p": 0.5}):
+        with pytest.raises(ParseError) as err:
+            parse_system_dict(two_of_three_doc(distribution=[[0.5, 0.5], [0.5, p], [0.5, 0.5]]))
+        assert str(err.value) == f"distribution[1][1]: expected a probability, got {p!r}"
 
 
 def test_distribution_exact_and_float_modes():

@@ -19,6 +19,7 @@ from conftest import (
 )
 from domikit import (
     ComplexityGuardError,
+    DimensionError,
     DomainError,
     MultistateSystem,
     associated_binary,
@@ -89,6 +90,13 @@ def test_delta_at_rejects_zero_vector():
 def test_delta_at_outside_space():
     with pytest.raises(DomainError):
         delta_at(four_gen_level(), (3, 0, 0, 0))
+
+
+@pytest.mark.parametrize("y", [(1, 1, 1), (1, 1, 1, 1, 1)])
+def test_delta_at_wrong_length(y):
+    with pytest.raises(DimensionError) as err:
+        delta_at(four_gen_level(), y)
+    assert str(err.value) == f"vector of length {len(y)} for 4 components"
 
 
 def test_delta_at_guard():

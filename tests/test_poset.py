@@ -254,6 +254,15 @@ def test_generator_validation_names_the_pair_a_tuple_check_names():
     assert raised > 100
 
 
+def test_a_large_antichain_is_validated_on_the_grid(monkeypatch):
+    """The unit sum's level-12 family over [3]^8, 8 092 vectors, is checked
+    on its grid of 4^8 cells, not by its 32 million pairs."""
+    family = minimal_path_vectors(sum_system([3] * 8).level(12))
+    assert len(family) == 8092
+    monkeypatch.setattr(poset, "_check_pairs", lambda *args: pytest.fail("checked by pairs"))
+    assert _validated(family)[0] == family
+
+
 def test_formation_counts_match_the_formation_reference():
     """Each entry of the formation count is its target's odd formations
     less its even ones, as the combinations search lists them, and a
@@ -508,6 +517,23 @@ def test_path_vector_faults_are_named_in_the_order_the_levels_are_read(levels, m
     with pytest.raises(DomikitError) as err:
         path_vector_system((1, 1), levels)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("levels, message", [
+    ({1: [(1, 1, 0), (0, 1, 1)], 2: [(2, 0, 0), (1, 0, 2), (0, 1, 2)], 3: [(0, 0, 2)]},
+     "level-2 path vector (1, 0, 2) dominates no level-1 path vector"),
+    ({1: [(1, 0, 0), (0, 1, 0)], 2: [(1, 1, 0), (0, 2, 0)], 3: [(2, 2, 0), (1, 0, 1), (0, 0, 2)]},
+     "level-3 path vector (0, 0, 2) dominates no level-2 path vector"),
+])
+def test_the_nesting_loop_names_the_first_unnested_vector(levels, message):
+    """With the grid off, the nesting is checked level by level and, within
+    a level, in lexicographic order of its vectors; the grid names the
+    same fault."""
+    for grid in (False, True):
+        on_poset, on_systems = _routes(grid)
+        with on_poset, on_systems, pytest.raises(DomikitError) as err:
+            path_vector_system((2, 2, 2), levels)
+        assert str(err.value) == message
 
 
 def _sum_3_8_level_12():

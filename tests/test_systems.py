@@ -1,10 +1,12 @@
 """System constructors, level cuts, path vectors, relevance, reliability."""
 
+import gc
 import importlib
 import math
 import operator
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -47,7 +49,7 @@ from domikit import (
     table_system,
 )
 from domikit.lanes import Lanes
-from domikit.systems import _level_table, _phi_lanes
+from domikit.systems import _level_table
 
 FOUR_GENS = [(2, 1, 1, 0), (1, 2, 0, 1), (1, 0, 2, 1), (0, 1, 1, 2)]
 
@@ -80,6 +82,23 @@ def test_system_bounds_are_checked_on_construction():
         MultistateSystem((1,), -1, "bare", sum)
     with pytest.raises(DomainError, match=r"^component max states must be >= 1, got \(0,\)$"):
         sum_system([0])
+
+
+def test_a_bare_system_tabulates_each_state_and_holds_no_cycle():
+    """A system given only its structure function carries the per-state
+    tabulator, a closure over that function and the top level, not over
+    the system: the last reference dropped frees the system, with the
+    cycle collector off."""
+    system = MultistateSystem((1, 2), 3, "bare", sum)
+    lanes, phi = system._lanes((0, 1), (1, 2), None)
+    assert [phi >> (j * lanes.bits) & 0xFF for j in range(lanes.size)] == [1, 2, 2, 3]
+    gc.disable()
+    try:
+        ref = weakref.ref(system)
+        del system
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_table_system_flat_values_in_lex_order():
@@ -347,7 +366,7 @@ def test_minimal_path_vectors_every_kind(monkeypatch):
     calls.clear()
     declared = path_vector_system((1, 2, 1), {1: [(1, 0, 0), (0, 1, 0)], 2: [(1, 1, 0)]})
     assert minimal_path_vectors(declared.level(1)) == ((0, 1, 0), (1, 0, 0))
-    assert _level_table(declared.level(2)) == bytes(8) + bytes([1, 1, 1, 1])
+    assert declared.level(2)._table == bytes(8) + bytes([1, 1, 1, 1])
     assert calls == []
 
 
@@ -433,6 +452,10 @@ def test_distribution_validation():
         ComponentDistribution([[-0.1, 1.1]])
     with pytest.raises(DistributionError):
         ComponentDistribution([[Fraction(1, 3), Fraction(1, 3)]])
+    for one in ([1.0], [Fraction(1)]):
+        with pytest.raises(DistributionError) as err:
+            ComponentDistribution([[0.5, 0.5], one])
+        assert str(err.value) == "component 1: pmf needs at least states 0 and 1"
     d = ComponentDistribution([[0.2, 0.3, 0.5]])
     assert d.survival[0] == (1.0, 0.8, 0.5)
     assert not d.exact
@@ -522,6 +545,16 @@ def test_reliability_refuses_a_table_vector_outside_the_space(x, exact):
     assert str(err.value) == f"table vector {x} outside space (1, 1)"
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("x", [(1,), (1, 1, 0)])
+def test_reliability_refuses_a_table_vector_of_the_wrong_length(x, exact):
+    rows = [[0.5, 0.5], [0.25, 0.75]]
+    d = ComponentDistribution([[Fraction(p) for p in row] for row in rows] if exact else rows)
+    with pytest.raises(DimensionError) as err:
+        reliability_from_domination({(1, 1): 1, x: 1}, d, (1, 1))
+    assert str(err.value) == f"table vector {x} for 2 components"
+
+
 def test_random_reliability_identity():
     for seed in range(10):
         system = make_random_system(seed)
@@ -544,32 +577,36 @@ def test_level_tables_match_the_per_state_loop():
     for system in lane_kinds():
         for k in range(1, system.system_max + 1):
             ls = system.level(k)
-            assert _level_table(ls) == bytes(map(ls, vectors(system.max_states))), (system, k)
+            assert ls._table == bytes(map(ls, vectors(system.max_states))), (system, k)
 
 
 def test_box_lanes_match_the_structure_function():
     """Over random boxes lo <= x <= hi, phi in lanes equals _func at each
     state of the box, lane j holding the j-th state in lexicographic
     order; given a level k, the lanes are >= k exactly where phi is, and
-    the level table of the box holds their indicator."""
+    the level table of the box holds their indicator.  A system built
+    from a bare structure function has the per-state tabulator, and
+    every kind's constructor its own."""
     rng = random.Random(14)
     kinds = set()
-    for system in lane_kinds() + bare_systems():
+    for system, bare in [(s, False) for s in lane_kinds()] + [(s, True) for s in bare_systems()]:
         ms = system.max_states
         for _ in range(3):
             lo = [rng.randint(0, m) for m in ms]
             hi = [rng.randint(a, m) for a, m in zip(lo, ms)]
             states = list(product(*(range(a, b + 1) for a, b in zip(lo, hi))))
             values = [system._func(x) for x in states]
-            lanes, phi = _phi_lanes(system, lo, hi)
+            lanes, phi = system._lanes(lo, hi, None)
             assert lanes.size == len(states)
             mask = (1 << lanes.bits) - 1
             assert [phi >> (j * lanes.bits) & mask for j in range(lanes.size)] == values
             for k in range(1, system.system_max + 1):
-                lanes, phi = _phi_lanes(system, lo, hi, k)
+                lanes, phi = system._lanes(lo, hi, k)
                 assert lanes.table(phi, k) == bytes(v >= k for v in values), (system, lo, hi, k)
                 assert _level_table(system.level(k), lo, hi) == lanes.table(phi, k)
-            kinds.add((system.kind, system._lanes is None, len(ms) > 0))
+            # every kind's constructor hands the system its own tabulator
+            assert (system._lanes.__qualname__ == "MultistateSystem.__post_init__.<locals>.lanes") == bare
+            kinds.add((system.kind, bare, len(ms) > 0))
     assert {kind for kind, _, _ in kinds} == {"table", "sum", "network", "path_vectors"}
     assert {(bare, n) for _, bare, n in kinds} == {(False, False), (False, True),
                                                    (True, False), (True, True)}
@@ -793,11 +830,11 @@ def test_network_level_table_keeps_a_fixed_number_of_lanes():
         system = network_system(net)
         ms = system.max_states
         ls = system.level(1)
-        _level_table(ls)  # enumerates the cut sets
+        _level_table(ls, (0,) * len(ms), ms)  # enumerates the cut sets
         lane_bytes = system.size() * (sum(ms).bit_length() // 8 + 1)
         tracemalloc.start()
         try:
-            _level_table(ls)
+            _level_table(ls, (0,) * len(ms), ms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
