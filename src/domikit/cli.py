@@ -264,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as e:  # a ValueError, not an OSError
+        print(f"error: $: invalid UTF-8: {e}", file=sys.stderr)
+        return 2
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _warning

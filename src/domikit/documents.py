@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Any
@@ -47,13 +46,15 @@ _KINDS = ("table", "sum", "network", "path_vectors")
 _EDGE_KEYS = {"id", "from", "to", "directed", "max_capacity"}
 
 
-@dataclass(frozen=True, eq=False)
 class SystemDocument:
     """A parsed document: the built system and the component
     distributions, if any."""
 
     system: MultistateSystem
-    distribution: ComponentDistribution | None = None
+    distribution: ComponentDistribution | None
+
+    def __init__(self, system, distribution=None):
+        self.system, self.distribution = system, distribution
 
 
 def _expect_dict(value: Any, path: str) -> dict:

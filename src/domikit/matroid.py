@@ -16,7 +16,6 @@ table, so the structure is evaluated once per vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -81,7 +80,6 @@ def beta_number(m: Matroid) -> int:
     return crapo_beta(m, m.ground)
 
 
-@dataclass(frozen=True)
 class MatroidSystemLink:
     """A matroid with a marked ground element x, read as a binary system.
 
@@ -92,9 +90,10 @@ class MatroidSystemLink:
     matroid: Matroid
     terminal: Hashable
 
-    def __post_init__(self):
-        if self.terminal not in self.matroid.index:
-            raise DomainError(f"terminal {self.terminal!r} not in ground set")
+    def __init__(self, matroid, terminal):
+        if terminal not in matroid.index:
+            raise DomainError(f"terminal {terminal!r} not in ground set")
+        self.matroid, self.terminal = matroid, terminal
 
     @property
     def components(self) -> tuple[Hashable, ...]:

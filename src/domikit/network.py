@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Hashable, Iterable
 
@@ -38,7 +37,6 @@ from .signed import series_parallel_domination
 from .systems import MultistateSystem
 
 
-@dataclass(frozen=True)
 class Edge:
     id: int
     tail: str
@@ -46,8 +44,10 @@ class Edge:
     directed: bool
     capacity: int
 
+    def __init__(self, id, tail, head, directed, capacity):
+        self.id, self.tail, self.head, self.directed, self.capacity = id, tail, head, directed, capacity
 
-@dataclass(frozen=True)
+
 class FlowNetwork:
     """Node and edge lists with two distinguished terminals.
 
@@ -60,23 +60,24 @@ class FlowNetwork:
     source: str
     sink: str
 
-    def __post_init__(self):
-        if len(set(self.nodes)) != len(self.nodes):
+    def __init__(self, nodes, edges, source, sink):
+        if len(set(nodes)) != len(nodes):
             raise GraphError("duplicate node names")
-        nodeset = set(self.nodes)
-        if self.source not in nodeset or self.sink not in nodeset:
-            raise GraphError(f"terminals {self.source!r}, {self.sink!r} must be nodes")
-        if self.source == self.sink:
+        nodeset = set(nodes)
+        if source not in nodeset or sink not in nodeset:
+            raise GraphError(f"terminals {source!r}, {sink!r} must be nodes")
+        if source == sink:
             raise GraphError("source and sink coincide")
-        ids = sorted(e.id for e in self.edges)
-        if ids != list(range(1, len(self.edges) + 1)):
-            raise GraphError(f"edge ids must be exactly 1..{len(self.edges)}, got {ids}")
-        for e in self.edges:
+        ids = sorted(e.id for e in edges)
+        if ids != list(range(1, len(edges) + 1)):
+            raise GraphError(f"edge ids must be exactly 1..{len(edges)}, got {ids}")
+        for e in edges:
             if e.tail not in nodeset or e.head not in nodeset:
                 raise GraphError(f"edge {e.id} endpoint outside node list")
             if e.capacity < 1:
                 raise GraphError(f"edge {e.id} max capacity must be >= 1")
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.id)))
+        self.nodes, self.source, self.sink = nodes, source, sink
+        self.edges = tuple(sorted(edges, key=lambda e: e.id))
 
     @property
     def max_states(self) -> tuple[int, ...]:

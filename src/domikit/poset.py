@@ -44,7 +44,6 @@ its loop, which names the first offending pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, compress, islice, product, repeat
 from operator import add, itemgetter, lshift, sub
 from typing import Iterable, Iterator, Sequence
@@ -220,7 +219,6 @@ def _validated(vectors: Iterable[Vector]) -> tuple[tuple[Vector, ...], _Packing]
     return gens, packing
 
 
-@dataclass(frozen=True)
 class JoinClosure:
     """The closure of a generator family under componentwise max.
 
@@ -231,6 +229,9 @@ class JoinClosure:
 
     generators: tuple[Vector, ...]
     elements: tuple[Vector, ...]
+
+    def __init__(self, generators, elements):
+        self.generators, self.elements = generators, elements
 
     def __len__(self) -> int:
         return len(self.elements)

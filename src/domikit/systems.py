@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import accumulate, chain, compress, cycle, product, repeat
@@ -56,7 +55,6 @@ from .poset import (
 from .signed import sum_domination, threshold_domination
 
 
-@dataclass(frozen=True)
 class MultistateSystem:
     """Component bounds m_i, a top level M and a monotone structure
     function from {0..m_1} x ... x {0..m_n} into 0..M.
@@ -79,25 +77,26 @@ class MultistateSystem:
     kind: str
     _func: Callable[[Vector], int]
     # a path_vectors system's declared minimal path vectors, by level
-    _paths: Mapping[int, tuple[Vector, ...]] | None = field(default=None, compare=False, repr=False)
-    _lanes: Callable[[Sequence[int], Sequence[int], int | None], tuple[Lanes, int]] = field(
-        default=None, compare=False, repr=False)
-    _closed: Callable[[int], int | None] = field(default=lambda k: None, compare=False, repr=False)
+    _paths: Mapping[int, tuple[Vector, ...]] | None
+    _lanes: Callable[[Sequence[int], Sequence[int], int | None], tuple[Lanes, int]]
+    _closed: Callable[[int], int | None]
 
-    def __post_init__(self):
-        if any(m < 1 for m in self.max_states):
-            raise DomainError(f"component max states must be >= 1, got {self.max_states}")
-        if self.system_max < 0:
-            raise DomainError(f"system max level must be >= 0, got {self.system_max}")
+    def __init__(self, max_states, system_max, kind, _func, _paths=None, _lanes=None,
+                 _closed=lambda k: None):
+        if any(m < 1 for m in max_states):
+            raise DomainError(f"component max states must be >= 1, got {max_states}")
+        if system_max < 0:
+            raise DomainError(f"system max level must be >= 0, got {system_max}")
+        self.max_states, self.system_max, self.kind, self._func = max_states, system_max, kind, _func
+        self._paths, self._closed = _paths, _closed
+
         # over _func and system_max, not self, so the system holds no cycle
-        func, top = self._func, self.system_max
-
         def lanes(lo, hi, k) -> tuple[Lanes, int]:
-            values = list(map(func, product(*(range(a, b + 1) for a, b in zip(lo, hi)))))
-            box = Lanes(lo, hi, max(max(values), top))
+            values = list(map(_func, product(*(range(a, b + 1) for a, b in zip(lo, hi)))))
+            box = Lanes(lo, hi, max(max(values), system_max))
             return box, box.pack(values)
 
-        object.__setattr__(self, "_lanes", self._lanes or lanes)
+        self._lanes = _lanes or lanes
 
     def size(self) -> int:
         return math.prod(m + 1 for m in self.max_states)
@@ -136,12 +135,14 @@ class MultistateSystem:
         return LevelSystem(system=self, level=k)
 
 
-@dataclass(frozen=True)
 class LevelSystem:
     """Binary cut of a multistate structure at a fixed level."""
 
     system: MultistateSystem
     level: int
+
+    def __init__(self, system, level):
+        self.system, self.level = system, level
 
     @property
     def max_states(self) -> tuple[int, ...]:

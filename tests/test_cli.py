@@ -393,6 +393,19 @@ def test_exit_2_on_bad_inputs(write_doc, capsys, tmp_path):
     assert code == 2 and "level" in err
 
 
+@pytest.mark.parametrize("command", ["paths", "domination", "reliability", "verify"])
+def test_a_document_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    """A 0xff byte inside a JSON string is refused as one error line that
+    names the document's root, like any other unreadable document."""
+    data = json.dumps(two_of_three()).encode().replace(b'"path_vectors"', b'"path\xffvectors"')
+    f = tmp_path / "latin.json"
+    f.write_bytes(data)
+    code, out, err = run(capsys, [command, str(f), "--level", "1"])
+    assert (code, out) == (2, "")
+    assert err == ("error: $: invalid UTF-8: 'utf-8' codec can't decode byte 0xff in position "
+                   f"{data.index(0xff)}: invalid start byte\n")
+
+
 def test_exit_3_on_guard(write_doc, capsys):
     code, out, err = run(capsys, ["domination", write_doc(unit_sum_7()), "--level", "3",
                                   "--method", "formations"])

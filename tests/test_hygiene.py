@@ -2,7 +2,8 @@
 test modules is used, every definition of the package is read, every
 option of the package is set by some caller outside the tests, every
 exported name and every public member of a public class is read outside
-the tests, and no exported name hides a submodule.
+the tests, no exported name hides a submodule, and importing the
+command line or the parser loads neither `dataclasses` nor `inspect`.
 
 A deletion that leaves an import, a definition or an option behind
 passes every behavioural test, so these checks read the modules
@@ -12,6 +13,9 @@ its imports are the public namespace.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from itertools import takewhile
 from pathlib import Path
 
@@ -213,3 +217,24 @@ def test_no_public_name_shadows_a_submodule(path):
     package attribute of a submodule's name hides that submodule."""
     module = importlib.import_module(f"domikit.{path.stem}")
     assert getattr(domikit, path.stem) is module
+
+
+def loaded_modules(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after `statement`, run with
+    this interpreter's executable and the package's source on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", f"{statement}\nimport sys\nprint(*sys.modules)"],
+                          capture_output=True, text=True, check=True, env=env)
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("statement", ["import domikit.cli",
+                                       "from domikit.documents import parse_system"])
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect(statement):
+    """Every process the command line starts pays for the package's
+    imports; `dataclasses` alone brings `inspect`, `ast`, `dis` and
+    `tokenize`, none of which the package reads."""
+    added = loaded_modules(statement) - loaded_modules("pass")
+    assert "domikit.documents" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)

@@ -122,6 +122,17 @@ def test_link_terminal_must_exist():
         MatroidSystemLink(uniform_matroid(range(3), 1), 99)
 
 
+@pytest.mark.parametrize("terminal, message", [
+    (99, "terminal 99 not in ground set"),
+    ("x", "terminal 'x' not in ground set"),
+    ((0,), "terminal (0,) not in ground set"),
+])
+def test_link_terminal_refusal_names_the_terminal(terminal, message):
+    with pytest.raises(DomainError) as exc:
+        MatroidSystemLink(uniform_matroid(range(3), 1), terminal)
+    assert str(exc.value) == message
+
+
 def indicator(link, subset):
     """The 0/1 slot vector of a component subset, slots in component order."""
     return tuple(1 if c in subset else 0 for c in link.components)

@@ -53,6 +53,46 @@ def test_network_validation():
         network(["S", "T"], [(1, "S", "T", False, 0)], "S", "T")
 
 
+@pytest.mark.parametrize("nodes, edges, source, sink, message", [
+    (["S", "A", "S", "T"], [], "S", "T", "duplicate node names"),
+    (["S", "T"], [], "S", "X", "terminals 'S', 'X' must be nodes"),
+    (["S", "T"], [], "Y", "T", "terminals 'Y', 'T' must be nodes"),
+    (["S", "T"], [], "T", "T", "source and sink coincide"),
+    (["S", "T"], [(2, "S", "T", False, 1)], "S", "T", "edge ids must be exactly 1..1, got [2]"),
+    (["S", "T"], [(1, "S", "T", False, 1), (1, "T", "S", True, 1)], "S", "T",
+     "edge ids must be exactly 1..2, got [1, 1]"),
+    (["S", "T"], [(1, "S", "Q", False, 1)], "S", "T", "edge 1 endpoint outside node list"),
+    (["S", "T"], [(1, "Q", "T", True, 1)], "S", "T", "edge 1 endpoint outside node list"),
+    (["S", "T"], [(1, "S", "T", False, 0)], "S", "T", "edge 1 max capacity must be >= 1"),
+    (["S", "T"], [(1, "S", "T", True, -2)], "S", "T", "edge 1 max capacity must be >= 1"),
+])
+def test_each_network_refusal_names_its_fault(nodes, edges, source, sink, message):
+    with pytest.raises(GraphError) as exc:
+        network(nodes, edges, source, sink)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("nodes, edges, source, sink, message", [
+    # nodes, then terminals, then their coincidence, then ids, then each edge
+    (["S", "S"], [], "S", "X", "duplicate node names"),
+    (["S", "S"], [], "S", "S", "duplicate node names"),
+    (["S", "T"], [], "X", "X", "terminals 'X', 'X' must be nodes"),
+    (["S", "T"], [(2, "S", "Q", False, 0)], "X", "T", "terminals 'X', 'T' must be nodes"),
+    (["S", "T"], [(2, "S", "Q", False, 0)], "S", "S", "source and sink coincide"),
+    (["S", "T"], [(2, "S", "Q", False, 0)], "S", "T", "edge ids must be exactly 1..1, got [2]"),
+    # an edge's endpoints before its capacity, and the edges in the order given, not by id
+    (["S", "T"], [(1, "S", "Q", False, 0)], "S", "T", "edge 1 endpoint outside node list"),
+    (["S", "T"], [(2, "S", "T", False, 0), (1, "S", "Q", False, 1)], "S", "T",
+     "edge 2 max capacity must be >= 1"),
+    (["S", "T"], [(2, "Q", "T", False, 1), (1, "S", "T", False, 0)], "S", "T",
+     "edge 2 endpoint outside node list"),
+])
+def test_the_first_network_fault_is_the_one_named(nodes, edges, source, sink, message):
+    with pytest.raises(GraphError) as exc:
+        network(nodes, edges, source, sink)
+    assert str(exc.value) == message
+
+
 def test_network_edge_order_is_by_id():
     net = network(
         ["S", "A", "T"],

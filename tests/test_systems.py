@@ -84,6 +84,13 @@ def test_system_bounds_are_checked_on_construction():
         sum_system([0])
 
 
+def test_a_system_with_both_bound_faults_names_its_components():
+    """The component bounds are checked before the top level."""
+    with pytest.raises(DomainError) as exc:
+        MultistateSystem((0, 2), -1, "bare", sum)
+    assert str(exc.value) == "component max states must be >= 1, got (0, 2)"
+
+
 def test_a_bare_system_tabulates_each_state_and_holds_no_cycle():
     """A system given only its structure function carries the per-state
     tabulator, a closure over that function and the top level, not over
@@ -605,7 +612,7 @@ def test_box_lanes_match_the_structure_function():
                 assert lanes.table(phi, k) == bytes(v >= k for v in values), (system, lo, hi, k)
                 assert _level_table(system.level(k), lo, hi) == lanes.table(phi, k)
             # every kind's constructor hands the system its own tabulator
-            assert (system._lanes.__qualname__ == "MultistateSystem.__post_init__.<locals>.lanes") == bare
+            assert (system._lanes.__qualname__ == "MultistateSystem.__init__.<locals>.lanes") == bare
             kinds.add((system.kind, bare, len(ms) > 0))
     assert {kind for kind, _, _ in kinds} == {"table", "sum", "network", "path_vectors"}
     assert {(bare, n) for _, bare, n in kinds} == {(False, False), (False, True),
