@@ -70,6 +70,10 @@ class MultistateSystem:
     <= hi in lanes, by default each state evaluated once (given a level k,
     a lane need only be >= k exactly where phi is); and _closed(k),
     d(phi_k) by a closed form, by default None: none applies (see signed).
+
+    Where every m_i < 128, _highs (0x80 in each byte) and _tops (each
+    byte 0x80 | m_i) let evaluate range-check a state vector in one SWAR
+    step; elsewhere both are None.
     """
 
     max_states: tuple[int, ...]
@@ -89,6 +93,10 @@ class MultistateSystem:
             raise DomainError(f"system max level must be >= 0, got {system_max}")
         self.max_states, self.system_max, self.kind, self._func = max_states, system_max, kind, _func
         self._paths, self._closed = _paths, _closed
+        self._highs = self._tops = None
+        if all(m < 128 for m in max_states):
+            self._highs = int.from_bytes(b"\x80" * len(max_states), "little")
+            self._tops = self._highs | int.from_bytes(bytes(max_states), "little")
 
         # over _func and system_max, not self, so the system holds no cycle
         def lanes(lo, hi, k) -> tuple[Lanes, int]:
@@ -116,14 +124,40 @@ class MultistateSystem:
         return size
 
     def evaluate(self, x: Vector) -> int:
+        """phi(x), once x is checked to lie in the space; DomainError if not.
+
+        The fast check, where every m_i < 128: bytes(x) packs n states in
+        0..255 one a byte and raises on anything else, and x is inside iff
+        no byte has its high bit set and every byte of _tops - packed keeps
+        it, as (0x80 | m_i) - x_i >= 0x80 exactly when x_i <= m_i, with no
+        borrow from the next byte while x_i < 128.  An object with
+        __index__ passes as its int, and x goes on to phi as it is.
+
+        The reference check stays for all the fast check does not accept:
+        a wrong length, a state out of range or not an int, and every x of
+        a system with some m_i >= 128.  It judges those states, and its
+        refusal names the fault with the one message.  It may refuse an
+        object with __index__ that does not compare with an int.
+        """
         x = tuple(x)
+        highs = self._highs
+        if highs is not None and len(x) == len(self.max_states):
+            try:
+                packed = int.from_bytes(bytes(x), "little")
+            except (TypeError, ValueError):
+                pass
+            else:
+                if not packed & highs and (self._tops - packed) & highs == highs:
+                    return self._func(x)
         ms = self.max_states
-        if not (len(x) == len(ms) and all(map(operator.le, x, ms)) and (not x or min(x) >= 0)):
-            raise DomainError(f"state vector {x} outside space {ms}")
-        try:  # a sum of states in range is an int only when every state is
-            operator.index(sum(x))
+        try:  # "a", None, [0] or 1j compare with no int
+            inside = len(x) == len(ms) and all(map(operator.le, x, ms)) and (not x or min(x) >= 0)
+            if inside:  # a sum of states in range is an int only when every state is
+                operator.index(sum(x))
         except TypeError:
-            raise DomainError(f"state vector {x} outside space {ms}") from None
+            inside = False
+        if not inside:
+            raise DomainError(f"state vector {x} outside space {ms}")
         return self._func(x)
 
     def level(self, k: int) -> "LevelSystem":
@@ -218,8 +252,9 @@ def sum_system(max_states: Sequence[int], weights: Sequence[int] | None = None) 
             return threshold_domination(len(ms), ms[0], k)
         return sum_domination(ms, w, k)
 
-    return MultistateSystem(ms, system_max, "sum", lambda x: sum(map(operator.mul, w, x)),
-                            _lanes=lanes, _closed=closed)
+    # unit weights sum the states themselves; weights such as [1, 0, 1] do not
+    phi = sum if set(w) <= {1} else lambda x: sum(map(operator.mul, w, x))
+    return MultistateSystem(ms, system_max, "sum", phi, _lanes=lanes, _closed=closed)
 
 
 def _binary_system(n: int, func: Callable[[Vector], int]) -> LevelSystem:

@@ -4,13 +4,18 @@ Everything here is kept tiny on purpose: the algebraic laws are already
 pinned on worked examples elsewhere, these runs just probe odd corners.
 """
 
+import operator
+from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import lex_values, signed_formation_dp, vleq
 from domikit import (
+    DomainError,
     InvalidGeneratorError,
+    MultistateSystem,
     delta_at,
     domination_by_closure_mobius,
     domination_by_formations,
@@ -146,3 +151,77 @@ def test_codes_by_columns_equal_one_code_per_vector(case):
     widths, vectors = case
     packing = _Packing(widths)
     assert packing.codes(vectors) == list(map(packing.code, vectors))
+
+
+def _inside(x, ms):
+    """The reference range check of MultistateSystem.evaluate, kept here:
+    n states, each comparing <= m_i and >= 0, summing to an int."""
+    try:
+        return (len(x) == len(ms) and all(map(operator.le, x, ms)) and (not x or min(x) >= 0)
+                and isinstance(operator.index(sum(x)), int))
+    except TypeError:
+        return False
+
+
+def _states(ms):
+    """State vectors of length n - 1 to n + 1, each state an int in range,
+    an int from -2 to 300, or no int at all."""
+    def state(i):
+        return st.one_of(st.integers(0, ms[i] if i < len(ms) else 3), st.integers(-2, 300),
+                         st.booleans(), st.floats(), st.fractions(max_denominator=3),
+                         st.text(max_size=2), st.none(), st.sampled_from([1j, [0]]))
+    return st.integers(max(0, len(ms) - 1), len(ms) + 1).flatmap(
+        lambda length: st.tuples(*map(state, range(length))))
+
+
+# (max states, structure, states, container): m_i past 127 take the reference check alone
+evaluate_cases = st.tuples(
+    st.lists(st.one_of(st.integers(1, 127), st.integers(128, 300)), max_size=4),
+    st.sampled_from(["bare", "unit", "weighted"]),
+    st.sampled_from(["tuple", "list", "iter"]),
+).flatmap(lambda t: st.tuples(st.just(tuple(t[0])), st.just(t[1]), _states(tuple(t[0])), st.just(t[2])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(evaluate_cases)
+@example(((), "bare", (), "tuple"))  # n = 0
+@example(((), "unit", (0,), "iter"))
+@example(((127, 1), "bare", (127, 1), "list"))
+@example(((127, 1), "unit", (128, 0), "tuple"))  # a byte with its high bit set
+@example(((127, 1), "unit", (255, 0), "tuple"))
+@example(((127, 1), "unit", (256, 0), "tuple"))  # no byte
+@example(((1, 1), "unit", (255, 0), "tuple"))  # its high bit set, and a borrow past its byte
+@example(((3, 1), "weighted", (4, 0), "tuple"))  # above the top, below 128
+@example(((3, 1), "weighted", (0, 2), "iter"))  # the top of the last byte
+@example(((3, 1), "unit", (-1, 0), "tuple"))
+@example(((3, 1), "bare", (True, False), "list"))
+@example(((3, 1), "unit", (1.0, 0), "tuple"))
+@example(((3, 1), "unit", (Fraction(1), 0), "tuple"))
+@example(((3, 1), "unit", ("a", 0), "tuple"))
+@example(((3, 1), "unit", (0, None), "tuple"))
+@example(((3, 1), "unit", ([0], 0), "tuple"))
+@example(((3, 1), "unit", (1j, 0), "tuple"))
+@example(((3, 1), "unit", (0,), "tuple"))  # too short
+@example(((3, 1), "unit", (0, 0, 0), "iter"))  # too long
+@example(((128, 300), "bare", (128, 300), "tuple"))
+@example(((128, 300), "weighted", (129, 0), "iter"))
+@example(((128, 300), "unit", (0, "a"), "tuple"))
+def test_evaluate_accepts_exactly_what_the_reference_check_accepts(case):
+    """evaluate answers _func(tuple(x)) exactly where the reference check
+    accepts x, and everywhere else raises DomainError with its text.  The
+    bare structure hands back its input, so x reaches it as it was."""
+    ms, structure, xs, container = case
+    if structure == "bare":
+        system = MultistateSystem(ms, 1, "bare", lambda x: x)
+    else:
+        system = sum_system(ms, None if structure == "unit" else [i % 3 for i in range(len(ms))])
+    x = {"tuple": tuple, "list": list, "iter": iter}[container](xs)
+    if _inside(xs, ms):
+        value = system.evaluate(x)
+        assert value == system._func(xs)
+        if structure == "bare":
+            assert list(map(type, value)) == list(map(type, xs))
+    else:
+        with pytest.raises(DomainError) as err:
+            system.evaluate(x)
+        assert str(err.value) == f"state vector {xs} outside space {ms}"

@@ -132,6 +132,18 @@ def test_sum_system_values():
     assert s.system_max == 8
 
 
+def test_unit_sums_evaluate_to_the_sum_of_states():
+    """At every state, default and explicit unit weights give sum(x), and
+    weights with a 0 or a 2 give the sum of w_i * x_i."""
+    for ms in ((), (1,), (2, 1, 3), (1,) * 5, (3, 3)):
+        for system in (sum_system(ms), sum_system(ms, [1] * len(ms))):
+            assert [system.evaluate(x) for x in vectors(ms)] == list(map(sum, vectors(ms)))
+    for ms, w in (((1, 2, 1), [1, 0, 1]), ((2, 1, 3), [2, 1, 1]), ((2, 2), [0, 2]), ((1,), [0])):
+        system = sum_system(ms, w)
+        assert [system.evaluate(x) for x in vectors(ms)] == [
+            sum(a * b for a, b in zip(w, x)) for x in vectors(ms)]
+
+
 def test_weighted_sum_system():
     s = sum_system([2, 1], weights=[3, 2])
     assert s.evaluate((2, 1)) == 8
@@ -180,11 +192,13 @@ def test_evaluate_outside_space_rejected():
 def test_evaluate_refuses_non_integer_states():
     """A state of 1/2 is in no space, float or Fraction: every kind
     refuses it with the range check's message, where a sum answered 0.5,
-    a table raised KeyError and a path_vectors system TypeError."""
+    a table raised KeyError and a path_vectors system TypeError.  So are
+    states that compare with no int, a str, None, a list or a complex,
+    which the range check's <= let out as a bare TypeError."""
     for system in lane_kinds() + bare_systems():
         ms = system.max_states
-        for i, half in product(range(len(ms)), (0.5, Fraction(1, 2))):
-            x = (0,) * i + (half,) + (0,) * (len(ms) - i - 1)
+        for i, state in product(range(len(ms)), (0.5, Fraction(1, 2), "a", None, [0], 1j)):
+            x = (0,) * i + (state,) + (0,) * (len(ms) - i - 1)
             with pytest.raises(DomainError) as err:
                 system.evaluate(x)
             assert str(err.value) == f"state vector {x} outside space {ms}"
