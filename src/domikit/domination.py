@@ -15,11 +15,15 @@ At the top vector all three come down to the same signed sum over the
 2^n top corners, and all three take its signs from one loop, which
 sums in C, 2^9 terms at a time (see _signed_chunks).  The subset formula
 and the binary route take the corners one evaluate call each and are
-the per-state reference.  The pivotal route reads their level tables
-from the tabulator the system carries (see systems.MultistateSystem)
-and runs past the subset guard, so pivotal agreeing with binary checks
-a kind's own tabulator against its structure function.  All arithmetic
-is exact integer arithmetic.
+the per-state reference; binary_signed_domination, the binary system's
+own sum at the all-ones vector, is the binary route under that name.
+The pivotal route reads their level tables from the tabulator the
+system carries (see systems.MultistateSystem) and runs past the subset
+guard, so pivotal agreeing with binary checks a kind's own tabulator
+against its structure function.  No route reads the structure function
+but through evaluate or the tabulator, so each reads phi_k, never the
+raw phi, and every state it reads is range-checked or built in range.
+All arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Iterable, Sequence
 
 from .errors import ComplexityGuardError, DimensionError, DomainError
 from .poset import Vector
-from .systems import LevelSystem, _binary_system, _level_table
+from .systems import LevelSystem, _binary_system, _level_table, _state_vector
 
 # free components per chunk of the box of top corners: 2^9 corners, so a
 # chunk's lanes stay a few hundred bytes whatever the number of components
@@ -107,8 +111,7 @@ def delta_at(ls: LevelSystem, y: Vector) -> int:
     y = tuple(y)
     if len(y) != len(ms):
         raise DimensionError(f"vector of length {len(y)} for {len(ms)} components")
-    if any(a < 0 or a > m for a, m in zip(y, ms)):
-        raise DomainError(f"state vector {y} outside space {ms}")
+    _state_vector(y, ms)
     a = sum(1 for v in y if v > 0)
     if not a:
         raise DomainError("delta_at is undefined at the all-zero vector")
@@ -157,19 +160,6 @@ def associated_binary(ls: LevelSystem) -> LevelSystem:
     return _binary_system(len(ms), lambda z: ls(tuple(b + a for b, a in zip(base, z))))
 
 
-def binary_signed_domination(bs: LevelSystem) -> int:
-    """Signed domination of a binary system at the all-ones vector.
-
-    sum over subsets B of the slots of psi(1_B) * (-1)^(k - |B|).  psi
-    is read from the structure function, one call per slot vector, with
-    no range check: the vectors are the ones product builds.
-    """
-    k = len(bs.max_states)
-    if k > 25:
-        raise ComplexityGuardError(f"{k} binary components exceed the subset guard (25)")
-    return _signed_sum(map(bs.system._func, product((0, 1), repeat=k)), k)
-
-
 def domination_via_binary(ls: LevelSystem) -> int:
     """Signed domination computed through the associated binary system.
 
@@ -181,3 +171,16 @@ def domination_via_binary(ls: LevelSystem) -> int:
     if k > 25:
         raise ComplexityGuardError(f"{k} binary components exceed the subset guard (25)")
     return _alternating_sum(ls, ls.max_states)
+
+
+def binary_signed_domination(bs: LevelSystem) -> int:
+    """Signed domination of a binary system at the all-ones vector: the
+    sum over subsets B of the slots of psi(1_B) * (-1)^(k - |B|).
+
+    On a binary system the box of top corners is {0,1}^k, so this is the
+    binary route, domination_via_binary, with its guard: psi is read as
+    the level function, one evaluate call per slot vector, so a level
+    above 1 thresholds the structure, and any other level function gives
+    its associated binary system's value.
+    """
+    return domination_via_binary(bs)

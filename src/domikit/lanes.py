@@ -56,7 +56,10 @@ class Lanes:
         return int.from_bytes(lanes.to_bytes(length * self.width, "little") * count, "little")
 
     def pack(self, values: Iterable[int]) -> int:
-        """Values listed in lexicographic state order."""
+        """Values listed in lexicographic state order.  One-byte lanes are
+        the bytes of the values, with no bytes object made per value."""
+        if self.width == 1:
+            return int.from_bytes(bytes(values), "little")
         return int.from_bytes(b"".join(v.to_bytes(self.width, "little") for v in values), "little")
 
     def cut(self, space: Lanes, lanes: bytes) -> int:

@@ -23,7 +23,7 @@ from .errors import ComplexityGuardError, DomainError, ValidationError
 from .domination import _signed_sum
 from .network import _forest_rank
 from .poset import Vector
-from .systems import LevelSystem, _binary_system
+from .systems import LevelSystem, _binary_system, _level_table
 
 
 class Matroid:
@@ -145,13 +145,16 @@ def domination_invariant_recursion(bs: LevelSystem) -> int:
 
     D(phi) = D(phi with e up) + D(phi with e down), valid when phi comes
     from a matroid system (the split halves then carry opposite signs).
-    The structure function is called once per vector of {0,1}^k, in
-    product order, into one truth table.  Every split is on slot 0, the
-    slowest, so the minors with it down and up are the first and second
-    halves of the table.  Constant tables give 0, an irrelevant slot
-    (both halves equal) gives 0, and every minor is memoised on its
-    table, so repeated shapes, frequent in symmetric systems, are
-    computed once.  Past 25 slots nothing is evaluated.
+    The level function is tabulated once, by the system's own tabulator,
+    over the box of top corners in product order: {0,1}^k on a binary
+    system, one structure call per vector where it was built from a
+    function, and the associated binary system's table on any other
+    level function.  Every split is on slot 0, the slowest, so the
+    minors with it down and up are the first and second halves of the
+    table.  Constant tables give 0, an irrelevant slot (both halves
+    equal) gives 0, and every minor is memoised on its table, so repeated
+    shapes, frequent in symmetric systems, are computed once.  Past 25
+    slots nothing is evaluated.
     """
     size = len(bs.max_states)
     if size > 25:
@@ -174,7 +177,7 @@ def domination_invariant_recursion(bs: LevelSystem) -> int:
         memo[t] = value
         return value
 
-    return run(bytes(map(bs.system._func, product((0, 1), repeat=size))))
+    return run(_level_table(bs, [m - 1 for m in bs.max_states], bs.max_states))
 
 
 def uniform_matroid(ground: Iterable[Hashable], rank: int) -> Matroid:

@@ -34,7 +34,7 @@ from .errors import ComplexityGuardError, DomainError, GraphError
 from .lanes import Lanes
 from .poset import Vector
 from .signed import series_parallel_domination
-from .systems import MultistateSystem
+from .systems import MultistateSystem, _state_vector
 
 
 class Edge:
@@ -74,6 +74,8 @@ class FlowNetwork:
         for e in edges:
             if e.tail not in nodeset or e.head not in nodeset:
                 raise GraphError(f"edge {e.id} endpoint outside node list")
+            if not isinstance(e.capacity, int):
+                raise GraphError(f"edge {e.id} max capacity {e.capacity!r} is not an integer")
             if e.capacity < 1:
                 raise GraphError(f"edge {e.id} max capacity must be >= 1")
         self.nodes, self.source, self.sink = nodes, source, sink
@@ -95,17 +97,15 @@ class FlowNetwork:
 
 
 def max_flow(net: FlowNetwork, x: Vector) -> int:
-    """Max source-to-sink flow under edge capacities x (integers).
+    """Max source-to-sink flow under edge capacities x, a state vector of
+    the network's space: ints 0..max capacity, refused otherwise by the
+    one state-vector check, with evaluate's message.
 
     Breadth-first augmenting paths on the residual graph; an undirected
     edge becomes a pair of opposed arcs acting as each other's residuals,
     which is the standard reduction.
     """
-    ms = net.max_states
-    if len(x) != len(ms):
-        raise DomainError(f"capacity vector of length {len(ms)} expected, got {x}")
-    if any(a < 0 or a > m for a, m in zip(x, ms)):
-        raise DomainError(f"capacity vector {x} outside 0..{ms}")
+    x = _state_vector(tuple(x), net.max_states)
     idx = {v: i for i, v in enumerate(net.nodes)}
     adj: list[list[int]] = [[] for _ in net.nodes]
     cap: list[int] = []

@@ -87,6 +87,8 @@ class MultistateSystem:
 
     def __init__(self, max_states, system_max, kind, _func, _paths=None, _lanes=None,
                  _closed=lambda k: None):
+        if not all(isinstance(m, int) for m in max_states):
+            raise DomainError(f"component max states must be integers, got {max_states}")
         if any(m < 1 for m in max_states):
             raise DomainError(f"component max states must be >= 1, got {max_states}")
         if system_max < 0:
@@ -131,34 +133,29 @@ class MultistateSystem:
         no byte has its high bit set and every byte of _tops - packed keeps
         it, as (0x80 | m_i) - x_i >= 0x80 exactly when x_i <= m_i, with no
         borrow from the next byte while x_i < 128.  An object with
-        __index__ passes as its int, and x goes on to phi as it is.
+        __index__ passes as its int, and x goes on to phi as it is; where
+        phi raises TypeError on it, as sum or a product does on an object
+        with no arithmetic, the reference check judges x after all.
 
-        The reference check stays for all the fast check does not accept:
-        a wrong length, a state out of range or not an int, and every x of
-        a system with some m_i >= 128.  It judges those states, and its
-        refusal names the fault with the one message.  It may refuse an
-        object with __index__ that does not compare with an int.
+        The reference check, _state_vector, takes all the fast check does
+        not accept: a wrong length, a state out of range or not an int, and
+        every x of a system with some m_i >= 128.  Its refusal names the
+        fault with the one message.
         """
         x = tuple(x)
         highs = self._highs
         if highs is not None and len(x) == len(self.max_states):
             try:
                 packed = int.from_bytes(bytes(x), "little")
-            except (TypeError, ValueError):
-                pass
-            else:
-                if not packed & highs and (self._tops - packed) & highs == highs:
+            except (TypeError, ValueError):  # not n states 0..255: the test below fails
+                packed = highs
+            if not packed & highs and (self._tops - packed) & highs == highs:
+                try:
                     return self._func(x)
-        ms = self.max_states
-        try:  # "a", None, [0] or 1j compare with no int
-            inside = len(x) == len(ms) and all(map(operator.le, x, ms)) and (not x or min(x) >= 0)
-            if inside:  # a sum of states in range is an int only when every state is
-                operator.index(sum(x))
-        except TypeError:
-            inside = False
-        if not inside:
-            raise DomainError(f"state vector {x} outside space {ms}")
-        return self._func(x)
+                except TypeError:  # a state with __index__ alone packs, yet may not add
+                    _state_vector(x, self.max_states)
+                    raise
+        return self._func(_state_vector(x, self.max_states))
 
     def level(self, k: int) -> "LevelSystem":
         """The binary level-k structure, phi_k(x) = 1 iff phi(x) >= k."""
@@ -167,6 +164,21 @@ class MultistateSystem:
                 f"level {k} outside 1..{self.system_max}"
             )
         return LevelSystem(system=self, level=k)
+
+
+def _state_vector(x: tuple, ms: Sequence[int]) -> Vector:
+    """The tuple x, unchanged, if it is a vector of the space 0..ms: of
+    length n, each state an int in 0..m_i; else DomainError naming x and
+    the space.  The one state-vector check: evaluate falls back to it, and
+    delta_at and max_flow call it.  It may refuse an object with __index__
+    that does not compare or add like an int."""
+    try:  # "a", None, [0] or 1j compare with no int
+        if len(x) == len(ms) and all(map(operator.le, x, ms)) and (not x or min(x) >= 0):
+            operator.index(sum(x))  # a sum of states in range is an int only when every state is
+            return x
+    except TypeError:
+        pass
+    raise DomainError(f"state vector {x} outside space {ms}")
 
 
 class LevelSystem:

@@ -2,7 +2,8 @@
 test modules is used, every definition of the package is read, every
 option of the package is set by some caller outside the tests, every
 exported name and every public member of a public class is read outside
-the tests, no exported name hides a submodule, and importing the
+the tests, no exported name hides a submodule, no module but `systems`
+reads a system's raw structure function, and importing the
 command line or the parser loads neither `dataclasses` nor `inspect`.
 
 A deletion that leaves an import, a definition or an option behind
@@ -158,6 +159,19 @@ def test_every_public_member_is_read_outside_the_tests():
                 if not name.startswith("_") and name not in attributes:
                     unread.append(f"{path.name} {node.name}.{name}")
     assert not unread, f"members read only by the tests: {unread}"
+
+
+def test_only_systems_reads_the_raw_structure_function():
+    """A system's _func is phi before the range check and the level
+    threshold.  A route outside `systems` that reads it skips both:
+    binary_signed_domination and the recursion once read 2-of-3 as the
+    raw sum and gave 0 and 1, not -2 and 2.  Every other module goes
+    through evaluate, a level function or a tabulator."""
+    readers = [f"{path.name}:{node.lineno}"
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "systems.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "_func"]
+    assert not readers, f"_func read outside systems.py: {readers}"
 
 
 def test_int_byte_conversions_name_length_and_byteorder():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from itertools import combinations, compress, product
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     circuit_paths,
     cycle_circuits,
     exhaustive_rank,
+    lane_kinds,
     link_paths,
 )
 from domikit import (
@@ -20,6 +22,7 @@ from domikit import (
     DomainError,
     Matroid,
     MatroidSystemLink,
+    associated_binary,
     beta_number,
     binary_signed_domination,
     crapo_beta,
@@ -30,6 +33,7 @@ from domikit import (
     link_structure,
     minimal_path_vectors,
     pivotal_domination,
+    sum_system,
     threshold_domination,
     uniform_matroid,
 )
@@ -344,6 +348,41 @@ def test_link_is_a_binary_system_every_route_takes(name):
     assert domination_invariant_recursion(bs) == abs(want)
     paths = minimal_path_vectors(bs)
     assert {frozenset(compress(link.components, p)) for p in paths} == circuit_paths(circuits, "x")
+
+
+def test_binary_routes_read_the_level_function_not_the_raw_structure():
+    """On any level function the binary structure's signed sum is the
+    binary route, equal to pivotal, and the recursion tabulates the box of
+    top corners, as on the associated binary system.  2-of-3, the link of
+    U(2, 4), has d = -2 and beta 2: read as the raw structure at {0,1}^3
+    they gave 0 and 1."""
+    two_of_three = sum_system([1, 1, 1]).level(2)
+    assert binary_signed_domination(two_of_three) == pivotal_domination(two_of_three) == -2
+    assert domination_invariant_recursion(two_of_three) == 2
+    for system in lane_kinds():
+        for k in range(1, system.system_max + 1):
+            ls = system.level(k)
+            assert binary_signed_domination(ls) == pivotal_domination(ls), (system.kind, k)
+            assert (domination_invariant_recursion(ls)
+                    == domination_invariant_recursion(associated_binary(ls))), (system.kind, k)
+
+
+@pytest.mark.memory
+def test_recursion_tabulates_in_a_few_bytes_per_vector():
+    """The recursion's truth table comes from the default tabulator, one
+    structure call per vector: its peak stays under 16 bytes a vector over
+    2^16 vectors, where packing one bytes object per value took about 128.
+    A first untraced call pays what any first call allocates."""
+    bs = binary_system(16, lambda z: int(sum(z) > 8))
+    domination_invariant_recursion(bs)
+    tracemalloc.start()
+    try:
+        got = domination_invariant_recursion(bs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == math.comb(15, 8)
+    assert peak < 16 * 2**16, peak
 
 
 def test_threshold_domination_values():

@@ -65,6 +65,9 @@ def test_network_validation():
     (["S", "T"], [(1, "Q", "T", True, 1)], "S", "T", "edge 1 endpoint outside node list"),
     (["S", "T"], [(1, "S", "T", False, 0)], "S", "T", "edge 1 max capacity must be >= 1"),
     (["S", "T"], [(1, "S", "T", True, -2)], "S", "T", "edge 1 max capacity must be >= 1"),
+    (["S", "T"], [(1, "S", "T", False, 1.5)], "S", "T", "edge 1 max capacity 1.5 is not an integer"),
+    (["S", "T"], [(1, "S", "T", False, 1), (2, "S", "T", True, "2")], "S", "T",
+     "edge 2 max capacity '2' is not an integer"),
 ])
 def test_each_network_refusal_names_its_fault(nodes, edges, source, sink, message):
     with pytest.raises(GraphError) as exc:

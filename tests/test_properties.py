@@ -11,8 +11,9 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import lex_values, signed_formation_dp, vleq
+from conftest import lex_values, network, signed_formation_dp, vleq
 from domikit import (
+    DimensionError,
     DomainError,
     InvalidGeneratorError,
     MultistateSystem,
@@ -21,6 +22,7 @@ from domikit import (
     domination_by_formations,
     domination_via_binary,
     join_closure,
+    max_flow,
     minimal_path_vectors,
     path_vector_system,
     pivotal_domination,
@@ -206,22 +208,46 @@ evaluate_cases = st.tuples(
 @example(((128, 300), "bare", (128, 300), "tuple"))
 @example(((128, 300), "weighted", (129, 0), "iter"))
 @example(((128, 300), "unit", (0, "a"), "tuple"))
+@example(((2, 2), "unit", (0.5, 1), "tuple"))  # delta_at named a corner, max_flow gave 0.5
+@example(((2, 2), "weighted", ("a", 1), "list"))
+@example(((2, 2), "unit", (True, 2), "iter"))
 def test_evaluate_accepts_exactly_what_the_reference_check_accepts(case):
     """evaluate answers _func(tuple(x)) exactly where the reference check
     accepts x, and everywhere else raises DomainError with its text.  The
-    bare structure hands back its input, so x reaches it as it was."""
+    bare structure hands back its input, so x reaches it as it was.
+
+    delta_at, given x as y, and max_flow, given x as the capacities of
+    parallel edges, refuse exactly the same vectors by the same text:
+    delta_at names a wrong length by DimensionError first, and the zero
+    vector is outside its domain."""
     ms, structure, xs, container = case
     if structure == "bare":
         system = MultistateSystem(ms, 1, "bare", lambda x: x)
     else:
         system = sum_system(ms, None if structure == "unit" else [i % 3 for i in range(len(ms))])
-    x = {"tuple": tuple, "list": list, "iter": iter}[container](xs)
+    vector = {"tuple": tuple, "list": list, "iter": iter}[container]
+    net = network(["S", "T"], [(i + 1, "S", "T", False, m) for i, m in enumerate(ms)], "S", "T")
+    message = f"state vector {xs} outside space {ms}"
     if _inside(xs, ms):
-        value = system.evaluate(x)
+        value = system.evaluate(vector(xs))
         assert value == system._func(xs)
         if structure == "bare":
             assert list(map(type, value)) == list(map(type, xs))
+        assert max_flow(net, vector(xs)) == sum(xs)
+        if any(xs):
+            ls = sum_system(ms).level(1)
+            assert delta_at(ls, vector(xs)) == delta_at(ls, tuple(map(int, xs)))
     else:
         with pytest.raises(DomainError) as err:
-            system.evaluate(x)
-        assert str(err.value) == f"state vector {xs} outside space {ms}"
+            system.evaluate(vector(xs))
+        assert str(err.value) == message
+        with pytest.raises(DomainError) as err:
+            max_flow(net, vector(xs))
+        assert str(err.value) == message
+        if ms and len(xs) == len(ms):
+            with pytest.raises(DomainError) as err:
+                delta_at(sum_system(ms).level(1), vector(xs))
+            assert str(err.value) == message
+        elif ms:
+            with pytest.raises(DimensionError):
+                delta_at(sum_system(ms).level(1), vector(xs))

@@ -74,14 +74,24 @@ def test_table_system_rejects_wrong_size_and_negatives():
 
 
 def test_system_bounds_are_checked_on_construction():
-    """A component with fewer than two states or a negative top level is
-    refused however the system is built."""
+    """A component with fewer than two states, a bound that is not an int
+    or a negative top level is refused however the system is built.  A
+    fractional bound made a fractional top level, 201.5 for [200.5, 1],
+    or raised a bare TypeError where it was packed into a byte."""
     with pytest.raises(DomainError, match=r"^component max states must be >= 1, got \(1, 0\)$"):
         MultistateSystem((1, 0), 1, "bare", sum)
     with pytest.raises(DomainError, match=r"^system max level must be >= 0, got -1$"):
         MultistateSystem((1,), -1, "bare", sum)
     with pytest.raises(DomainError, match=r"^component max states must be >= 1, got \(0,\)$"):
         sum_system([0])
+    for bounds in ([200.5, 1], [1.5, 1], [1, Fraction(2)]):
+        with pytest.raises(DomainError) as exc:
+            sum_system(bounds)
+        assert str(exc.value) == f"component max states must be integers, got {tuple(bounds)}"
+    for bounds in ((1.5,), ("a", 1), (None,)):
+        with pytest.raises(DomainError):
+            MultistateSystem(bounds, 1, "bare", sum)
+    assert sum_system([True, 2]).system_max == 3  # a bool is its int
 
 
 def test_a_system_with_both_bound_faults_names_its_components():
@@ -207,6 +217,29 @@ def test_evaluate_refuses_non_integer_states():
         for x in ((0.5, 0), (Fraction(1, 2), 0)):
             with pytest.raises(DomainError):
                 system.evaluate(x)
+    # an object with __index__ alone packs into a byte, but no kind's phi can
+    # add, multiply or compare it: the range check names it, where a sum
+    # raised a bare TypeError
+    for system in lane_kinds():
+        ms = system.max_states
+        for i in range(len(ms)):
+            x = (0,) * i + (IndexOnly(1),) + (0,) * (len(ms) - i - 1)
+            with pytest.raises(DomainError) as err:
+                system.evaluate(x)
+            assert str(err.value) == f"state vector {x} outside space {ms}"
+
+
+class IndexOnly:
+    """An integer state by __index__ alone: no arithmetic, no comparison."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"IndexOnly({self.value})"
 
 
 def test_path_vector_system_round_trip():
